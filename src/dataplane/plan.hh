@@ -41,7 +41,7 @@ struct DataplanePlan
 
     /** Dedicated poll cores (ids [0, pollCores)); bypass only. Must
      *  leave at least one worker core — checked where the core count
-     *  is known (Experiment / ClusterHost construction). */
+     *  is known (ServerRig::validate). */
     int pollCores = 1;
 
     /** Max Rx packets harvested per queue per poll iteration. */

@@ -6,47 +6,68 @@
 
 #include "cluster/dispatch.hh"
 #include "fault/injector.hh"
-#include "fault/plan.hh"
-#include "harness/policy_registry.hh"
-#include "resilience/admission.hh"
-#include "resilience/plan.hh"
+#include "net/wire.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "workload/client.hh"
 #include "workload/loadgen.hh"
+#include "workload/server_app.hh"
 
 namespace nmapsim {
 
-ClusterExperiment::ClusterExperiment(ClusterConfig config)
-    : config_(std::move(config))
+namespace {
+
+/**
+ * One server host behind the switch: a ServerRig plus what the cluster
+ * wires around it. The uplink carries the host's traffic back into the
+ * switch. The feedback client never sends; it records the latency of
+ * the responses the switch attributes to this host, which gives
+ * per-host latency and the client feed policies like Parties need.
+ * Members are built in declaration order, which is the host's Rng fork
+ * order: cores, then the app.
+ */
+struct Host
 {
-    ensureBuiltinPolicies();
+    Host(EventQueue &eq, const ExperimentConfig &config, Rng host_rng,
+         const SwitchConfig &fabric, int id)
+        : rng(std::move(host_rng)),
+          uplink(eq, fabric.portBandwidthBps, fabric.portPropagation),
+          rig(eq, config, rng, uplink),
+          app(rig.os(), rig.nic(), config.app, rng.fork()),
+          feedback(eq, uplink, config.app, /*num_connections=*/1)
+    {
+        uplink.setLabel("host" + std::to_string(id) + ".uplink");
+    }
+
+    Rng rng;
+    Wire uplink; //!< host -> switch
+    ServerRig rig;
+    ServerApp app;
+    Client feedback;
+};
+
+} // namespace
+
+ClusterExperiment::ClusterExperiment(ClusterConfig config)
+    : config_(std::move(config)),
+      topology_(TopologyPlan::fromParams(config_.base.params)),
+      fault_(FaultPlan::fromParams(config_.base.params)),
+      retry_(ClientRetryPolicy::fromParams(config_.base.params)),
+      resilience_(ResiliencePlan::fromParams(config_.base.params))
+{
     ensureBuiltinDispatchPolicies();
 
     // A declared topology owns the host count: tiers are contiguous
     // host-id ranges, so `hosts` (the count) is derived and per-host
     // override vectors must match the derived total.
-    topology_ = TopologyPlan::fromParams(config_.base.params);
     if (topology_.enabled()) {
         config_.numHosts = topology_.totalHosts();
-        const PolicyRegistry &registry = PolicyRegistry::instance();
-        for (const TierSpec &tier : topology_.tiers) {
-            const std::string where =
-                " in topology tier '" + tier.name + "'";
+        for (const TierSpec &tier : topology_.tiers)
             if (!tier.dispatch.empty() &&
                 !DispatchRegistry::instance().has(tier.dispatch))
                 fatal("unknown dispatch policy '" + tier.dispatch +
-                      "'" + where);
-            if (!tier.freqPolicy.empty() &&
-                !registry.hasFreq(tier.freqPolicy))
-                fatal("unknown frequency policy '" + tier.freqPolicy +
-                      "'" + where);
-            if (!tier.idlePolicy.empty() &&
-                !registry.hasIdle(tier.idlePolicy))
-                fatal("unknown idle policy '" + tier.idlePolicy +
-                      "'" + where);
-        }
+                      "' in topology tier '" + tier.name + "'");
     }
 
     if (config_.numHosts < 1)
@@ -72,64 +93,49 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
     if (!DispatchRegistry::instance().has(config_.dispatch))
         fatal("unknown dispatch policy '" + config_.dispatch + "'");
 
-    // Surface fault/retry config errors at construction, like every
-    // other config error.
-    const FaultPlan plan = FaultPlan::fromParams(config_.base.params);
-    const ClientRetryPolicy retry =
-        ClientRetryPolicy::fromParams(config_.base.params);
-    if (plan.flapHost >= config_.numHosts)
+    if (fault_.flapHost >= config_.numHosts)
         fatal("fault.flap_host out of range");
-    for (int crash_host : plan.crashHosts)
+    for (int crash_host : fault_.crashHosts)
         if (crash_host >= config_.numHosts)
             fatal("fault.crash_host out of range");
-
-    // Same for the resilience plan: resolve the admission policy name
-    // now (make() fatals with the known-name list) and reject a retry
-    // budget with nothing to budget.
-    const ResiliencePlan resilience =
-        ResiliencePlan::fromParams(config_.base.params);
-    if (resilience.wantsAdmission()) {
-        ensureBuiltinAdmissionPolicies();
-        (void)AdmissionPolicyRegistry::instance().make(
-            resilience.admission, AdmissionContext{resilience});
-    }
-    if (resilience.wantsRetryBudget() && !retry.enabled())
+    if (resilience_.wantsRetryBudget() && !retry_.enabled())
         fatal("resilience.retry_budget requires client retry "
               "(client.timeout)");
-}
 
-ExperimentConfig
-ClusterExperiment::hostConfig(int id) const
-{
-    ExperimentConfig cfg = config_.base;
-    if (topology_.enabled()) {
-        // The host-side rig (and its offline profiling Experiment)
-        // must not see cluster-only topology keys.
-        std::vector<std::string> topo_keys;
-        for (const auto &[key, value] : cfg.params)
-            if (key.rfind("topology.", 0) == 0)
-                topo_keys.push_back(key);
-        for (const std::string &key : topo_keys)
-            cfg.params.erase(key);
-        const TierSpec &tier =
-            topology_.tiers[static_cast<std::size_t>(
-                topology_.tierOf(id))];
-        if (!tier.freqPolicy.empty())
-            cfg.freqPolicy = tier.freqPolicy;
-        if (!tier.idlePolicy.empty())
-            cfg.idlePolicy = tier.idlePolicy;
+    // Resolve every host's configuration (base, then the tier's, then
+    // the host's overrides) and validate it as a server, once.
+    for (int id = 0; id < config_.numHosts; ++id) {
+        ExperimentConfig cfg = config_.base;
+        if (topology_.enabled()) {
+            // The host-side rig (and its offline profiling Experiment)
+            // must not see cluster-only topology keys.
+            std::vector<std::string> topo_keys;
+            for (const auto &[key, value] : cfg.params)
+                if (key.rfind("topology.", 0) == 0)
+                    topo_keys.push_back(key);
+            for (const std::string &key : topo_keys)
+                cfg.params.erase(key);
+            const TierSpec &tier =
+                topology_.tiers[static_cast<std::size_t>(
+                    topology_.tierOf(id))];
+            if (!tier.freqPolicy.empty())
+                cfg.freqPolicy = tier.freqPolicy;
+            if (!tier.idlePolicy.empty())
+                cfg.idlePolicy = tier.idlePolicy;
+        }
+        if (!config_.hosts.empty()) {
+            const HostSpec &spec =
+                config_.hosts[static_cast<std::size_t>(id)];
+            if (!spec.freqPolicy.empty())
+                cfg.freqPolicy = spec.freqPolicy;
+            if (!spec.idlePolicy.empty())
+                cfg.idlePolicy = spec.idlePolicy;
+            for (const auto &[key, value] : spec.params)
+                cfg.params.set(key, value);
+        }
+        hostDataplanes_.push_back(ServerRig::validate(cfg).dataplane);
+        hostConfigs_.push_back(std::move(cfg));
     }
-    if (config_.hosts.empty())
-        return cfg;
-    const HostSpec &spec =
-        config_.hosts[static_cast<std::size_t>(id)];
-    if (!spec.freqPolicy.empty())
-        cfg.freqPolicy = spec.freqPolicy;
-    if (!spec.idlePolicy.empty())
-        cfg.idlePolicy = spec.idlePolicy;
-    for (const auto &[key, value] : spec.params)
-        cfg.params.set(key, value);
-    return cfg;
 }
 
 Tick
@@ -169,36 +175,40 @@ ClusterExperiment::run()
     // anywhere and keeps the run byte-identical; the subsystem forks no
     // random stream, so enabling it perturbs no other component's
     // stream either.
-    const ResiliencePlan resilience =
-        ResiliencePlan::fromParams(config_.base.params);
-    if (resilience.enabled())
-        sw.enableResilience(resilience);
+    if (resilience_.enabled())
+        sw.enableResilience(resilience_);
 
     // --- Hosts --------------------------------------------------------
-    std::vector<std::unique_ptr<ClusterHost>> hosts;
+    // Each host takes its own fork of the master stream, in id order.
+    std::vector<std::unique_ptr<Host>> hosts;
     for (int id = 0; id < config_.numHosts; ++id) {
-        ExperimentConfig host_cfg = hostConfig(id);
-        auto profile_fn = [host_cfg] {
-            return Experiment::profileThresholds(host_cfg);
-        };
-        hosts.push_back(std::make_unique<ClusterHost>(
-            id, eq, host_cfg, std::move(profile_fn), rng.fork(),
-            config_.fabric.portBandwidthBps,
-            config_.fabric.portPropagation));
-        hosts.back()->connect(sw);
+        const ExperimentConfig &cfg = hostConfig(id);
+        hosts.push_back(std::make_unique<Host>(eq, cfg, rng.fork(),
+                                               config_.fabric, id));
+        Host &host = *hosts.back();
+        host.rig.attachPolicies(
+            host.rng, hostDataplanes_[static_cast<std::size_t>(id)],
+            &host.feedback,
+            [&cfg] { return Experiment::profileThresholds(cfg); });
+        sw.downlink(id).setSink(
+            [&nic = host.rig.nic()](const Packet &pkt) {
+                nic.receive(pkt);
+            });
+        host.uplink.setSink(
+            [&sw, id](const Packet &pkt) { sw.fromHost(id, pkt); });
         if (topology_.enabled()) {
+            // Every tier but the last forwards east-west.
             const int t = topology_.tierOf(id);
-            const TierSpec &tier =
-                topology_.tiers[static_cast<std::size_t>(t)];
-            hosts.back()->setTierRole(
-                {t, tier.name, t < topology_.numTiers() - 1,
-                 tier.serviceScale});
+            host.app.setForwardDownstream(t < topology_.numTiers() - 1);
+            host.app.setServiceScale(
+                topology_.tiers[static_cast<std::size_t>(t)]
+                    .serviceScale);
         }
-        if (resilience.enabled())
-            hosts.back()->setResilience(resilience);
+        if (resilience_.enabled())
+            host.app.setResilience(resilience_);
     }
     sw.setResponseTap([&hosts](int host, const Packet &pkt) {
-        hosts[static_cast<std::size_t>(host)]->onServedResponse(pkt);
+        hosts[static_cast<std::size_t>(host)]->feedback.onResponse(pkt);
     });
 
     // Per-host hop-latency recorders, fed by the switch's hop tap
@@ -280,55 +290,50 @@ ClusterExperiment::run()
     // fork is the last one taken: a disabled plan leaves all other
     // streams untouched and the run byte-identical to a fault-free
     // build.
-    const FaultPlan fault_plan =
-        FaultPlan::fromParams(config_.base.params);
-    const ClientRetryPolicy retry =
-        ClientRetryPolicy::fromParams(config_.base.params);
-    if (retry.enabled())
+    if (retry_.enabled())
         for (Group &group : groups)
-            group.client->setRetryPolicy(retry);
-    if (resilience.wantsRetryBudget())
+            group.client->setRetryPolicy(retry_);
+    if (resilience_.wantsRetryBudget())
         for (Group &group : groups)
-            group.client->setRetryBudget(resilience.retryBudget,
-                                         resilience.retryMin,
-                                         resilience.retryCap);
-    if (resilience.wantsDeadline())
+            group.client->setRetryBudget(resilience_.retryBudget,
+                                         resilience_.retryMin,
+                                         resilience_.retryCap);
+    if (resilience_.wantsDeadline())
         for (Group &group : groups)
-            group.client->setDeadlineBudget(resilience.deadline);
+            group.client->setDeadlineBudget(resilience_.deadline);
 
     std::unique_ptr<FaultInjector> injector;
-    if (fault_plan.enabled()) {
-        injector = std::make_unique<FaultInjector>(eq, fault_plan,
+    if (fault_.enabled()) {
+        injector = std::make_unique<FaultInjector>(eq, fault_,
                                                    rng.fork());
         // Loss/corruption live on the host access links (switch port
         // down, host uplink up), in topology order.
         for (int id = 0; id < config_.numHosts; ++id) {
             injector->addLossyWire(sw.downlink(id));
             injector->addLossyWire(
-                hosts[static_cast<std::size_t>(id)]->uplink());
+                hosts[static_cast<std::size_t>(id)]->uplink);
         }
-        if (fault_plan.wantsFlap()) {
+        if (fault_.wantsFlap()) {
             std::vector<Wire *> flapping;
             for (int id = 0; id < config_.numHosts; ++id) {
-                if (fault_plan.flapHost >= 0 &&
-                    fault_plan.flapHost != id)
+                if (fault_.flapHost >= 0 && fault_.flapHost != id)
                     continue;
                 flapping.push_back(&sw.downlink(id));
                 flapping.push_back(
-                    &hosts[static_cast<std::size_t>(id)]->uplink());
+                    &hosts[static_cast<std::size_t>(id)]->uplink);
             }
             injector->addFlapGroup(std::move(flapping));
         }
-        if (fault_plan.wantsRingDegrade())
-            for (std::unique_ptr<ClusterHost> &host : hosts)
-                injector->addDegradableNic(host->nic());
-        for (int crash_host : fault_plan.crashHosts) {
+        if (fault_.wantsRingDegrade())
+            for (std::unique_ptr<Host> &host : hosts)
+                injector->addDegradableNic(host->rig.nic());
+        for (int crash_host : fault_.crashHosts) {
             // Fail-stop from the network's point of view: both access
             // links go dark; the host itself keeps simulating (its
             // power draw during the outage is part of the result).
             Wire *down_link = &sw.downlink(crash_host);
             Wire *up_link =
-                &hosts[static_cast<std::size_t>(crash_host)]->uplink();
+                &hosts[static_cast<std::size_t>(crash_host)]->uplink;
             injector->trackWire(*down_link);
             injector->trackWire(*up_link);
             injector->scheduleCrash(
@@ -344,8 +349,8 @@ ClusterExperiment::run()
     }
 
     // --- Run ----------------------------------------------------------
-    for (std::unique_ptr<ClusterHost> &host : hosts)
-        host->start();
+    for (std::unique_ptr<Host> &host : hosts)
+        host->rig.start();
     for (Group &group : groups) {
         group.gen->setConnectionSkew(config_.base.connectionSkew);
         group.gen->setLoad(spec);
@@ -354,8 +359,10 @@ ClusterExperiment::run()
 
     eq.runUntil(config_.base.warmup);
     Tick measure_start = eq.now();
-    for (std::unique_ptr<ClusterHost> &host : hosts)
-        host->beginMeasurement(measure_start);
+    for (std::unique_ptr<Host> &host : hosts) {
+        host->rig.beginMeasurement(measure_start);
+        host->feedback.latencies().clear();
+    }
     for (Group &group : groups) {
         group.client->latencies().clear();
         group.client->attemptLatencies().clear();
@@ -421,21 +428,36 @@ ClusterExperiment::run()
         static_cast<double>(result.responsesReceived) /
         toSeconds(sim_end);
 
-    const double measured_seconds = toSeconds(sim_end - measure_start);
-    for (const std::unique_ptr<ClusterHost> &host : hosts) {
-        ClusterHostResult hr = host->collect(sim_end);
-        hr.avgPowerWatts = hr.energyJoules / measured_seconds;
-        hr.ejections = sw.ejections(hr.id);
-        if (resilience.enabled()) {
+    for (int id = 0; id < config_.numHosts; ++id) {
+        Host &host = *hosts[static_cast<std::size_t>(id)];
+        const ExperimentConfig &cfg = hostConfig(id);
+        ClusterHostResult hr;
+        host.rig.collect(sim_end, hr);
+        hr.id = id;
+        hr.freqPolicy = cfg.freqPolicy;
+        hr.idlePolicy = cfg.idlePolicy;
+        hr.forwarded = host.app.requestsForwarded();
+        const LatencyRecorder &lat = host.feedback.latencies();
+        hr.served = host.feedback.responsesReceived();
+        hr.p50 = lat.percentile(50.0);
+        hr.p99 = lat.percentile(99.0);
+        hr.ejections = sw.ejections(id);
+        if (resilience_.enabled()) {
             hr.resilient = true;
-            hr.breakerTransitions = sw.breakerTransitions(hr.id);
+            hr.shedAdmission = host.app.shedAdmission();
+            hr.shedSojourn = host.app.shedSojourn();
+            hr.shedDeadline = host.app.shedDeadline();
+            hr.breakerTransitions = sw.breakerTransitions(id);
             result.shedAdmission += hr.shedAdmission;
             result.shedSojourn += hr.shedSojourn;
             result.shedDeadline += hr.shedDeadline;
         }
         if (topology_.enabled()) {
+            hr.tier = topology_.tierOf(id);
+            hr.tierName =
+                topology_.tiers[static_cast<std::size_t>(hr.tier)].name;
             const LatencyRecorder &hop =
-                hop_lat[static_cast<std::size_t>(hr.id)];
+                hop_lat[static_cast<std::size_t>(id)];
             hr.hopsCompleted = hop.count();
             hr.hopP50 = hop.percentile(50.0);
             hr.hopP99 = hop.percentile(99.0);
@@ -444,7 +466,8 @@ ClusterExperiment::run()
         result.hostNicDrops += hr.nicDrops;
         result.hosts.push_back(std::move(hr));
     }
-    result.avgPowerWatts = result.energyJoules / measured_seconds;
+    result.avgPowerWatts =
+        result.energyJoules / toSeconds(sim_end - measure_start);
 
     // --- Per-tier SLO attribution -------------------------------------
     if (topology_.enabled()) {

@@ -2,13 +2,14 @@
  * @file
  * Multi-host cluster experiment harness.
  *
- * A ClusterExperiment runs N complete server hosts (cluster/host.hh)
- * behind a modeled top-of-rack switch (cluster/switch.hh): client
- * groups send bursty open-loop traffic into the switch, a
- * DispatchRegistry policy steers every request to a host, and each
- * host runs its own frequency + sleep policy resolved by name through
- * the PolicyRegistry. Hosts may be heterogeneous (per-host policy and
- * tunable overrides) and unevenly loaded (per-host dispatch weights).
+ * A ClusterExperiment runs N complete server hosts (one ServerRig each,
+ * see harness/server_rig.hh) behind a modeled top-of-rack switch
+ * (cluster/switch.hh): client groups send bursty open-loop traffic
+ * into the switch, a DispatchRegistry policy steers every request to
+ * a host, and each host runs its own frequency + sleep policy resolved
+ * by name through the PolicyRegistry. Hosts may be heterogeneous
+ * (per-host policy and tunable overrides) and unevenly loaded
+ * (per-host dispatch weights).
  *
  * The result carries both cluster-level aggregates — latency
  * percentiles over every completed request, total package energy,
@@ -24,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/host.hh"
 #include "cluster/switch.hh"
 #include "cluster/topology.hh"
 #include "harness/experiment.hh"
@@ -115,6 +115,47 @@ struct ClusterTierResult
     double p99Share = 0.0;
 
     double energyJoules = 0.0;
+};
+
+/** Everything one host of a cluster run produced: its server counters
+ *  plus what the cluster attributes to it. */
+struct ClusterHostResult : ServerCounters
+{
+    int id = 0;
+    std::string freqPolicy;
+    std::string idlePolicy;
+
+    /** Service tier this host belongs to (0 when single-tier). */
+    int tier = 0;
+    std::string tierName;
+    /** Requests this host forwarded east-west (mid-chain tiers). */
+    std::uint64_t forwarded = 0;
+    /** Hop completions and dispatch-to-return hop latency, from the
+     *  switch's hop tap (topology runs only). */
+    std::uint64_t hopsCompleted = 0;
+    Tick hopP50 = 0;
+    Tick hopP99 = 0;
+
+    /** Responses this host served (tap-attributed). */
+    std::uint64_t served = 0;
+    /** Latency of served requests, end-to-end up to the switch egress
+     *  fabric (excludes the final switch->client link). */
+    Tick p50 = 0;
+    Tick p99 = 0;
+
+    /** Times the switch's failure detector ejected this host. */
+    std::uint64_t ejections = 0;
+
+    /** @name Resilience metrics (only meaningful — and only
+     *  serialised — when resilient is true) */
+    /**@{*/
+    bool resilient = false; //!< host ran with a resilience plan
+    std::uint64_t shedAdmission = 0; //!< arrivals the gate refused
+    std::uint64_t shedSojourn = 0;   //!< serve-time sojourn sheds
+    std::uint64_t shedDeadline = 0;  //!< past-deadline sheds (host side)
+    /** Switch-side breaker transitions for this host. */
+    std::uint64_t breakerTransitions = 0;
+    /**@}*/
 };
 
 /** Everything a cluster run produces. */
@@ -227,7 +268,11 @@ class ClusterExperiment
 
     /** The fully resolved configuration host @p id runs (base with the
      *  tier's, then the host's, overrides applied). */
-    ExperimentConfig hostConfig(int id) const;
+    const ExperimentConfig &
+    hostConfig(int id) const
+    {
+        return hostConfigs_[static_cast<std::size_t>(id)];
+    }
 
     /** The per-hop SLO budget tier @p tier is judged against. */
     Tick tierSlo(int tier) const;
@@ -235,6 +280,12 @@ class ClusterExperiment
   private:
     ClusterConfig config_;
     TopologyPlan topology_;
+    FaultPlan fault_;
+    ClientRetryPolicy retry_;
+    ResiliencePlan resilience_;
+    /** Per host: the resolved config and its validated dataplane. */
+    std::vector<ExperimentConfig> hostConfigs_;
+    std::vector<DataplanePlan> hostDataplanes_;
 };
 
 } // namespace nmapsim

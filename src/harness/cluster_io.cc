@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "harness/config_io.hh"
+#include "harness/result_io.hh"
 #include "resilience/plan.hh"
 #include "sim/logging.hh"
 
@@ -372,19 +373,7 @@ appendClusterResultRecord(ResultWriter &writer,
                 .set(p + "breaker_transitions",
                      host.breakerTransitions);
         }
-        // Dataplane columns appear only for bypass hosts, so NAPI
-        // cluster records (and mixed clusters' NAPI hosts) keep their
-        // pre-dataplane shape byte for byte.
-        if (host.bypass) {
-            rec.set(p + "bypass_poll_loops", host.bypassPollLoops)
-                .set(p + "bypass_empty_polls", host.bypassEmptyPolls)
-                .set(p + "bypass_sleeps", host.bypassSleeps)
-                .set(p + "bypass_sleep_residency_ns",
-                     static_cast<std::int64_t>(
-                         host.bypassSleepResidency))
-                .set(p + "bypass_wasted_poll_energy_j",
-                     host.bypassWastedPollEnergy);
-        }
+        appendBypassColumns(rec, p, host);
     }
     return rec;
 }

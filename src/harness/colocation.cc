@@ -1,16 +1,9 @@
 #include "harness/colocation.hh"
 
-#include "cpu/core.hh"
-#include "cpu/cpu_profile.hh"
-#include "cpu/package_power.hh"
-#include "governors/switchable_idle.hh"
-#include "harness/policy_registry.hh"
 #include "net/wire.hh"
-#include "os/server_os.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "stats/energy_meter.hh"
 #include "workload/client.hh"
 #include "workload/loadgen.hh"
 #include "workload/server_app.hh"
@@ -20,47 +13,50 @@ namespace nmapsim {
 ColocationExperiment::ColocationExperiment(ColocationConfig config)
     : config_(std::move(config))
 {
-    ensureBuiltinPolicies();
     if (config_.tenants.empty() || config_.tenants.size() > 8)
         fatal("ColocationExperiment supports 1-8 tenants");
-    if (config_.numCores < 1)
-        fatal("ColocationExperiment requires at least one core");
     for (const TenantConfig &t : config_.tenants) {
         if (t.numConnections < 1 ||
             t.numConnections >=
                 static_cast<int>(kFlowSpaceStride))
             fatal("tenant connection count out of range");
     }
+    if (config_.duration <= 0)
+        fatal("ColocationExperiment duration must be positive");
+    // The colocation rig wires no dataplane, fault injector, client
+    // retry, overload control or topology: refuse their keys rather
+    // than ignore them.
+    for (const auto &[key, value] : config_.params)
+        for (const char *ns : {"dataplane.", "fault.", "client.",
+                               "resilience.", "topology."})
+            if (key.rfind(ns, 0) == 0)
+                fatal("'" + key + "' is not supported in colocation "
+                      "runs");
+
+    server_.cpuProfile = config_.cpuProfile;
+    server_.numCores = config_.numCores;
+    server_.app = config_.tenants.front().app;
+    server_.freqPolicy = config_.freqPolicy;
+    server_.idlePolicy = config_.idlePolicy;
+    server_.params = config_.params;
+    server_.gov = config_.gov;
+    server_.os = config_.os;
+    server_.nic = config_.nic;
+    ServerRig::validate(server_);
 }
 
 ColocationResult
 ColocationExperiment::run()
 {
-    const CpuProfile &profile = CpuProfile::byName(config_.cpuProfile);
     EventQueue eq;
     Rng rng(config_.seed);
 
-    // --- Hardware ---------------------------------------------------
-    std::vector<std::unique_ptr<Core>> cores;
-    std::vector<Core *> core_ptrs;
-    for (int i = 0; i < config_.numCores; ++i) {
-        cores.push_back(std::make_unique<Core>(
-            i, eq, profile, rng,
-            config_.tenants.front().app.cacheTouch));
-        core_ptrs.push_back(cores.back().get());
-    }
-    NicConfig nic_config = config_.nic;
-    nic_config.numQueues = config_.numCores;
-    Nic nic(eq, nic_config);
-
+    // --- Server + wires ----------------------------------------------
     Wire client_to_server(eq);
     Wire server_to_client(eq);
+    ServerRig rig(eq, server_, rng, server_to_client);
     client_to_server.setSink(
-        [&nic](const Packet &pkt) { nic.receive(pkt); });
-    nic.setTxWire(&server_to_client);
-
-    // --- OS ----------------------------------------------------------
-    ServerOs os(core_ptrs, nic, config_.os);
+        [&nic = rig.nic()](const Packet &pkt) { nic.receive(pkt); });
 
     // --- Tenants -------------------------------------------------------
     struct Tenant
@@ -73,7 +69,7 @@ ColocationExperiment::run()
     for (std::size_t i = 0; i < config_.tenants.size(); ++i) {
         const TenantConfig &tc = config_.tenants[i];
         Tenant t;
-        t.app = std::make_unique<ServerApp>(os, nic, tc.app,
+        t.app = std::make_unique<ServerApp>(rig.os(), rig.nic(), tc.app,
                                             rng.fork(),
                                             /*attach_deliver=*/false);
         t.client = std::make_unique<Client>(
@@ -86,7 +82,7 @@ ColocationExperiment::run()
     }
 
     // Route request packets and responses by flow space.
-    os.setDeliver([&tenants](int core, const Packet &pkt) {
+    rig.os().setDeliver([&tenants](int core, const Packet &pkt) {
         std::size_t idx = pkt.flowHash / kFlowSpaceStride;
         if (idx < tenants.size())
             tenants[idx].app->deliver(core, pkt);
@@ -97,46 +93,14 @@ ColocationExperiment::run()
             tenants[idx].client->onResponse(pkt);
     });
 
-    // --- Policies (resolved by name via the registry) ----------------
-    IdleContext idle_ctx{profile, config_.numCores, config_.params};
-    std::unique_ptr<CpuIdleGovernor> idle =
-        PolicyRegistry::instance().makeIdle(config_.idlePolicy,
-                                            idle_ctx);
-    SwitchableIdleGovernor switchable(*idle);
-
+    // --- Policies --------------------------------------------------------
     // No client latency feed and no single application to profile:
     // factories needing either fatal() with a policy-specific message.
-    PolicyContext policy_ctx{
-        eq,
-        core_ptrs,
-        nic,
-        os,
-        config_.tenants.front().app,
-        rng,
-        config_.gov,
-        config_.params,
-        /*client=*/nullptr,
-        /*profileThresholds=*/nullptr,
-        &switchable,
-        /*switchableRequested_=*/false};
-    FreqPolicyInstance policy =
-        PolicyRegistry::instance().makeFreq(config_.freqPolicy,
-                                            policy_ctx);
-
-    os.setIdleGovernor(policy_ctx.switchableRequested()
-                           ? static_cast<CpuIdleGovernor *>(&switchable)
-                           : idle.get());
-
-    // --- Energy ----------------------------------------------------------
-    PackagePower uncore(eq, core_ptrs);
-    PackageEnergyMeter package(0.0);
-    package.addMeter(&uncore.meter());
-    for (Core *core : core_ptrs)
-        package.addMeter(&core->meter());
+    rig.attachPolicies(rng, DataplanePlan{}, /*feedback=*/nullptr,
+                       /*profile=*/nullptr);
 
     // --- Run ---------------------------------------------------------------
-    os.start();
-    policy.governor->start();
+    rig.start();
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         const TenantConfig &tc = config_.tenants[i];
         LoadLevelSpec spec = tc.app.level(tc.load);
@@ -151,7 +115,7 @@ ColocationExperiment::run()
     }
 
     eq.runUntil(config_.warmup);
-    package.startMeasurement(eq.now());
+    rig.beginMeasurement(eq.now());
     for (Tenant &t : tenants)
         t.client->latencies().clear();
 
@@ -162,6 +126,7 @@ ColocationExperiment::run()
 
     // --- Collect ---------------------------------------------------------
     ColocationResult result;
+    rig.collect(end, result);
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         const LatencyRecorder &lat = tenants[i].client->latencies();
         TenantResult tr;
@@ -173,12 +138,6 @@ ColocationExperiment::run()
         tr.responsesReceived = tenants[i].client->responsesReceived();
         result.tenants.push_back(tr);
     }
-    result.energyJoules = package.energyJoules(end);
-    result.avgPowerWatts =
-        result.energyJoules / toSeconds(config_.duration);
-    result.nicDrops = nic.packetsDropped();
-    for (Core *core : core_ptrs)
-        result.pstateTransitions += core->dvfs().numTransitions();
     return result;
 }
 

@@ -66,7 +66,9 @@ struct ColocationConfig
     /** Sleep policy, by PolicyRegistry name. */
     std::string idlePolicy = "menu";
     /** Policy tunables; NMAP must carry explicit "nmap.ni_th" /
-     *  "nmap.cu_th". */
+     *  "nmap.cu_th". The keys of blocks the colocation rig does not
+     *  wire (`dataplane.*`, `fault.*`, `client.*`, `resilience.*`,
+     *  `topology.*`) are rejected at construction. */
     PolicyParams params;
 
     GovernorConfig gov{};
@@ -78,14 +80,11 @@ struct ColocationConfig
     std::uint64_t seed = 42;
 };
 
-/** Results of a colocated run. */
-struct ColocationResult
+/** Results of a colocated run: the shared server's counters plus one
+ *  entry per tenant. */
+struct ColocationResult : ServerCounters
 {
     std::vector<TenantResult> tenants;
-    double energyJoules = 0.0;
-    double avgPowerWatts = 0.0;
-    std::uint64_t nicDrops = 0;
-    std::uint64_t pstateTransitions = 0;
 };
 
 /** Builds and runs one colocated simulation. */
@@ -98,6 +97,10 @@ class ColocationExperiment
 
   private:
     ColocationConfig config_;
+    /** The shared server as the rig sees it: the colocation hardware,
+     *  policies and params, with the first tenant's app profile (its
+     *  cache footprint and SLO feed the cores and the policies). */
+    ExperimentConfig server_;
 };
 
 } // namespace nmapsim

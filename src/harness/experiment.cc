@@ -1,67 +1,27 @@
 #include "harness/experiment.hh"
 
-#include <algorithm>
-
-#include "cpu/core.hh"
-#include "cpu/cpu_profile.hh"
-#include "cpu/package_power.hh"
-#include "dataplane/bypass.hh"
-#include "dataplane/plan.hh"
-#include "dataplane/policy.hh"
 #include "fault/injector.hh"
-#include "fault/plan.hh"
-#include "governors/switchable_idle.hh"
-#include "harness/policy_registry.hh"
 #include "net/wire.hh"
 #include "nmap/profiler.hh"
-#include "os/server_os.hh"
-#include "resilience/admission.hh"
-#include "resilience/plan.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "stats/energy_meter.hh"
-#include "workload/client.hh"
 #include "workload/server_app.hh"
 
 namespace nmapsim {
 
-namespace {
-
-/** Counts ksoftirqd wake-ups across all cores. */
-class KsoftirqdCounter : public NapiObserver
-{
-  public:
-    void
-    onKsoftirqdWake(int core) override
-    {
-        (void)core;
-        ++wakes_;
-    }
-
-    std::uint64_t wakes() const { return wakes_; }
-
-  private:
-    std::uint64_t wakes_ = 0;
-};
-
-} // namespace
-
 Experiment::Experiment(ExperimentConfig config)
-    : config_(std::move(config))
+    : config_(std::move(config)), server_(ServerRig::validate(config_)),
+      fault_(FaultPlan::fromParams(config_.params)),
+      retry_(ClientRetryPolicy::fromParams(config_.params))
 {
-    ensureBuiltinPolicies();
-    if (config_.numCores < 1)
-        fatal("Experiment requires at least one core");
     if (config_.duration <= 0)
         fatal("Experiment duration must be positive");
 
-    // Surface fault/retry config errors here, like every other config
-    // error; host-indexed faults only make sense behind a switch.
-    const FaultPlan plan = FaultPlan::fromParams(config_.params);
-    if (plan.wantsCrash())
+    // Host-indexed faults only make sense behind a switch.
+    if (fault_.wantsCrash())
         fatal("fault.crash_host requires a cluster run");
-    if (plan.flapHost >= 0)
+    if (fault_.flapHost >= 0)
         fatal("fault.flap_host requires a cluster run");
 
     // Service topologies only exist behind the cluster switch.
@@ -69,36 +29,14 @@ Experiment::Experiment(ExperimentConfig config)
         if (key.rfind("topology.", 0) == 0)
             fatal("'" + key + "' requires a cluster run");
 
-    // Same early surfacing for resilience config errors. Circuit
-    // breakers and mid-chain deadlines live in the switch, so breaker
-    // keys only make sense behind one.
-    const ResiliencePlan resilience =
-        ResiliencePlan::fromParams(config_.params);
+    // Circuit breakers and mid-chain deadlines live in the switch, so
+    // breaker keys only make sense behind one.
+    const ResiliencePlan &resilience = server_.resilience;
     if (resilience.wantsBreakers())
         fatal("resilience.breaker_window requires a cluster run");
-    if (resilience.wantsAdmission()) {
-        ensureBuiltinAdmissionPolicies();
-        (void)AdmissionPolicyRegistry::instance().make(
-            resilience.admission, AdmissionContext{resilience});
-    }
-    const ClientRetryPolicy retry =
-        ClientRetryPolicy::fromParams(config_.params);
-    if (resilience.wantsRetryBudget() && !retry.enabled())
+    if (resilience.wantsRetryBudget() && !retry_.enabled())
         fatal("resilience.retry_budget requires client retry "
               "(client.timeout)");
-
-    // Same early surfacing for dataplane config errors.
-    const DataplanePlan dplan = DataplanePlan::fromParams(config_.params);
-    if (dplan.bypass()) {
-        ensureBuiltinDataplanePolicies();
-        if (!DataplanePolicyRegistry::instance().has(dplan.policy))
-            fatal("unknown dataplane policy '" + dplan.policy + "'");
-        if (dplan.pollCores >= config_.numCores)
-            fatal("dataplane.poll_cores must leave at least one worker "
-                  "core (poll_cores=" +
-                  std::to_string(dplan.pollCores) +
-                  ", cores=" + std::to_string(config_.numCores) + ")");
-    }
 }
 
 std::pair<double, double>
@@ -147,40 +85,25 @@ Experiment::profileThresholds(const ExperimentConfig &config)
 ExperimentResult
 Experiment::run()
 {
-    const CpuProfile &profile = CpuProfile::byName(config_.cpuProfile);
     EventQueue eq;
     Rng rng(config_.seed);
 
-    // --- Hardware -------------------------------------------------
-    std::vector<std::unique_ptr<Core>> cores;
-    std::vector<Core *> core_ptrs;
-    for (int i = 0; i < config_.numCores; ++i) {
-        cores.push_back(std::make_unique<Core>(
-            i, eq, profile, rng, config_.app.cacheTouch));
-        core_ptrs.push_back(cores.back().get());
-    }
-
-    NicConfig nic_config = config_.nic;
-    nic_config.numQueues = config_.numCores;
-    Nic nic(eq, nic_config);
-
+    // --- Server + wires ------------------------------------------------
     Wire client_to_server(eq);
     Wire server_to_client(eq);
     client_to_server.setLabel("client->server");
     server_to_client.setLabel("server->client");
+    ServerRig rig(eq, config_, rng, server_to_client);
     client_to_server.setSink(
-        [&nic](const Packet &pkt) { nic.receive(pkt); });
-    nic.setTxWire(&server_to_client);
+        [&nic = rig.nic()](const Packet &pkt) { nic.receive(pkt); });
 
-    // --- OS + application + client ---------------------------------
-    ServerOs os(core_ptrs, nic, config_.os);
-    ServerApp app(os, nic, config_.app, rng.fork());
+    // --- Application + client ------------------------------------------
+    ServerApp app(rig.os(), rig.nic(), config_.app, rng.fork());
     Client client(eq, client_to_server, config_.app,
                   config_.numConnections);
     // Overload control: a disabled plan arms nothing and keeps the run
     // byte-identical (the subsystem forks no random stream).
-    const ResiliencePlan resilience =
-        ResiliencePlan::fromParams(config_.params);
+    const ResiliencePlan &resilience = server_.resilience;
     if (resilience.wantsAdmission() || resilience.wantsDeadline())
         app.setResilience(resilience);
     if (resilience.wantsDeadline())
@@ -189,55 +112,17 @@ Experiment::run()
         [&client](const Packet &pkt) { client.onResponse(pkt); });
     LoadGenerator gen(eq, client, config_.burst, rng.fork());
 
-    // --- Policies (resolved by name via the registry) ----------------
-    IdleContext idle_ctx{profile, config_.numCores, config_.params};
-    std::unique_ptr<CpuIdleGovernor> idle =
-        PolicyRegistry::instance().makeIdle(config_.idlePolicy,
-                                            idle_ctx);
-    SwitchableIdleGovernor switchable(*idle);
-
-    PolicyContext policy_ctx{
-        eq,
-        core_ptrs,
-        nic,
-        os,
-        config_.app,
-        rng,
-        config_.gov,
-        config_.params,
-        &client,
-        [this] { return profileThresholds(config_); },
-        &switchable,
-        /*switchableRequested_=*/false};
-    FreqPolicyInstance policy =
-        PolicyRegistry::instance().makeFreq(config_.freqPolicy,
-                                            policy_ctx);
-
-    os.setIdleGovernor(policy_ctx.switchableRequested()
-                           ? static_cast<CpuIdleGovernor *>(&switchable)
-                           : idle.get());
-
-    // --- Observers ---------------------------------------------------
-    KsoftirqdCounter ksoft_counter;
-    os.addObserver(&ksoft_counter);
-    for (NapiObserver *obs : config_.extraObservers)
-        os.addObserver(obs);
+    // --- Policies, observers, energy, dataplane ------------------------
+    rig.attachPolicies(rng, server_.dataplane, &client,
+                       [this] { return profileThresholds(config_); });
 
     std::shared_ptr<TraceCollector> traces;
     if (config_.collectTraces) {
         traces = std::make_shared<TraceCollector>(
             eq, config_.watchCore, config_.traceBucket);
-        traces->attachPStateTrace(*core_ptrs[static_cast<std::size_t>(
-            config_.watchCore)]);
-        os.addObserver(traces.get());
+        traces->attachPStateTrace(rig.core(config_.watchCore));
+        rig.os().addObserver(traces.get());
     }
-
-    // --- Energy ------------------------------------------------------
-    PackagePower uncore(eq, core_ptrs);
-    PackageEnergyMeter package(0.0);
-    package.addMeter(&uncore.meter());
-    for (Core *core : core_ptrs)
-        package.addMeter(&core->meter());
 
     // --- Load --------------------------------------------------------
     LoadLevelSpec spec = config_.app.level(config_.load);
@@ -261,55 +146,33 @@ Experiment::run()
     // fork is the last one taken: a disabled plan leaves all other
     // streams untouched and the run byte-identical to a fault-free
     // build.
-    const FaultPlan fault_plan = FaultPlan::fromParams(config_.params);
-    const ClientRetryPolicy retry =
-        ClientRetryPolicy::fromParams(config_.params);
-    if (retry.enabled())
-        client.setRetryPolicy(retry);
+    if (retry_.enabled())
+        client.setRetryPolicy(retry_);
     if (resilience.wantsRetryBudget())
         client.setRetryBudget(resilience.retryBudget,
                               resilience.retryMin,
                               resilience.retryCap);
 
     std::unique_ptr<FaultInjector> injector;
-    if (fault_plan.enabled()) {
-        injector = std::make_unique<FaultInjector>(eq, fault_plan,
-                                                   rng.fork());
+    if (fault_.enabled()) {
+        injector = std::make_unique<FaultInjector>(eq, fault_, rng.fork());
         injector->addLossyWire(client_to_server);
         injector->addLossyWire(server_to_client);
-        if (fault_plan.wantsFlap())
+        if (fault_.wantsFlap())
             injector->addFlapGroup(
                 {&client_to_server, &server_to_client});
-        if (fault_plan.wantsRingDegrade())
-            injector->addDegradableNic(nic);
+        if (fault_.wantsRingDegrade())
+            injector->addDegradableNic(rig.nic());
     }
 
-    // --- Dataplane ------------------------------------------------------
-    // The default NAPI plan constructs nothing: no engine, no events,
-    // no Rng fork — byte-identical to the pre-dataplane simulator. The
-    // engine may be built after the injector because it forks no
-    // random stream.
-    const DataplanePlan dataplane_plan =
-        DataplanePlan::fromParams(config_.params);
-    std::unique_ptr<BypassEngine> bypass;
-    if (dataplane_plan.bypass())
-        bypass = std::make_unique<BypassEngine>(os, nic, dataplane_plan,
-                                                config_.params);
-
     // --- Run -----------------------------------------------------------
-    os.start();
-    if (bypass)
-        bypass->start();
-    policy.governor->start();
+    rig.start();
     gen.setConnectionSkew(config_.connectionSkew);
     gen.setLoad(spec);
     gen.start();
 
     eq.runUntil(config_.warmup);
-    Tick measure_start = eq.now();
-    package.startMeasurement(measure_start);
-    if (bypass)
-        bypass->startMeasurement(measure_start);
+    rig.beginMeasurement(eq.now());
     client.latencies().clear();
     client.attemptLatencies().clear();
 
@@ -321,6 +184,7 @@ Experiment::run()
 
     // --- Collect ---------------------------------------------------------
     ExperimentResult result;
+    rig.collect(end, result);
     const LatencyRecorder &lat = client.latencies();
     result.slo = config_.app.slo;
     result.p50 = lat.percentile(50.0);
@@ -328,10 +192,6 @@ Experiment::run()
     result.maxLatency = lat.max();
     result.meanLatency = lat.mean();
     result.fracOverSlo = lat.fractionAbove(config_.app.slo);
-
-    result.energyJoules = package.energyJoules(end);
-    result.avgPowerWatts =
-        result.energyJoules / toSeconds(end - measure_start);
 
     result.requestsSent = client.requestsSent();
     result.responsesReceived = client.responsesReceived();
@@ -355,51 +215,14 @@ Experiment::run()
             : static_cast<double>(result.responsesReceived) /
                   static_cast<double>(result.requestsSent);
     result.attemptP99 = client.attemptLatencies().percentile(99.0);
-    result.nicDrops = nic.packetsDropped();
-    result.nicRxHarvested = nic.rxHarvested();
-    result.nicTxConsumed = nic.txConsumed();
-    result.ksoftirqdWakes = ksoft_counter.wakes();
-
-    for (int i = 0; i < config_.numCores; ++i) {
-        Core *core = core_ptrs[static_cast<std::size_t>(i)];
-        result.pktsIntrMode += os.napi(i).pktsInterruptMode();
-        result.pktsPollMode += os.napi(i).pktsPollingMode();
-        result.pstateTransitions += core->dvfs().numTransitions();
-        result.cc6Wakes += core->cstates().wakeCount(CState::kC6);
-        result.cc1Wakes += core->cstates().wakeCount(CState::kC1);
-        result.busyFraction += static_cast<double>(core->busyTime()) /
-                               static_cast<double>(end) /
-                               static_cast<double>(config_.numCores);
-    }
-
-    if (bypass) {
-        // Bypass harvests are polling-mode work by definition; the NAPI
-        // contexts stayed dormant, so pktsIntrMode is zero and the
-        // NAPI conservation identity (intr + poll == rx harvested + tx
-        // consumed) carries over unchanged.
-        BypassEngine::Stats dp = bypass->stats();
-        result.pktsPollMode += dp.pktsHarvested;
-        result.bypassPollLoops = dp.pollLoops;
-        result.bypassEmptyPolls = dp.emptyPolls;
-        result.bypassSleeps = dp.sleeps;
-        result.bypassSleepResidency = dp.sleepResidency;
-        result.bypassWastedPollEnergy =
-            bypass->wastedPollEnergyJoules(end);
-    }
 
     result.eventsProcessed = eq.numProcessed();
     result.simulatedTicks = eq.now();
 
-    if (policy.finalize)
-        policy.finalize(result);
     result.traces = traces;
-    if (config_.collectTraces) {
-        const EventMarkSeries &cc6 =
-            core_ptrs[static_cast<std::size_t>(config_.watchCore)]
-                ->cstates()
-                .cc6Entries();
-        result.cc6Entries = cc6.marks();
-    }
+    if (config_.collectTraces)
+        result.cc6Entries =
+            rig.core(config_.watchCore).cstates().cc6Entries().marks();
     if (config_.collectLatencyTrace)
         result.latencyTrace = lat.trace();
     result.cdf = lat.cdf(200);

@@ -2,14 +2,14 @@
  * @file
  * End-to-end experiment harness.
  *
- * An Experiment assembles the paper's full evaluation rig — Xeon Gold
- * 6134 cores, 10 GbE wires, multi-queue NIC with RSS, the OS network
- * stack, a server application, the client connection pool (24 by
+ * An Experiment assembles the paper's full evaluation rig — one
+ * ServerRig (Xeon Gold 6134 cores, multi-queue NIC with RSS, the OS
+ * network stack, one frequency policy and one sleep policy), a server
+ * application, 10 GbE wires, the client connection pool (24 by
  * default; see ExperimentConfig::numConnections) and the bursty load
- * generator — applies one frequency policy and one sleep policy, runs
- * it, and reports the metrics the paper's figures plot: P99 latency,
- * SLO violation fraction, package energy, NAPI mode counters and
- * optional traces.
+ * generator — runs it, and reports the metrics the paper's figures
+ * plot: P99 latency, SLO violation fraction, package energy, NAPI mode
+ * counters and optional traces.
  *
  * Policies are referenced by name and resolved through the
  * PolicyRegistry (see harness/policy_registry.hh); the harness itself
@@ -27,8 +27,10 @@
 #include <utility>
 #include <vector>
 
+#include "fault/plan.hh"
 #include "governors/freq_governor.hh"
 #include "harness/policy_params.hh"
+#include "harness/server_rig.hh"
 #include "harness/trace_collector.hh"
 #include "net/nic.hh"
 #include "os/hooks.hh"
@@ -36,6 +38,7 @@
 #include "stats/latency_recorder.hh"
 #include "stats/timeseries.hh"
 #include "workload/app_profile.hh"
+#include "workload/client.hh"
 #include "workload/loadgen.hh"
 
 namespace nmapsim {
@@ -103,8 +106,9 @@ struct ExperimentConfig
     bool operator==(const ExperimentConfig &) const = default;
 };
 
-/** Everything a run produces. */
-struct ExperimentResult
+/** Everything a run produces: the server's counters (see ServerRig)
+ *  plus what the clients measured. */
+struct ExperimentResult : ServerCounters
 {
     Tick p50 = 0;
     Tick p99 = 0;
@@ -113,25 +117,8 @@ struct ExperimentResult
     double fracOverSlo = 0.0;
     Tick slo = 0;
 
-    double energyJoules = 0.0;
-    double avgPowerWatts = 0.0;
-
     std::uint64_t requestsSent = 0;
     std::uint64_t responsesReceived = 0;
-    std::uint64_t nicDrops = 0;
-    std::uint64_t nicRxHarvested = 0; //!< Rx packets NAPI pulled off rings
-    std::uint64_t nicTxConsumed = 0;  //!< Tx completions NAPI consumed
-
-    std::uint64_t pktsIntrMode = 0;
-    std::uint64_t pktsPollMode = 0;
-    std::uint64_t ksoftirqdWakes = 0;
-    std::uint64_t pstateTransitions = 0;
-    std::uint64_t cc6Wakes = 0;
-    std::uint64_t cc1Wakes = 0;
-    double busyFraction = 0.0; //!< mean core busy time / wall time
-
-    double niThresholdUsed = 0.0;
-    double cuThresholdUsed = 0.0;
 
     /** @name Fault/robustness accounting (all zero in fault-free runs) */
     /**@{*/
@@ -158,17 +145,6 @@ struct ExperimentResult
     std::uint64_t shedAdmission = 0; //!< admission-gate refusals
     std::uint64_t shedSojourn = 0;   //!< sojourn (CoDel) sheds
     std::uint64_t shedDeadline = 0;  //!< past-deadline sheds
-    /**@}*/
-
-    /** @name Bypass dataplane metrics (all zero under the default
-     *  dataplane.mode=napi; serialised only for bypass runs) */
-    /**@{*/
-    std::uint64_t bypassPollLoops = 0;  //!< PMD poll iterations run
-    std::uint64_t bypassEmptyPolls = 0; //!< polls that harvested nothing
-    std::uint64_t bypassSleeps = 0;     //!< policy-initiated poll sleeps
-    Tick bypassSleepResidency = 0;      //!< total poll-core sleep time
-    /** Poll-core energy spent on empty polls (busy-poll tax), joules. */
-    double bypassWastedPollEnergy = 0.0;
     /**@}*/
 
     /** @name Engine counters (bench/perf_core; never serialised —
@@ -209,6 +185,9 @@ class Experiment
 
   private:
     ExperimentConfig config_;
+    ServerRig::Plans server_;  //!< validated dataplane + resilience
+    FaultPlan fault_;
+    ClientRetryPolicy retry_;
 };
 
 } // namespace nmapsim

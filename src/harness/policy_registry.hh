@@ -64,7 +64,7 @@ class CpuProfile;
 class EventQueue;
 class Nic;
 class Rng;
-struct ExperimentResult;
+struct ServerCounters;
 
 /**
  * Everything a frequency-policy factory may wire against. Pointers are
@@ -124,9 +124,8 @@ struct FreqPolicyInstance
     std::unique_ptr<FreqGovernor> governor;
 
     /** Optional post-run hook: report policy-specific outputs (e.g.
-     *  the thresholds NMAP ran with) into the result. Only invoked by
-     *  harnesses producing an ExperimentResult. */
-    std::function<void(ExperimentResult &)> finalize;
+     *  the thresholds NMAP ran with) into the server's counters. */
+    std::function<void(ServerCounters &)> finalize;
 };
 
 /** Everything a sleep-policy factory may depend on. */
@@ -184,26 +183,34 @@ class PolicyRegistry
         return resolve(idle_, name) != idle_.end();
     }
 
+    /** fatal() with the known-name list unless @p name resolves to a
+     *  frequency policy. */
+    void
+    requireFreq(const std::string &name) const
+    {
+        (void)find(freq_, name, "frequency");
+    }
+
+    /** fatal() with the known-name list unless @p name resolves to a
+     *  sleep policy. */
+    void
+    requireIdle(const std::string &name) const
+    {
+        (void)find(idle_, name, "sleep");
+    }
+
     /** Instantiate a frequency policy; fatal() on unknown names. */
     FreqPolicyInstance
     makeFreq(const std::string &name, PolicyContext &ctx) const
     {
-        auto it = resolve(freq_, name);
-        if (it == freq_.end())
-            fatal("unknown frequency policy '" + name + "' (known: " +
-                  joined(freq_) + ")");
-        return it->second.factory(ctx);
+        return find(freq_, name, "frequency")->second.factory(ctx);
     }
 
     /** Instantiate a sleep policy; fatal() on unknown names. */
     std::unique_ptr<CpuIdleGovernor>
     makeIdle(const std::string &name, const IdleContext &ctx) const
     {
-        auto it = resolve(idle_, name);
-        if (it == idle_.end())
-            fatal("unknown sleep policy '" + name + "' (known: " +
-                  joined(idle_) + ")");
-        return it->second.factory(ctx);
+        return find(idle_, name, "sleep")->second.factory(ctx);
     }
 
     /** Registered frequency-policy names, sorted. */
@@ -246,6 +253,17 @@ class PolicyRegistry
     using Map = std::map<std::string, Entry<F>>;
 
     PolicyRegistry() = default;
+
+    template <typename F>
+    static typename Map<F>::const_iterator
+    find(const Map<F> &map, const std::string &name, const char *kind)
+    {
+        auto it = resolve(map, name);
+        if (it == map.end())
+            fatal(std::string("unknown ") + kind + " policy '" + name +
+                  "' (known: " + joined(map) + ")");
+        return it;
+    }
 
     /** Exact match first, then a unique case-insensitive match (so
      *  configs and the CLI may say "nmap" for "NMAP"). */

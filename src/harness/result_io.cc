@@ -1,9 +1,23 @@
 #include "harness/result_io.hh"
 
-#include "dataplane/plan.hh"
 #include "resilience/plan.hh"
 
 namespace nmapsim {
+
+void
+appendBypassColumns(ResultWriter::Record &rec, const std::string &prefix,
+                    const ServerCounters &counters)
+{
+    if (!counters.bypass)
+        return;
+    rec.set(prefix + "bypass_poll_loops", counters.bypassPollLoops)
+        .set(prefix + "bypass_empty_polls", counters.bypassEmptyPolls)
+        .set(prefix + "bypass_sleeps", counters.bypassSleeps)
+        .set(prefix + "bypass_sleep_residency_ns",
+             static_cast<std::int64_t>(counters.bypassSleepResidency))
+        .set(prefix + "bypass_wasted_poll_energy_j",
+             counters.bypassWastedPollEnergy);
+}
 
 ResultWriter::Record &
 appendResultRecord(ResultWriter &writer, const ExperimentConfig &config,
@@ -60,18 +74,7 @@ appendResultRecord(ResultWriter &writer, const ExperimentConfig &config,
         .set("attempt_p99_ns",
              static_cast<std::int64_t>(result.attemptP99));
 
-    // Dataplane metrics only exist for bypass runs; gating the columns
-    // keeps every pre-dataplane record (goldens, bench baselines)
-    // byte-identical.
-    if (DataplanePlan::fromParams(config.params).bypass()) {
-        rec.set("bypass_poll_loops", result.bypassPollLoops)
-            .set("bypass_empty_polls", result.bypassEmptyPolls)
-            .set("bypass_sleeps", result.bypassSleeps)
-            .set("bypass_sleep_residency_ns",
-                 static_cast<std::int64_t>(result.bypassSleepResidency))
-            .set("bypass_wasted_poll_energy_j",
-                 result.bypassWastedPollEnergy);
-    }
+    appendBypassColumns(rec, "", result);
 
     // Resilience counters only exist when a resilience.* plan is
     // configured; gating them the same way keeps every pre-resilience

@@ -13,10 +13,22 @@
 #ifndef NMAPSIM_HARNESS_RESULT_IO_HH_
 #define NMAPSIM_HARNESS_RESULT_IO_HH_
 
+#include <string>
+
 #include "harness/experiment.hh"
 #include "stats/result_writer.hh"
 
 namespace nmapsim {
+
+/**
+ * Append the five `bypass_*` columns of @p counters to @p rec, each
+ * name prefixed with @p prefix ("" in single-host records, "host<i>_"
+ * in cluster records). A server that did not run the bypass dataplane
+ * gets no columns, so NAPI records keep their pre-dataplane shape.
+ */
+void appendBypassColumns(ResultWriter::Record &rec,
+                         const std::string &prefix,
+                         const ServerCounters &counters);
 
 /** Append one record for (config, result) to @p writer. */
 ResultWriter::Record &appendResultRecord(ResultWriter &writer,

@@ -190,7 +190,7 @@ makeAdaptiveNmap(PolicyContext &ctx)
         ctx.eq, ctx.cores, config, ctx.rng.fork(), ctx.gov);
     ctx.addObserver(adaptive.get());
     AdaptiveNmapGovernor *raw = adaptive.get();
-    return {std::move(adaptive), [raw](ExperimentResult &result) {
+    return {std::move(adaptive), [raw](ServerCounters &result) {
                 result.niThresholdUsed = raw->currentNiThreshold();
                 result.cuThresholdUsed = raw->currentCuThreshold();
             }};

@@ -204,6 +204,58 @@ TEST(ClusterTest, RejectsInvalidConfigs)
             {milliseconds(1), cfg.base.app.level(LoadLevel::kLow)});
         EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
     }
+
+    // Every host is validated as a server at construction: errors in
+    // the base config or in one host's overrides never reach run().
+    auto bypassPollingEveryCore = [](PolicyParams &params, int cores) {
+        params.set("dataplane.mode", "bypass");
+        params.set("dataplane.poll_cores", cores);
+    };
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.base.freqPolicy = "no-such-policy";
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.base.idlePolicy = "no-such-policy";
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.hosts.resize(2);
+        cfg.hosts[1].freqPolicy = "no-such-policy";
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.hosts.resize(2);
+        cfg.hosts[1].idlePolicy = "no-such-policy";
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.base.numCores = 0;
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        ClusterConfig cfg = smallCluster();
+        bypassPollingEveryCore(cfg.base.params, cfg.base.numCores);
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.hosts.resize(2);
+        bypassPollingEveryCore(cfg.hosts[1].params, cfg.base.numCores);
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.hosts.resize(2);
+        cfg.hosts[1].params.set("dataplane.mode", "bypass");
+        cfg.hosts[1].params.set("dataplane.policy", "no-such-policy");
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
 }
 
 TEST(ClusterTest, ConfigSurvivesThePrintParseRoundTrip)

@@ -114,6 +114,28 @@ TEST(ColocationTest, InvalidTenantsRejected)
     cfg = pairConfig("performance");
     cfg.tenants[0].numConnections = 0;
     EXPECT_THROW(ColocationExperiment{cfg}, FatalError);
+
+    // Server and run errors fail at construction too: unknown policy
+    // names, keys of blocks the colocation rig does not wire (rather
+    // than being ignored), and a non-positive measurement window.
+    cfg = pairConfig("performance");
+    cfg.freqPolicy = "no-such-policy";
+    EXPECT_THROW(ColocationExperiment{cfg}, FatalError);
+    cfg = pairConfig("performance");
+    cfg.idlePolicy = "no-such-policy";
+    EXPECT_THROW(ColocationExperiment{cfg}, FatalError);
+    for (const char *key :
+         {"dataplane.mode", "fault.wire_loss", "resilience.deadline",
+          "client.timeout", "topology.tiers"}) {
+        cfg = pairConfig("performance");
+        cfg.params.set(key, "1");
+        EXPECT_THROW(ColocationExperiment{cfg}, FatalError) << key;
+    }
+    for (Tick duration : {Tick{0}, -milliseconds(1)}) {
+        cfg = pairConfig("performance");
+        cfg.duration = duration;
+        EXPECT_THROW(ColocationExperiment{cfg}, FatalError) << duration;
+    }
 }
 
 TEST(ColocationTest, SingleTenantMatchesSoloBallpark)

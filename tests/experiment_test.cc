@@ -249,6 +249,13 @@ TEST(ExperimentTest, InvalidConfigRejected)
     ExperimentConfig cfg2;
     cfg2.duration = 0;
     EXPECT_THROW(Experiment{cfg2}, FatalError);
+    // Unknown policy names fail at construction, not inside run().
+    ExperimentConfig cfg3;
+    cfg3.freqPolicy = "no-such-policy";
+    EXPECT_THROW(Experiment{cfg3}, FatalError);
+    ExperimentConfig cfg4;
+    cfg4.idlePolicy = "no-such-policy";
+    EXPECT_THROW(Experiment{cfg4}, FatalError);
 }
 
 TEST(ExperimentTest, BuiltinPolicyNamesRegistered)

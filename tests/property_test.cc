@@ -395,17 +395,12 @@ class ClusterConservation
 {
 };
 
-/**
- * The single-host conservation identities must survive the cluster
- * topology: with unbounded queues and a drain window, every request a
- * client sent comes back through the switch, whatever the dispatch
- * policy, host count or seed — and the switch's own forward/return
- * counters match the client totals exactly.
- */
-TEST_P(ClusterConservation, HoldsAcrossDispatchAndHostCount)
+/** A medium-load ondemand cluster with a drain window long enough for
+ *  exact request conservation. */
+ClusterConfig
+conservationCluster(const std::string &dispatch, int hosts,
+                    unsigned seed)
 {
-    auto [dispatch, hosts, seed] = GetParam();
-
     ClusterConfig cfg;
     cfg.base.app = AppProfile::memcached();
     cfg.base.load = LoadLevel::kMed;
@@ -417,7 +412,32 @@ TEST_P(ClusterConservation, HoldsAcrossDispatchAndHostCount)
     cfg.dispatch = dispatch;
     cfg.clientGroups = hosts > 1 ? 2 : 1;
     cfg.drain = milliseconds(10);
-    ClusterResult r = ClusterExperiment(cfg).run();
+    return cfg;
+}
+
+/** The NAPI identity on one host: every descriptor harvested off the
+ *  NIC rings was processed in exactly one mode. */
+void
+expectNapiIdentity(const ClusterHostResult &host)
+{
+    EXPECT_EQ(host.pktsIntrMode + host.pktsPollMode,
+              host.nicRxHarvested + host.nicTxConsumed)
+        << "host " << host.id;
+}
+
+/**
+ * The single-host conservation identities must survive the cluster
+ * topology: with unbounded queues and a drain window, every request a
+ * client sent comes back through the switch, whatever the dispatch
+ * policy, host count or seed — and the switch's own forward/return
+ * counters match the client totals exactly.
+ */
+TEST_P(ClusterConservation, HoldsAcrossDispatchAndHostCount)
+{
+    auto [dispatch, hosts, seed] = GetParam();
+    ClusterResult r =
+        ClusterExperiment(conservationCluster(dispatch, hosts, seed))
+            .run();
 
     EXPECT_GT(r.requestsSent, 0u);
     EXPECT_EQ(r.responsesReceived, r.requestsSent);
@@ -433,11 +453,32 @@ TEST_P(ClusterConservation, HoldsAcrossDispatchAndHostCount)
         served += host.served;
         modes += host.pktsIntrMode + host.pktsPollMode;
         EXPECT_EQ(host.nicDrops, 0u);
+        expectNapiIdentity(host);
     }
     // Tap attribution partitions the responses exactly.
     EXPECT_EQ(served, r.requestsSent);
     // Some host processed packets in some NAPI mode.
     EXPECT_GT(modes, 0u);
+}
+
+/** A mixed NAPI/bypass cluster keeps the identity on every host; the
+ *  bypass host harvests everything in polling mode. */
+TEST(ClusterBypassConservation, MixedHostsKeepTheNapiIdentity)
+{
+    ClusterConfig cfg = conservationCluster("round-robin", 3, 17u);
+    cfg.hosts.resize(3);
+    cfg.hosts[1].params.set("dataplane.mode", "bypass");
+    ClusterResult r = ClusterExperiment(cfg).run();
+
+    EXPECT_GT(r.requestsSent, 0u);
+    EXPECT_EQ(r.responsesReceived, r.requestsSent);
+    ASSERT_EQ(r.hosts.size(), 3u);
+    for (const ClusterHostResult &host : r.hosts) {
+        EXPECT_GT(host.nicRxHarvested, 0u) << "host " << host.id;
+        EXPECT_EQ(host.bypass, host.id == 1) << "host " << host.id;
+        expectNapiIdentity(host);
+    }
+    EXPECT_EQ(r.hosts[1].pktsIntrMode, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

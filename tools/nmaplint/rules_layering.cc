@@ -9,11 +9,12 @@
  * physically src/harness/policy_params.hh) just above; the device and
  * kernel models (`net`, `cpu`, `os`, `stats`) in the middle; policy
  * families (`governors`, `nmap`, `baselines`, `dataplane`, `fault`,
- * `workload`) above those; `cluster` near the top; and `harness`
- * (experiment driver, config I/O, sweeps) on top of everything. An
- * include that reaches *up* this DAG — or any include cycle among
- * src/ files — is a finding. DESIGN.md ("Module layering") is the
- * prose version of the table below; keep the two in sync.
+ * `workload`) above those; `cluster` (the switch fabric, which sees
+ * only packets, wires and resilience state) beside them; and `harness`
+ * (server rig, experiment harnesses, config I/O, sweeps) on top of
+ * everything. An include that reaches *up* this DAG — or any include
+ * cycle among src/ files — is a finding. DESIGN.md ("Module layering")
+ * is the prose version of the table below; keep the two in sync.
  *
  * Exemption: a `.cc` file may include `harness/policy_registry.hh`
  * and `harness/experiment.hh` regardless of its module — that is the
@@ -55,9 +56,7 @@ allowedDeps()
         {"fault", {"sim", "net", "params"}},
         {"resilience", {"sim", "net", "params"}},
         {"dataplane", {"sim", "net", "os", "stats", "params"}},
-        {"cluster",
-         {"sim", "net", "cpu", "os", "stats", "workload", "governors",
-          "dataplane", "fault", "resilience", "params"}},
+        {"cluster", {"sim", "net", "resilience", "params"}},
         {"harness",
          {"sim", "net", "cpu", "os", "stats", "workload", "governors",
           "nmap", "baselines", "fault", "dataplane", "cluster",
