@@ -1,106 +1,6 @@
 #include "cluster/dispatch.hh"
 
-#include "sim/logging.hh"
-
 namespace nmapsim {
-
-namespace {
-
-char
-lower(char c)
-{
-    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
-bool
-equalsIgnoreCase(const std::string &a, const std::string &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (lower(a[i]) != lower(b[i]))
-            return false;
-    return true;
-}
-
-} // namespace
-
-DispatchRegistry &
-DispatchRegistry::instance()
-{
-    static DispatchRegistry registry;
-    return registry;
-}
-
-void
-DispatchRegistry::registerDispatch(const std::string &name,
-                                   Factory factory, std::string help)
-{
-    if (!policies_
-             .emplace(name,
-                      Entry{std::move(factory), std::move(help)})
-             .second)
-        fatal("duplicate dispatch policy registration: '" + name + "'");
-}
-
-/** Exact match first, then a unique case-insensitive match. */
-std::map<std::string, DispatchRegistry::Entry>::const_iterator
-DispatchRegistry::resolve(const std::string &name) const
-{
-    auto it = policies_.find(name);
-    if (it != policies_.end())
-        return it;
-    auto match = policies_.end();
-    for (auto i = policies_.begin(); i != policies_.end(); ++i) {
-        if (equalsIgnoreCase(i->first, name)) {
-            if (match != policies_.end())
-                return policies_.end(); // ambiguous
-            match = i;
-        }
-    }
-    return match;
-}
-
-bool
-DispatchRegistry::has(const std::string &name) const
-{
-    return resolve(name) != policies_.end();
-}
-
-std::unique_ptr<DispatchPolicy>
-DispatchRegistry::make(const std::string &name,
-                       const DispatchContext &ctx) const
-{
-    auto it = resolve(name);
-    if (it == policies_.end()) {
-        std::string known;
-        for (const auto &[n, entry] : policies_) {
-            if (!known.empty())
-                known += ", ";
-            known += n;
-        }
-        fatal("unknown dispatch policy '" + name + "' (known: " +
-              known + ")");
-    }
-    return it->second.factory(ctx);
-}
-
-std::vector<std::string>
-DispatchRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(policies_.size());
-    for (const auto &[name, entry] : policies_)
-        out.push_back(name);
-    return out;
-}
-
-std::string
-DispatchRegistry::help(const std::string &name) const
-{
-    auto it = resolve(name);
-    return it == policies_.end() ? std::string() : it->second.help;
-}
 
 // Defined in cluster/dispatch_policies.cc.
 void linkBuiltinDispatchPolicies();

@@ -7,9 +7,10 @@
  * first-order consequences for both tail latency (affinity keeps a
  * flow's packet trains on one NIC queue) and power (packing load lets
  * unloaded hosts reach deep package idle). Policies are resolved by
- * name through the string-keyed DispatchRegistry, mirroring the
- * frequency/sleep PolicyRegistry (harness/policy_registry.hh): a new
- * policy registers itself from its own translation unit
+ * name through the string-keyed DispatchRegistry, one alias of the
+ * Registry template (sim/registry.hh) shared with the frequency and
+ * sleep policies: a new policy registers itself from its own
+ * translation unit
  *
  *     namespace {
  *     std::unique_ptr<DispatchPolicy>
@@ -39,13 +40,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/policy_params.hh"
 #include "net/packet.hh"
+#include "sim/registry.hh"
 
 namespace nmapsim {
 
@@ -89,69 +90,18 @@ class DispatchPolicy
     virtual std::string name() const = 0;
 };
 
-/** String-keyed factories for dispatch policies. */
-class DispatchRegistry
-{
-  public:
-    using Factory = std::function<std::unique_ptr<DispatchPolicy>(
-        const DispatchContext &)>;
-
-    static DispatchRegistry &instance();
-
-    /** Register @p name; fatal() on duplicates. */
-    void registerDispatch(const std::string &name, Factory factory,
-                          std::string help = "");
-
-    bool has(const std::string &name) const;
-
-    /** Instantiate a policy; fatal() on unknown names. */
-    std::unique_ptr<DispatchPolicy> make(const std::string &name,
-                                         const DispatchContext &ctx) const;
-
-    /** Registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    std::string help(const std::string &name) const;
-
-  private:
-    struct Entry
-    {
-        Factory factory;
-        std::string help;
-    };
-
-    DispatchRegistry() = default;
-
-    std::map<std::string, Entry>::const_iterator
-    resolve(const std::string &name) const;
-
-    std::map<std::string, Entry> policies_;
-};
-
-/** Registers a dispatch policy at static-initialisation time. */
-struct DispatchRegistrar
-{
-    DispatchRegistrar(const std::string &name,
-                      DispatchRegistry::Factory factory,
-                      std::string help = "")
-    {
-        DispatchRegistry::instance().registerDispatch(
-            name, std::move(factory), std::move(help));
-    }
-};
+/** String-keyed dispatch-policy factories (sim/registry.hh). */
+using DispatchRegistry =
+    Registry<std::unique_ptr<DispatchPolicy>(const DispatchContext &),
+             "dispatch">;
 
 /**
  * Registration shorthand, mirroring REGISTER_FREQ_POLICY
  * (harness/policy_registry.hh). Name and help must be nonempty string
  * literals; nmaplint (rule register-hygiene) enforces both.
  */
-// Identical to the definitions in harness/policy_registry.hh (benign
-// redefinition when both headers are included).
-#define NMAPSIM_REGISTRAR_CONCAT_(a, b) a##b
-#define NMAPSIM_REGISTRAR_CONCAT(a, b) NMAPSIM_REGISTRAR_CONCAT_(a, b)
-
 #define REGISTER_DISPATCH_POLICY(name, factory, help)                  \
-    static const ::nmapsim::DispatchRegistrar                          \
+    static const ::nmapsim::DispatchRegistry::Registrar                \
         NMAPSIM_REGISTRAR_CONCAT(nmapsimDispatchRegistrar_,            \
                                  __COUNTER__)(name, factory, help)
 

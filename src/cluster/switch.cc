@@ -4,6 +4,15 @@
 
 namespace nmapsim {
 
+void
+SwitchConfig::validate() const
+{
+    if (healthInterval > 0 && (healthTimeout <= 0 || ejectDuration <= 0))
+        fatal("switch failure detector needs cluster.health_timeout "
+              "and cluster.eject_duration when cluster.health_interval "
+              "is set");
+}
+
 ClusterSwitch::ClusterSwitch(EventQueue &eq, const SwitchConfig &config,
                              const std::string &dispatch,
                              std::vector<double> weights,
@@ -22,12 +31,7 @@ ClusterSwitch::ClusterSwitch(EventQueue &eq, const SwitchConfig &config,
         weights.empty() ? 0 : weights.size());
     if (num_hosts < 1)
         fatal("ClusterSwitch requires at least one host weight");
-    if (config_.healthInterval > 0 &&
-        (config_.healthTimeout <= 0 || config_.ejectDuration <= 0)) {
-        fatal("switch failure detector needs cluster.health_timeout "
-              "and cluster.eject_duration when cluster.health_interval "
-              "is set");
-    }
+    config_.validate();
 
     ingressFabric_.setLabel("switch.fabric.ingress");
     egressFabric_.setLabel("switch.fabric.egress");

@@ -80,6 +80,9 @@ struct SwitchConfig
     Tick ejectDuration = 0;  //!< how long an ejection lasts
     /**@}*/
 
+    /** fatal() unless the failure detector is off or fully set. */
+    void validate() const;
+
     bool operator==(const SwitchConfig &) const = default;
 };
 

@@ -4,9 +4,9 @@
  * for the sleep controller a bypass poll core consults after every
  * poll iteration.
  *
- * The harness resolves `dataplane.policy` by name here and never
- * mentions a concrete policy class. Policy modules register
- * themselves:
+ * The harness resolves `dataplane.policy` by name here (one alias of
+ * the Registry template, sim/registry.hh) and never mentions a concrete
+ * policy class. Policy modules register themselves:
  *
  *     // in src/dataplane/<policy>.cc
  *     namespace {
@@ -29,14 +29,12 @@
 #ifndef NMAPSIM_DATAPLANE_POLICY_HH_
 #define NMAPSIM_DATAPLANE_POLICY_HH_
 
-#include <functional>
-#include <map>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "harness/policy_params.hh"
-#include "sim/logging.hh"
+#include "sim/registry.hh"
 #include "sim/time.hh"
 
 namespace nmapsim {
@@ -71,103 +69,10 @@ struct DataplaneContext
     const PolicyParams &params;
 };
 
-/** String-keyed factories for dataplane sleep policies. */
-class DataplanePolicyRegistry
-{
-  public:
-    using Factory = std::function<std::unique_ptr<DataplanePolicy>(
-        const DataplaneContext &)>;
-
-    static DataplanePolicyRegistry &
-    instance()
-    {
-        static DataplanePolicyRegistry registry;
-        return registry;
-    }
-
-    void
-    registerPolicy(const std::string &name, Factory factory,
-                   std::string help = "")
-    {
-        if (!policies_
-                 .emplace(name, Entry{std::move(factory),
-                                      std::move(help)})
-                 .second)
-            fatal("duplicate dataplane policy registration: '" + name +
-                  "'");
-    }
-
-    bool
-    has(const std::string &name) const
-    {
-        return policies_.count(name) != 0;
-    }
-
-    /** Instantiate a policy; fatal() on unknown names. */
-    std::unique_ptr<DataplanePolicy>
-    make(const std::string &name, const DataplaneContext &ctx) const
-    {
-        auto it = policies_.find(name);
-        if (it == policies_.end())
-            fatal("unknown dataplane policy '" + name + "' (known: " +
-                  joined() + ")");
-        return it->second.factory(ctx);
-    }
-
-    /** Registered policy names, sorted. */
-    std::vector<std::string>
-    names() const
-    {
-        std::vector<std::string> out;
-        out.reserve(policies_.size());
-        for (const auto &[name, entry] : policies_)
-            out.push_back(name);
-        return out;
-    }
-
-    std::string
-    help(const std::string &name) const
-    {
-        auto it = policies_.find(name);
-        return it == policies_.end() ? std::string()
-                                     : it->second.help;
-    }
-
-  private:
-    struct Entry
-    {
-        Factory factory;
-        std::string help;
-    };
-
-    DataplanePolicyRegistry() = default;
-
-    std::string
-    joined() const
-    {
-        std::string out;
-        for (const auto &[name, entry] : policies_) {
-            if (!out.empty())
-                out += ", ";
-            out += name;
-        }
-        return out;
-    }
-
-    std::map<std::string, Entry> policies_;
-};
-
-/** Registers a dataplane policy at static-initialisation time. */
-struct DataplanePolicyRegistrar
-{
-    DataplanePolicyRegistrar(const std::string &name,
-                             DataplanePolicyRegistry::Factory factory,
-                             std::string help = "")
-    {
-        DataplanePolicyRegistry::instance().registerPolicy(
-            name, std::move(factory), std::move(help));
-    }
-};
+/** String-keyed dataplane sleep-policy factories (sim/registry.hh). */
+using DataplanePolicyRegistry =
+    Registry<std::unique_ptr<DataplanePolicy>(const DataplaneContext &),
+             "dataplane">;
 
 /**
  * Registration shorthand, mirroring REGISTER_FREQ_POLICY
@@ -175,11 +80,8 @@ struct DataplanePolicyRegistrar
  * be nonempty string literals; nmaplint (rule register-hygiene)
  * enforces both.
  */
-#define NMAPSIM_REGISTRAR_CONCAT_(a, b) a##b
-#define NMAPSIM_REGISTRAR_CONCAT(a, b) NMAPSIM_REGISTRAR_CONCAT_(a, b)
-
 #define REGISTER_DATAPLANE_POLICY(name, factory, help)                 \
-    static const ::nmapsim::DataplanePolicyRegistrar                   \
+    static const ::nmapsim::DataplanePolicyRegistry::Registrar         \
         NMAPSIM_REGISTRAR_CONCAT(nmapsimDataplanePolicyRegistrar_,     \
                                  __COUNTER__)(name, factory, help)
 

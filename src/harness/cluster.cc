@@ -64,10 +64,10 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
     if (topology_.enabled()) {
         config_.numHosts = topology_.totalHosts();
         for (const TierSpec &tier : topology_.tiers)
-            if (!tier.dispatch.empty() &&
-                !DispatchRegistry::instance().has(tier.dispatch))
-                fatal("unknown dispatch policy '" + tier.dispatch +
-                      "' in topology tier '" + tier.name + "'");
+            if (!tier.dispatch.empty())
+                DispatchRegistry::instance().require(
+                    tier.dispatch,
+                    " in topology tier '" + tier.name + "'");
     }
 
     if (config_.numHosts < 1)
@@ -90,8 +90,8 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
         !config_.base.extraObservers.empty())
         fatal("ClusterExperiment does not support load schedules or "
               "extra observers");
-    if (!DispatchRegistry::instance().has(config_.dispatch))
-        fatal("unknown dispatch policy '" + config_.dispatch + "'");
+    DispatchRegistry::instance().require(config_.dispatch);
+    config_.fabric.validate();
 
     if (fault_.flapHost >= config_.numHosts)
         fatal("fault.flap_host out of range");
@@ -136,6 +136,47 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
         hostDataplanes_.push_back(ServerRig::validate(cfg).dataplane);
         hostConfigs_.push_back(std::move(cfg));
     }
+
+    // Build each dispatch policy the switch will build, once, from the
+    // same host count, weights and params but with no-op feeds, so a
+    // bad dispatch.* tunable fails here. Dispatch factories fork no Rng
+    // and schedule nothing.
+    const std::vector<double> weights = hostWeights();
+    for (const SwitchTier &tier : switchTiers()) {
+        DispatchContext ctx;
+        ctx.numHosts = tier.hosts;
+        ctx.weights.assign(weights.begin() + tier.firstHost,
+                           weights.begin() + tier.firstHost + tier.hosts);
+        ctx.params = config_.base.params;
+        ctx.outstanding = [](int) { return std::uint64_t{0}; };
+        (void)DispatchRegistry::instance().make(tier.dispatch, ctx);
+    }
+}
+
+std::vector<double>
+ClusterExperiment::hostWeights() const
+{
+    std::vector<double> weights(
+        static_cast<std::size_t>(config_.numHosts), 1.0);
+    for (std::size_t i = 0; i < config_.hosts.size(); ++i)
+        weights[i] = config_.hosts[i].weight;
+    return weights;
+}
+
+std::vector<SwitchTier>
+ClusterExperiment::switchTiers() const
+{
+    if (!topology_.enabled())
+        return {SwitchTier{"all", 0, config_.numHosts, config_.dispatch}};
+    std::vector<SwitchTier> tiers;
+    for (int t = 0; t < topology_.numTiers(); ++t) {
+        const TierSpec &tier =
+            topology_.tiers[static_cast<std::size_t>(t)];
+        tiers.push_back(SwitchTier{
+            tier.name, topology_.firstHostOf(t), tier.hosts,
+            tier.dispatch.empty() ? config_.dispatch : tier.dispatch});
+    }
+    return tiers;
 }
 
 Tick
@@ -156,20 +197,8 @@ ClusterExperiment::run()
     Rng rng(config_.base.seed);
 
     // --- Switch -------------------------------------------------------
-    std::vector<double> weights(
-        static_cast<std::size_t>(config_.numHosts), 1.0);
-    for (std::size_t i = 0; i < config_.hosts.size(); ++i)
-        weights[i] = config_.hosts[i].weight;
-    std::vector<SwitchTier> switch_tiers;
-    for (int t = 0; t < topology_.numTiers(); ++t) {
-        const TierSpec &tier =
-            topology_.tiers[static_cast<std::size_t>(t)];
-        switch_tiers.push_back(SwitchTier{tier.name,
-                                          topology_.firstHostOf(t),
-                                          tier.hosts, tier.dispatch});
-    }
-    ClusterSwitch sw(eq, config_.fabric, config_.dispatch, weights,
-                     config_.base.params, std::move(switch_tiers));
+    ClusterSwitch sw(eq, config_.fabric, config_.dispatch, hostWeights(),
+                     config_.base.params, switchTiers());
 
     // Resilience plan (overload control). A disabled plan arms nothing
     // anywhere and keeps the run byte-identical; the subsystem forks no
@@ -443,7 +472,6 @@ ClusterExperiment::run()
         hr.p99 = lat.percentile(99.0);
         hr.ejections = sw.ejections(id);
         if (resilience_.enabled()) {
-            hr.resilient = true;
             hr.shedAdmission = host.app.shedAdmission();
             hr.shedSojourn = host.app.shedSojourn();
             hr.shedDeadline = host.app.shedDeadline();
@@ -514,7 +542,6 @@ ClusterExperiment::run()
     }
 
     result.eventsProcessed = eq.numProcessed();
-    result.simulatedTicks = eq.now();
 
     return result;
 }

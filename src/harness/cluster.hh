@@ -7,9 +7,9 @@
  * (cluster/switch.hh): client groups send bursty open-loop traffic
  * into the switch, a DispatchRegistry policy steers every request to
  * a host, and each host runs its own frequency + sleep policy resolved
- * by name through the PolicyRegistry. Hosts may be heterogeneous
- * (per-host policy and tunable overrides) and unevenly loaded
- * (per-host dispatch weights).
+ * by name (FreqPolicyRegistry, IdlePolicyRegistry). Hosts may be
+ * heterogeneous (per-host policy and tunable overrides) and unevenly
+ * loaded (per-host dispatch weights).
  *
  * The result carries both cluster-level aggregates — latency
  * percentiles over every completed request, total package energy,
@@ -147,9 +147,8 @@ struct ClusterHostResult : ServerCounters
     std::uint64_t ejections = 0;
 
     /** @name Resilience metrics (only meaningful — and only
-     *  serialised — when resilient is true) */
+     *  serialised — when the cluster runs a resilience plan) */
     /**@{*/
-    bool resilient = false; //!< host ran with a resilience plan
     std::uint64_t shedAdmission = 0; //!< arrivals the gate refused
     std::uint64_t shedSojourn = 0;   //!< serve-time sojourn sheds
     std::uint64_t shedDeadline = 0;  //!< past-deadline sheds (host side)
@@ -242,7 +241,6 @@ struct ClusterResult
      *  they describe the simulator, not the simulated system) */
     /**@{*/
     std::uint64_t eventsProcessed = 0; //!< kernel events fired, whole run
-    Tick simulatedTicks = 0;           //!< eq.now() when the run ended
     /**@}*/
 
     /** Per-tier breakdown; empty unless a topology was declared. */
@@ -278,6 +276,12 @@ class ClusterExperiment
     Tick tierSlo(int tier) const;
 
   private:
+    /** What the switch is built from: per-host dispatch weights and
+     *  one tier per declared topology tier (else one tier of all
+     *  hosts), each naming the dispatch policy it runs. */
+    std::vector<double> hostWeights() const;
+    std::vector<SwitchTier> switchTiers() const;
+
     ClusterConfig config_;
     TopologyPlan topology_;
     FaultPlan fault_;

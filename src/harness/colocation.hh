@@ -58,12 +58,12 @@ struct ColocationConfig
 
     std::vector<TenantConfig> tenants;
 
-    /** Frequency policy, by PolicyRegistry name. There is no single
+    /** Frequency policy, by FreqPolicyRegistry name. There is no single
      *  application to profile and no single client latency feed, so
      *  policies needing either ("NMAP" without explicit thresholds,
      *  "Parties") are fatal here. */
     std::string freqPolicy = "NMAP";
-    /** Sleep policy, by PolicyRegistry name. */
+    /** Sleep policy, by IdlePolicyRegistry name. */
     std::string idlePolicy = "menu";
     /** Policy tunables; NMAP must carry explicit "nmap.ni_th" /
      *  "nmap.cu_th". The keys of blocks the colocation rig does not

@@ -25,6 +25,7 @@
 #ifndef NMAPSIM_HARNESS_CONFIG_IO_HH_
 #define NMAPSIM_HARNESS_CONFIG_IO_HH_
 
+#include <functional>
 #include <string>
 
 #include "harness/experiment.hh"
@@ -42,6 +43,24 @@ ExperimentConfig parseConfig(const std::string &text);
  *  malformed values. The CLI's `--set key=value` uses this. */
 void setConfigValue(ExperimentConfig &config, const std::string &key,
                     const std::string &value);
+
+using ConfigLineSink =
+    std::function<void(const std::string &key, const std::string &value)>;
+
+/**
+ * The one `key=value` line reader: skips blank lines and `#` comments,
+ * trims keys and values, and calls @p apply once per pair, in order.
+ * fatal() with `config line N: ...` on a line without '=' or with an
+ * empty key. parseConfig(), parseClusterConfig() and
+ * `nmapsim_run --config` all read through it.
+ */
+void readConfigLines(const std::string &text, const ConfigLineSink &apply);
+
+/** An integer config value; fatal() names @p key. */
+int parseConfigInt(const std::string &text, const std::string &key);
+
+/** A duration as configs print it: integer nanoseconds ("1500ns"). */
+std::string formatConfigTick(Tick t);
 
 } // namespace nmapsim
 

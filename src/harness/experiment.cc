@@ -217,7 +217,6 @@ Experiment::run()
     result.attemptP99 = client.attemptLatencies().percentile(99.0);
 
     result.eventsProcessed = eq.numProcessed();
-    result.simulatedTicks = eq.now();
 
     result.traces = traces;
     if (config_.collectTraces)

@@ -11,8 +11,8 @@
  * plot: P99 latency, SLO violation fraction, package energy, NAPI mode
  * counters and optional traces.
  *
- * Policies are referenced by name and resolved through the
- * PolicyRegistry (see harness/policy_registry.hh); the harness itself
+ * Policies are referenced by name and resolved through the policy
+ * registries (see harness/policy_registry.hh); the harness itself
  * knows no concrete governor. Policy-specific tunables travel in
  * ExperimentConfig::params.
  *
@@ -67,10 +67,10 @@ struct ExperimentConfig
     double connectionSkew = 0.0; //!< >0 concentrates load on few cores
     std::vector<LoadChange> loadSchedule; //!< optional varying load
 
-    /** Frequency policy, by PolicyRegistry name (e.g. "ondemand",
+    /** Frequency policy, by FreqPolicyRegistry name (e.g. "ondemand",
      *  "performance", "NMAP", "NCAP", "Parties"). */
     std::string freqPolicy = "ondemand";
-    /** Sleep policy, by PolicyRegistry name ("menu", "disable",
+    /** Sleep policy, by IdlePolicyRegistry name ("menu", "disable",
      *  "c6only", "teo"). */
     std::string idlePolicy = "menu";
     /** Policy-specific tunables (e.g. "nmap.ni_th", "parties.interval",
@@ -151,7 +151,6 @@ struct ExperimentResult : ServerCounters
      *  they describe the simulator, not the simulated system) */
     /**@{*/
     std::uint64_t eventsProcessed = 0; //!< kernel events fired, whole run
-    Tick simulatedTicks = 0;           //!< eq.now() when the run ended
     /**@}*/
 
     /** Time-series traces (only with collectTraces). */

@@ -3,12 +3,12 @@
  * Per-policy configuration blob: an ordered string key/value map with
  * typed accessors.
  *
- * Policies registered with the PolicyRegistry read their tunables from
- * here instead of from dedicated ExperimentConfig members, so adding a
- * governor never touches the harness config struct. Keys are dotted
- * and policy-scoped by convention (`nmap.ni_th`, `parties.interval`,
- * `userspace.pstate`); values are stored as strings so the blob
- * round-trips through the key=value config format losslessly.
+ * Registered policies read their tunables from here instead of from
+ * dedicated ExperimentConfig members, so adding a governor never
+ * touches the harness config struct. Keys are dotted and policy-scoped
+ * by convention (`nmap.ni_th`, `parties.interval`, `userspace.pstate`);
+ * values are stored as strings so the blob round-trips through the
+ * key=value config format losslessly.
  *
  * Durations accept an optional ns/us/ms/s suffix ("10ms", "500us");
  * ticks written programmatically are stored as integer nanoseconds.

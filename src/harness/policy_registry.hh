@@ -33,7 +33,8 @@
  * override, auto-profiling) instead of the harness special-casing
  * them.
  *
- * The registry is header-only (a Meyers singleton) so policy libraries
+ * Both families are aliases of the one Registry template
+ * (sim/registry.hh), header-only Meyers singletons, so policy libraries
  * can register without linking against the harness; the harness side
  * calls ensureBuiltinPolicies() (policy_registry.cc) to force the
  * registering translation units out of their static archives.
@@ -43,9 +44,7 @@
 #define NMAPSIM_HARNESS_POLICY_REGISTRY_HH_
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -54,7 +53,7 @@
 #include "harness/policy_params.hh"
 #include "os/cpuidle.hh"
 #include "os/server_os.hh"
-#include "sim/logging.hh"
+#include "sim/registry.hh"
 #include "workload/app_profile.hh"
 
 namespace nmapsim {
@@ -136,224 +135,14 @@ struct IdleContext
     const PolicyParams &params;
 };
 
-/** String-keyed factories for frequency and sleep policies. */
-class PolicyRegistry
-{
-  public:
-    using FreqFactory = std::function<FreqPolicyInstance(PolicyContext &)>;
-    using IdleFactory =
-        std::function<std::unique_ptr<CpuIdleGovernor>(const IdleContext &)>;
+/** String-keyed frequency-policy factories (sim/registry.hh). */
+using FreqPolicyRegistry =
+    Registry<FreqPolicyInstance(PolicyContext &), "frequency">;
 
-    static PolicyRegistry &
-    instance()
-    {
-        static PolicyRegistry registry;
-        return registry;
-    }
-
-    void
-    registerFreq(const std::string &name, FreqFactory factory,
-                 std::string help = "")
-    {
-        if (!freq_.emplace(name, Entry<FreqFactory>{std::move(factory),
-                                                    std::move(help)})
-                 .second)
-            fatal("duplicate frequency policy registration: '" + name +
-                  "'");
-    }
-
-    void
-    registerIdle(const std::string &name, IdleFactory factory,
-                 std::string help = "")
-    {
-        if (!idle_.emplace(name, Entry<IdleFactory>{std::move(factory),
-                                                    std::move(help)})
-                 .second)
-            fatal("duplicate sleep policy registration: '" + name +
-                  "'");
-    }
-
-    bool hasFreq(const std::string &name) const
-    {
-        return resolve(freq_, name) != freq_.end();
-    }
-
-    bool hasIdle(const std::string &name) const
-    {
-        return resolve(idle_, name) != idle_.end();
-    }
-
-    /** fatal() with the known-name list unless @p name resolves to a
-     *  frequency policy. */
-    void
-    requireFreq(const std::string &name) const
-    {
-        (void)find(freq_, name, "frequency");
-    }
-
-    /** fatal() with the known-name list unless @p name resolves to a
-     *  sleep policy. */
-    void
-    requireIdle(const std::string &name) const
-    {
-        (void)find(idle_, name, "sleep");
-    }
-
-    /** Instantiate a frequency policy; fatal() on unknown names. */
-    FreqPolicyInstance
-    makeFreq(const std::string &name, PolicyContext &ctx) const
-    {
-        return find(freq_, name, "frequency")->second.factory(ctx);
-    }
-
-    /** Instantiate a sleep policy; fatal() on unknown names. */
-    std::unique_ptr<CpuIdleGovernor>
-    makeIdle(const std::string &name, const IdleContext &ctx) const
-    {
-        return find(idle_, name, "sleep")->second.factory(ctx);
-    }
-
-    /** Registered frequency-policy names, sorted. */
-    std::vector<std::string>
-    freqNames() const
-    {
-        return names(freq_);
-    }
-
-    /** Registered sleep-policy names, sorted. */
-    std::vector<std::string>
-    idleNames() const
-    {
-        return names(idle_);
-    }
-
-    std::string
-    freqHelp(const std::string &name) const
-    {
-        auto it = resolve(freq_, name);
-        return it == freq_.end() ? std::string() : it->second.help;
-    }
-
-    std::string
-    idleHelp(const std::string &name) const
-    {
-        auto it = resolve(idle_, name);
-        return it == idle_.end() ? std::string() : it->second.help;
-    }
-
-  private:
-    template <typename F>
-    struct Entry
-    {
-        F factory;
-        std::string help;
-    };
-
-    template <typename F>
-    using Map = std::map<std::string, Entry<F>>;
-
-    PolicyRegistry() = default;
-
-    template <typename F>
-    static typename Map<F>::const_iterator
-    find(const Map<F> &map, const std::string &name, const char *kind)
-    {
-        auto it = resolve(map, name);
-        if (it == map.end())
-            fatal(std::string("unknown ") + kind + " policy '" + name +
-                  "' (known: " + joined(map) + ")");
-        return it;
-    }
-
-    /** Exact match first, then a unique case-insensitive match (so
-     *  configs and the CLI may say "nmap" for "NMAP"). */
-    template <typename F>
-    static typename Map<F>::const_iterator
-    resolve(const Map<F> &map, const std::string &name)
-    {
-        auto it = map.find(name);
-        if (it != map.end())
-            return it;
-        auto match = map.end();
-        for (auto i = map.begin(); i != map.end(); ++i) {
-            if (equalsIgnoreCase(i->first, name)) {
-                if (match != map.end())
-                    return map.end(); // ambiguous
-                match = i;
-            }
-        }
-        return match;
-    }
-
-    static bool
-    equalsIgnoreCase(const std::string &a, const std::string &b)
-    {
-        if (a.size() != b.size())
-            return false;
-        for (std::size_t i = 0; i < a.size(); ++i)
-            if (lower(a[i]) != lower(b[i]))
-                return false;
-        return true;
-    }
-
-    static char
-    lower(char c)
-    {
-        return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a')
-                                    : c;
-    }
-
-    template <typename F>
-    static std::vector<std::string>
-    names(const Map<F> &map)
-    {
-        std::vector<std::string> out;
-        out.reserve(map.size());
-        for (const auto &[name, entry] : map)
-            out.push_back(name);
-        return out;
-    }
-
-    template <typename F>
-    static std::string
-    joined(const Map<F> &map)
-    {
-        std::string out;
-        for (const auto &[name, entry] : map) {
-            if (!out.empty())
-                out += ", ";
-            out += name;
-        }
-        return out;
-    }
-
-    Map<FreqFactory> freq_;
-    Map<IdleFactory> idle_;
-};
-
-/** Registers a frequency policy at static-initialisation time. */
-struct FreqPolicyRegistrar
-{
-    FreqPolicyRegistrar(const std::string &name,
-                        PolicyRegistry::FreqFactory factory,
-                        std::string help = "")
-    {
-        PolicyRegistry::instance().registerFreq(name, std::move(factory),
-                                                std::move(help));
-    }
-};
-
-/** Registers a sleep policy at static-initialisation time. */
-struct IdlePolicyRegistrar
-{
-    IdlePolicyRegistrar(const std::string &name,
-                        PolicyRegistry::IdleFactory factory,
-                        std::string help = "")
-    {
-        PolicyRegistry::instance().registerIdle(name, std::move(factory),
-                                                std::move(help));
-    }
-};
+/** String-keyed sleep-policy factories (sim/registry.hh). */
+using IdlePolicyRegistry =
+    Registry<std::unique_ptr<CpuIdleGovernor>(const IdleContext &),
+             "sleep">;
 
 /**
  * @name Registration shorthand
@@ -368,16 +157,13 @@ struct IdlePolicyRegistrar
  * enforces both.
  */
 /**@{*/
-#define NMAPSIM_REGISTRAR_CONCAT_(a, b) a##b
-#define NMAPSIM_REGISTRAR_CONCAT(a, b) NMAPSIM_REGISTRAR_CONCAT_(a, b)
-
 #define REGISTER_FREQ_POLICY(name, factory, help)                      \
-    static const ::nmapsim::FreqPolicyRegistrar                        \
+    static const ::nmapsim::FreqPolicyRegistry::Registrar              \
         NMAPSIM_REGISTRAR_CONCAT(nmapsimFreqPolicyRegistrar_,          \
                                  __COUNTER__)(name, factory, help)
 
 #define REGISTER_IDLE_POLICY(name, factory, help)                      \
-    static const ::nmapsim::IdlePolicyRegistrar                        \
+    static const ::nmapsim::IdlePolicyRegistry::Registrar              \
         NMAPSIM_REGISTRAR_CONCAT(nmapsimIdlePolicyRegistrar_,          \
                                  __COUNTER__)(name, factory, help)
 /**@}*/

@@ -36,16 +36,19 @@ ServerRig::validate(const ExperimentConfig &config)
               std::to_string(config.numCores) + ")");
 
     ensureBuiltinPolicies();
-    PolicyRegistry::instance().requireFreq(config.freqPolicy);
-    PolicyRegistry::instance().requireIdle(config.idlePolicy);
+    FreqPolicyRegistry::instance().require(config.freqPolicy);
+    IdlePolicyRegistry::instance().require(config.idlePolicy);
 
+    // The dataplane and admission factories fork nothing and schedule
+    // nothing, so each is built once here: an unknown name or a bad
+    // factory parameter (metronome.min_sleep=0) fails now.
     Plans plans{DataplanePlan::fromParams(config.params),
                 ResiliencePlan::fromParams(config.params)};
     const DataplanePlan &dplan = plans.dataplane;
     if (dplan.bypass()) {
         ensureBuiltinDataplanePolicies();
-        if (!DataplanePolicyRegistry::instance().has(dplan.policy))
-            fatal("unknown dataplane policy '" + dplan.policy + "'");
+        (void)DataplanePolicyRegistry::instance().make(
+            dplan.policy, DataplaneContext{config.params});
         if (dplan.pollCores >= config.numCores)
             fatal("dataplane.poll_cores must leave at least one worker "
                   "core (poll_cores=" +
@@ -53,7 +56,6 @@ ServerRig::validate(const ExperimentConfig &config)
                   ", cores=" + std::to_string(config.numCores) + ")");
     }
     if (plans.resilience.wantsAdmission()) {
-        // make() fatals with the list of known names.
         ensureBuiltinAdmissionPolicies();
         (void)AdmissionPolicyRegistry::instance().make(
             plans.resilience.admission,
@@ -89,7 +91,7 @@ ServerRig::attachPolicies(
     std::function<std::pair<double, double>()> profile)
 {
     IdleContext idle_ctx{profile_, config_.numCores, config_.params};
-    idle_ = PolicyRegistry::instance().makeIdle(config_.idlePolicy,
+    idle_ = IdlePolicyRegistry::instance().make(config_.idlePolicy,
                                                 idle_ctx);
     switchable_ = std::make_unique<SwitchableIdleGovernor>(*idle_);
 
@@ -105,7 +107,7 @@ ServerRig::attachPolicies(
                              std::move(profile),
                              switchable_.get(),
                              /*switchableRequested_=*/false};
-    policy_ = PolicyRegistry::instance().makeFreq(config_.freqPolicy,
+    policy_ = FreqPolicyRegistry::instance().make(config_.freqPolicy,
                                                   policy_ctx);
     os_->setIdleGovernor(
         policy_ctx.switchableRequested()

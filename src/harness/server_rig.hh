@@ -105,11 +105,12 @@ class ServerRig
     /**
      * Check that @p config describes a server that can be built: at
      * least one core, registered frequency and sleep policies, a bypass
-     * dataplane that names a registered policy and leaves a worker
-     * core, and an admission policy that resolves. fatal() on the first
-     * error; otherwise returns the parsed plans. Policies are not
-     * instantiated (the NMAP factory would run a whole profiling
-     * simulation), so policy-factory errors still surface when the rig
+     * dataplane that leaves a worker core, and dataplane and admission
+     * policies that build (each factory runs once, so its parameter
+     * errors fail here). fatal() on the first error; otherwise returns
+     * the parsed plans. Frequency and sleep policies are resolved but
+     * not instantiated (the NMAP factory would run a whole profiling
+     * simulation), so their factory errors still surface when the rig
      * is built.
      */
     static Plans validate(const ExperimentConfig &config);

@@ -3,9 +3,9 @@
  * Self-registering admission-policy registry: string-keyed factories
  * for the overload gate a server app consults at its request queue.
  *
- * The harness resolves `resilience.admission` by name here and never
- * mentions a concrete policy class. Policy modules register
- * themselves:
+ * The harness resolves `resilience.admission` by name here (one alias
+ * of the Registry template, sim/registry.hh) and never mentions a
+ * concrete policy class. Policy modules register themselves:
  *
  *     // in src/resilience/<policy>.cc
  *     namespace {
@@ -30,14 +30,10 @@
 #define NMAPSIM_RESILIENCE_ADMISSION_HH_
 
 #include <cstddef>
-#include <functional>
-#include <map>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "resilience/plan.hh"
-#include "sim/logging.hh"
+#include "sim/registry.hh"
 #include "sim/time.hh"
 
 namespace nmapsim {
@@ -73,118 +69,19 @@ struct AdmissionContext
     const ResiliencePlan &plan;
 };
 
-/** String-keyed factories for admission policies. */
-class AdmissionPolicyRegistry
-{
-  public:
-    using Factory = std::function<std::unique_ptr<AdmissionPolicy>(
-        const AdmissionContext &)>;
-
-    static AdmissionPolicyRegistry &
-    instance()
-    {
-        static AdmissionPolicyRegistry registry;
-        return registry;
-    }
-
-    void
-    registerPolicy(const std::string &name, Factory factory,
-                   std::string help = "")
-    {
-        if (!policies_
-                 .emplace(name, Entry{std::move(factory),
-                                      std::move(help)})
-                 .second)
-            fatal("duplicate admission policy registration: '" + name +
-                  "'");
-    }
-
-    bool
-    has(const std::string &name) const
-    {
-        return policies_.count(name) != 0;
-    }
-
-    /** Instantiate a policy; fatal() on unknown names. */
-    std::unique_ptr<AdmissionPolicy>
-    make(const std::string &name, const AdmissionContext &ctx) const
-    {
-        auto it = policies_.find(name);
-        if (it == policies_.end())
-            fatal("unknown admission policy '" + name + "' (known: " +
-                  joined() + ")");
-        return it->second.factory(ctx);
-    }
-
-    /** Registered policy names, sorted. */
-    std::vector<std::string>
-    names() const
-    {
-        std::vector<std::string> out;
-        out.reserve(policies_.size());
-        for (const auto &[name, entry] : policies_)
-            out.push_back(name);
-        return out;
-    }
-
-    std::string
-    help(const std::string &name) const
-    {
-        auto it = policies_.find(name);
-        return it == policies_.end() ? std::string()
-                                     : it->second.help;
-    }
-
-  private:
-    struct Entry
-    {
-        Factory factory;
-        std::string help;
-    };
-
-    AdmissionPolicyRegistry() = default;
-
-    std::string
-    joined() const
-    {
-        std::string out;
-        for (const auto &[name, entry] : policies_) {
-            if (!out.empty())
-                out += ", ";
-            out += name;
-        }
-        return out;
-    }
-
-    std::map<std::string, Entry> policies_;
-};
-
-/** Registers an admission policy at static-initialisation time. */
-struct AdmissionPolicyRegistrar
-{
-    AdmissionPolicyRegistrar(const std::string &name,
-                             AdmissionPolicyRegistry::Factory factory,
-                             std::string help = "")
-    {
-        AdmissionPolicyRegistry::instance().registerPolicy(
-            name, std::move(factory), std::move(help));
-    }
-};
+/** String-keyed admission-policy factories (sim/registry.hh). */
+using AdmissionPolicyRegistry =
+    Registry<std::unique_ptr<AdmissionPolicy>(const AdmissionContext &),
+             "admission">;
 
 /**
- * Registration shorthand, mirroring REGISTER_DATAPLANE_POLICY
- * (dataplane/policy.hh — the CONCAT helpers are guarded so a TU may
- * include both registries). Both the name and the help string must be
- * nonempty string literals; nmaplint (rule register-hygiene) enforces
- * both.
+ * Registration shorthand, mirroring REGISTER_FREQ_POLICY
+ * (harness/policy_registry.hh). Both the name and the help string must
+ * be nonempty string literals; nmaplint (rule register-hygiene)
+ * enforces both.
  */
-#ifndef NMAPSIM_REGISTRAR_CONCAT
-#define NMAPSIM_REGISTRAR_CONCAT_(a, b) a##b
-#define NMAPSIM_REGISTRAR_CONCAT(a, b) NMAPSIM_REGISTRAR_CONCAT_(a, b)
-#endif
-
 #define REGISTER_ADMISSION_POLICY(name, factory, help)                 \
-    static const ::nmapsim::AdmissionPolicyRegistrar                   \
+    static const ::nmapsim::AdmissionPolicyRegistry::Registrar         \
         NMAPSIM_REGISTRAR_CONCAT(nmapsimAdmissionPolicyRegistrar_,     \
                                  __COUNTER__)(name, factory, help)
 

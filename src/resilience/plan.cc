@@ -1,6 +1,7 @@
 #include "resilience/plan.hh"
 
 #include "sim/logging.hh"
+#include "sim/registry.hh"
 
 namespace nmapsim {
 namespace {
@@ -27,7 +28,8 @@ isKnownResilienceKey(const std::string &key)
 void
 validate(const ResiliencePlan &plan)
 {
-    if (plan.admission == "queue-deadline") {
+    // Names resolve case-insensitively, as in the registry.
+    if (equalsIgnoreCase(plan.admission, "queue-deadline")) {
         if (plan.admitTarget <= 0)
             fatal("resilience.admit_target must be positive for "
                   "queue-deadline admission");
@@ -35,7 +37,7 @@ validate(const ResiliencePlan &plan)
             fatal("resilience.admit_interval must be positive for "
                   "queue-deadline admission");
     }
-    if (plan.admission == "token-bucket") {
+    if (equalsIgnoreCase(plan.admission, "token-bucket")) {
         if (plan.admitRate <= 0.0)
             fatal("resilience.admit_rate must be positive for "
                   "token-bucket admission");

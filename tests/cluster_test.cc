@@ -256,6 +256,35 @@ TEST(ClusterTest, RejectsInvalidConfigs)
         cfg.hosts[1].params.set("dataplane.policy", "no-such-policy");
         EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
     }
+
+    // Policy-factory parameter errors fail at construction too: the
+    // dataplane and dispatch factories run once there.
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.base.params.set("dataplane.mode", "bypass");
+        cfg.base.params.set("dataplane.policy", "metronome");
+        cfg.base.params.set("metronome.min_sleep", "0");
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.dispatch = "consistent-hash";
+        cfg.base.params.set("dispatch.vnodes", 0);
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.dispatch = "power-pack";
+        cfg.base.params.set("dispatch.pack_limit", 0.0);
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.fabric.healthInterval = milliseconds(1);
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+        cfg.fabric.healthTimeout = milliseconds(2);
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
 }
 
 TEST(ClusterTest, ConfigSurvivesThePrintParseRoundTrip)

@@ -131,7 +131,7 @@ TEST(DataplanePolicyRegistryTest, UnknownPolicyIsFatal)
 TEST(DataplanePolicyRegistryTest, DuplicateRegistrationIsFatal)
 {
     ensureBuiltinDataplanePolicies();
-    EXPECT_THROW(DataplanePolicyRegistry::instance().registerPolicy(
+    EXPECT_THROW(DataplanePolicyRegistry::instance().add(
                      "spin",
                      [](const DataplaneContext &)
                          -> std::unique_ptr<DataplanePolicy> {

@@ -256,20 +256,41 @@ TEST(ExperimentTest, InvalidConfigRejected)
     ExperimentConfig cfg4;
     cfg4.idlePolicy = "no-such-policy";
     EXPECT_THROW(Experiment{cfg4}, FatalError);
+    // So do the dataplane factory's own parameter errors.
+    ExperimentConfig cfg5;
+    cfg5.params.set("dataplane.mode", "bypass");
+    cfg5.params.set("dataplane.policy", "metronome");
+    cfg5.params.set("metronome.min_sleep", "0");
+    EXPECT_THROW(Experiment{cfg5}, FatalError);
+}
+
+TEST(ExperimentTest, EveryFamilyResolvesNamesCaseInsensitively)
+{
+    ExperimentConfig cfg;
+    cfg.freqPolicy = "nmap";
+    cfg.idlePolicy = "MENU";
+    cfg.params.set("dataplane.mode", "bypass");
+    cfg.params.set("dataplane.policy", "Metronome");
+    cfg.params.set("resilience.admission", "Queue-Deadline");
+    EXPECT_NO_THROW(Experiment{cfg});
+
+    // The resolved family's parameter checks still apply.
+    ExperimentConfig bucket;
+    bucket.params.set("resilience.admission", "Token-Bucket");
+    EXPECT_THROW(Experiment{bucket}, FatalError);
 }
 
 TEST(ExperimentTest, BuiltinPolicyNamesRegistered)
 {
     ensureBuiltinPolicies();
-    const PolicyRegistry &reg = PolicyRegistry::instance();
     for (const char *name :
          {"performance", "powersave", "userspace", "ondemand",
           "conservative", "intel_powersave", "NMAP", "NMAP-simpl",
           "NMAP-adaptive", "NMAP-chipwide", "NCAP", "NCAP-menu",
           "Parties"})
-        EXPECT_TRUE(reg.hasFreq(name)) << name;
+        EXPECT_TRUE(FreqPolicyRegistry::instance().has(name)) << name;
     for (const char *name : {"menu", "disable", "c6only", "teo"})
-        EXPECT_TRUE(reg.hasIdle(name)) << name;
+        EXPECT_TRUE(IdlePolicyRegistry::instance().has(name)) << name;
 }
 
 } // namespace

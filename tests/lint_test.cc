@@ -88,6 +88,7 @@ constexpr FixtureCase kFixtures[] = {
     {"src/register_dispatch_bad.cc", "register-hygiene"},
     {"src/register_dataplane_bad.cc", "register-hygiene"},
     {"src/register_admission_bad.cc", "register-hygiene"},
+    {"src/register_direct_bad.cc", "register-hygiene"},
     {"src/bad_waiver.cc", "bad-waiver"},
     {"src/waived_multiline_scope.cc", "nondet-source"},
 };

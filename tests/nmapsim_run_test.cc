@@ -1,0 +1,156 @@
+/**
+ * @file
+ * End-to-end tests for the nmapsim_run CLI: the policy listing, the
+ * --print-config / --config round trip, construction-time rejection of
+ * unknown names in every policy family, and case-insensitive names.
+ *
+ * The binary is driven through popen, exactly as a user runs it. Its
+ * path is injected by CMake as NMAPSIM_RUN_BIN.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+namespace {
+
+struct RunResult
+{
+    int exitCode = -1;
+    std::string out; //!< stdout, plus stderr when asked for
+};
+
+RunResult
+run(const std::string &args, bool withStderr = false)
+{
+    const std::string cmd = std::string(NMAPSIM_RUN_BIN) + " " + args +
+                            (withStderr ? " 2>&1" : " 2>/dev/null");
+    RunResult r;
+    FILE *pipe = popen(cmd.c_str(), "r");
+    if (pipe == nullptr)
+        return r;
+    std::array<char, 4096> buf;
+    std::size_t n;
+    while ((n = fread(buf.data(), 1, buf.size(), pipe)) > 0)
+        r.out.append(buf.data(), n);
+    const int status = pclose(pipe);
+    r.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    return r;
+}
+
+std::vector<std::string>
+lines(const std::string &text)
+{
+    std::vector<std::string> out;
+    std::istringstream is(text);
+    std::string line;
+    while (std::getline(is, line))
+        out.push_back(line);
+    return out;
+}
+
+TEST(NmapsimRunTest, ListPoliciesShowsEveryFamilySorted)
+{
+    const RunResult r = run("--list-policies");
+    ASSERT_EQ(r.exitCode, 0);
+
+    // Sections in order, each with its names sorted.
+    const std::vector<std::string> headings = {
+        "frequency policies:",
+        "sleep policies:",
+        "dispatch policies (cluster mode):",
+        "dataplane policies (--dataplane=bypass):",
+        "admission policies (resilience.admission):",
+    };
+    std::vector<std::vector<std::string>> sections;
+    for (const std::string &line : lines(r.out)) {
+        if (line.rfind("  ", 0) == 0) {
+            ASSERT_FALSE(sections.empty()) << line;
+            sections.back().push_back(line.substr(2, line.find(' ', 2) - 2));
+            continue;
+        }
+        ASSERT_LT(sections.size(), headings.size()) << line;
+        EXPECT_EQ(line, headings[sections.size()]);
+        sections.emplace_back();
+    }
+    ASSERT_EQ(sections.size(), headings.size());
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+        SCOPED_TRACE(headings[i]);
+        EXPECT_FALSE(sections[i].empty());
+        EXPECT_TRUE(std::is_sorted(sections[i].begin(), sections[i].end()));
+    }
+    EXPECT_NE(r.out.find("  NMAP "), std::string::npos);
+    EXPECT_NE(r.out.find("  metronome "), std::string::npos);
+    EXPECT_NE(r.out.find("  queue-deadline "), std::string::npos);
+}
+
+/** --print-config, fed back through --config, prints the same text. */
+void
+expectPrintConfigRoundTrips(const std::string &flags,
+                            const std::string &file)
+{
+    const RunResult first = run(flags + " --print-config");
+    ASSERT_EQ(first.exitCode, 0);
+    ASSERT_FALSE(first.out.empty());
+
+    const std::string path = ::testing::TempDir() + file;
+    std::ofstream(path) << first.out;
+    const RunResult second = run("--config=" + path + " --print-config");
+    ASSERT_EQ(second.exitCode, 0);
+    EXPECT_EQ(second.out, first.out);
+    std::remove(path.c_str());
+}
+
+TEST(NmapsimRunTest, SingleHostConfigRoundTrips)
+{
+    expectPrintConfigRoundTrips(
+        "--policy=ondemand --idle=c6only --set nmap.ni_th=13",
+        "nmapsim_run_test_single.cfg");
+}
+
+TEST(NmapsimRunTest, ClusterConfigRoundTrips)
+{
+    const std::string flags = "--hosts=2 --dispatch=flow-hash "
+                              "--set host1.freq_policy=performance";
+    EXPECT_NE(run(flags + " --print-config").out.find(
+                  "host1.freq_policy=performance"),
+              std::string::npos);
+    expectPrintConfigRoundTrips(flags, "nmapsim_run_test_cluster.cfg");
+}
+
+TEST(NmapsimRunTest, UnknownNameInEveryFamilyFailsWithKnownList)
+{
+    for (const char *flags :
+         {"--policy=no-such", "--idle=no-such", "--dispatch=no-such",
+          "--dataplane=bypass --set dataplane.policy=no-such",
+          "--set resilience.admission=no-such"}) {
+        SCOPED_TRACE(flags);
+        const RunResult r = run(flags, /*withStderr=*/true);
+        EXPECT_NE(r.exitCode, 0);
+        EXPECT_NE(r.out.find("known: "), std::string::npos) << r.out;
+        // Construction validates before the run banner prints.
+        EXPECT_EQ(r.out.find("seed="), std::string::npos) << r.out;
+    }
+}
+
+TEST(NmapsimRunTest, MixedCaseDataplaneAndAdmissionNamesRun)
+{
+    const std::string window = " --warmup=5ms --duration=20ms";
+    const RunResult bypass = run(
+        "--dataplane=bypass --set dataplane.policy=Metronome" + window);
+    EXPECT_EQ(bypass.exitCode, 0);
+    EXPECT_NE(bypass.out.find("bypass poll sleeps"), std::string::npos);
+
+    const RunResult admission =
+        run("--set resilience.admission=Queue-Deadline" + window);
+    EXPECT_EQ(admission.exitCode, 0);
+    EXPECT_NE(admission.out.find("shed (admission)"), std::string::npos);
+}
+
+} // namespace

@@ -82,10 +82,9 @@ cellConfig(const std::string &policy, const std::string &idle)
 TEST(PolicyMatrixTest, DummyGovernorIsRegistered)
 {
     ensureBuiltinPolicies();
-    PolicyRegistry &reg = PolicyRegistry::instance();
-    EXPECT_TRUE(reg.hasFreq("test-dummy"));
-    EXPECT_EQ(reg.freqHelp("test-dummy"),
-              "test-only governor pinning P1");
+    const FreqPolicyRegistry &reg = FreqPolicyRegistry::instance();
+    EXPECT_TRUE(reg.has("test-dummy"));
+    EXPECT_EQ(reg.help("test-dummy"), "test-only governor pinning P1");
 }
 
 TEST(PolicyMatrixTest, DummyGovernorRunsThroughUnmodifiedHarness)
@@ -100,11 +99,14 @@ TEST(PolicyMatrixTest, DummyGovernorRunsThroughUnmodifiedHarness)
 TEST(PolicyMatrixTest, EveryRegisteredPairRuns)
 {
     ensureBuiltinPolicies();
-    PolicyRegistry &reg = PolicyRegistry::instance();
+    const std::vector<std::string> policies =
+        FreqPolicyRegistry::instance().names();
+    const std::vector<std::string> idles =
+        IdlePolicyRegistry::instance().names();
     ResultWriter writer;
 
-    for (const std::string &policy : reg.freqNames()) {
-        for (const std::string &idle : reg.idleNames()) {
+    for (const std::string &policy : policies) {
+        for (const std::string &idle : idles) {
             SCOPED_TRACE(policy + " x " + idle);
             ExperimentConfig cfg = cellConfig(policy, idle);
             ExperimentResult r = Experiment(cfg).run();
@@ -126,8 +128,7 @@ TEST(PolicyMatrixTest, EveryRegisteredPairRuns)
         }
     }
 
-    EXPECT_EQ(writer.size(),
-              reg.freqNames().size() * reg.idleNames().size());
+    EXPECT_EQ(writer.size(), policies.size() * idles.size());
     writer.writeJsonFile("BENCH_policy_matrix.json");
 }
 

@@ -1,11 +1,11 @@
 /**
  * @file
  * CLI-visible registry listings must never depend on hash or
- * registration order: `--list-policies`, `--list-dispatch` and the
- * "known names" part of unknown-name errors all come from the
- * registries' name listings, and those must be sorted so output is
- * byte-stable across compilers, libstdc++ versions and registration
- * link order.
+ * registration order: `--list-policies` and the "known names" part of
+ * unknown-name errors all come from the registries' name listings, and
+ * those must be sorted so output is byte-stable across compilers,
+ * libstdc++ versions and registration link order. The harness cases
+ * check the errors a user actually sees, raised at construction.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "cluster/dispatch.hh"
 #include "cpu/cpu_profile.hh"
 #include "dataplane/policy.hh"
+#include "harness/cluster.hh"
 #include "harness/experiment.hh"
 #include "harness/policy_registry.hh"
 #include "resilience/admission.hh"
@@ -39,8 +40,8 @@ expectSortedAndUnique(const std::vector<std::string> &names)
 TEST(RegistryOrderTest, FreqAndIdleListingsAreSorted)
 {
     ensureBuiltinPolicies();
-    expectSortedAndUnique(PolicyRegistry::instance().freqNames());
-    expectSortedAndUnique(PolicyRegistry::instance().idleNames());
+    expectSortedAndUnique(FreqPolicyRegistry::instance().names());
+    expectSortedAndUnique(IdlePolicyRegistry::instance().names());
 }
 
 TEST(RegistryOrderTest, DispatchListingIsSorted)
@@ -92,7 +93,7 @@ TEST(RegistryOrderTest, UnknownFreqPolicyErrorListsSortedNames)
         FAIL() << "expected fatal()";
     } catch (const FatalError &e) {
         expectKnownNamesSorted(e.what(),
-                               PolicyRegistry::instance().freqNames());
+                               FreqPolicyRegistry::instance().names());
     }
 }
 
@@ -102,11 +103,11 @@ TEST(RegistryOrderTest, UnknownIdlePolicyErrorListsSortedNames)
     PolicyParams params;
     IdleContext ctx{CpuProfile::xeonGold6134(), 1, params};
     try {
-        (void)PolicyRegistry::instance().makeIdle("no-such-idle", ctx);
+        (void)IdlePolicyRegistry::instance().make("no-such-idle", ctx);
         FAIL() << "expected fatal()";
     } catch (const FatalError &e) {
         expectKnownNamesSorted(e.what(),
-                               PolicyRegistry::instance().idleNames());
+                               IdlePolicyRegistry::instance().names());
     }
 }
 
@@ -151,6 +152,52 @@ TEST(RegistryOrderTest, UnknownDispatchErrorListsSortedNames)
                                                 ctx);
         FAIL() << "expected fatal()";
     } catch (const FatalError &e) {
+        expectKnownNamesSorted(e.what(),
+                               DispatchRegistry::instance().names());
+    }
+}
+
+TEST(RegistryOrderTest, HarnessDataplaneErrorListsSortedNames)
+{
+    // The check a user hits first: Experiment's construction-time
+    // validation, not a direct registry call.
+    ExperimentConfig cfg;
+    cfg.params.set("dataplane.mode", "bypass");
+    cfg.params.set("dataplane.policy", "no-such-dataplane");
+    try {
+        Experiment exp(cfg);
+        FAIL() << "expected fatal()";
+    } catch (const FatalError &e) {
+        expectKnownNamesSorted(
+            e.what(), DataplanePolicyRegistry::instance().names());
+    }
+}
+
+TEST(RegistryOrderTest, HarnessDispatchErrorsListSortedNames)
+{
+    ClusterConfig cfg;
+    cfg.numHosts = 2;
+    cfg.dispatch = "no-such-dispatch";
+    try {
+        ClusterExperiment exp(cfg);
+        FAIL() << "expected fatal()";
+    } catch (const FatalError &e) {
+        expectKnownNamesSorted(e.what(),
+                               DispatchRegistry::instance().names());
+    }
+
+    // A topology tier's own dispatch name, reported with its tier.
+    ClusterConfig tiered;
+    tiered.base.params.set("topology.tiers", 2);
+    tiered.base.params.set("topology.tier1.name", "cache");
+    tiered.base.params.set("topology.tier1.dispatch", "no-such-dispatch");
+    try {
+        ClusterExperiment exp(tiered);
+        FAIL() << "expected fatal()";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("tier 'cache'"),
+                  std::string::npos)
+            << e.what();
         expectKnownNamesSorted(e.what(),
                                DispatchRegistry::instance().names());
     }

@@ -30,7 +30,7 @@
  *     stale waivers.
  *
  * Rules self-register through LintRuleRegistry, mirroring the
- * simulator's PolicyRegistry idiom (src/harness/policy_registry.hh):
+ * simulator's Registry idiom (src/sim/registry.hh):
  *
  *     // in tools/nmaplint/rules_<mine>.cc
  *     namespace {
@@ -305,8 +305,9 @@ class ProjectRule
                        ProjectSink &sink) const = 0;
 };
 
-/** String-keyed lint-rule factories; mirrors PolicyRegistry. Per-file
- *  and project rules share one id and waiver-token namespace. */
+/** String-keyed lint-rule factories; mirrors the simulator's Registry
+ *  template (src/sim/registry.hh). Per-file and project rules share
+ *  one id and waiver-token namespace. */
 class LintRuleRegistry
 {
   public:

@@ -3,15 +3,16 @@
  * Rule `register-hygiene`: every registry registration names itself
  * and documents itself.
  *
- * The self-registering registries (PolicyRegistry, DispatchRegistry,
- * nmaplint's own LintRuleRegistry) key everything on a string literal
- * and surface a help line in `--list-policies` / `--list-rules`. A
- * registration with an empty or non-literal name is unreachable from
- * configs; one without a doc string is invisible in the listings. The
- * rule checks every `REGISTER_*(...)` macro use and every direct
- * `<X>Registrar name(...)` declaration: the first argument must be a
- * nonempty string literal and the last argument a nonempty doc-string
- * literal.
+ * The self-registering registries (the five aliases of the simulator's
+ * Registry template, nmaplint's own LintRuleRegistry) key everything on
+ * a string literal and surface a help line in `--list-policies` /
+ * `--list-rules`. A registration with an empty or non-literal name is
+ * unreachable from configs; one without a doc string is invisible in
+ * the listings. The rule checks every `REGISTER_*(...)` macro use and
+ * every direct registrar declaration (`FooRegistry::Registrar
+ * name(...)`, `LintRuleRegistrar name(...)`): the first argument must
+ * be a nonempty string literal and the last argument a nonempty
+ * doc-string literal.
  *
  * Scope: src/, tools/ and tests/. Waive intentionally anonymous
  * registrations with `// lint: register-ok(<reason>)`.
@@ -24,12 +25,10 @@
 namespace nmaplint {
 namespace {
 
+/** Registrar type names: the Registry template's nested Registrar
+ *  (reached through any family alias) and nmaplint's own. */
 constexpr const char *kRegistrars[] = {
-    "FreqPolicyRegistrar",
-    "IdlePolicyRegistrar",
-    "DispatchRegistrar",
-    "DataplanePolicyRegistrar",
-    "AdmissionPolicyRegistrar",
+    "Registrar",
     "LintRuleRegistrar",
 };
 

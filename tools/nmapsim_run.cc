@@ -81,38 +81,28 @@ usage()
         "  --help             this text\n");
 }
 
+/** One `--list-policies` section: a family's names, sorted, with
+ *  their help lines. */
+template <typename Family>
+void
+listFamily(const char *heading)
+{
+    std::printf("%s:\n", heading);
+    for (const std::string &name : Family::instance().names())
+        std::printf("  %-16s %s\n", name.c_str(),
+                    Family::instance().help(name).c_str());
+}
+
 void
 listPolicies()
 {
-    PolicyRegistry &reg = PolicyRegistry::instance();
-    std::printf("frequency policies:\n");
-    for (const std::string &name : reg.freqNames()) {
-        std::string help = reg.freqHelp(name);
-        std::printf("  %-16s %s\n", name.c_str(), help.c_str());
-    }
-    std::printf("sleep policies:\n");
-    for (const std::string &name : reg.idleNames()) {
-        std::string help = reg.idleHelp(name);
-        std::printf("  %-16s %s\n", name.c_str(), help.c_str());
-    }
-    DispatchRegistry &dreg = DispatchRegistry::instance();
-    std::printf("dispatch policies (cluster mode):\n");
-    for (const std::string &name : dreg.names()) {
-        std::string help = dreg.help(name);
-        std::printf("  %-16s %s\n", name.c_str(), help.c_str());
-    }
-    DataplanePolicyRegistry &preg = DataplanePolicyRegistry::instance();
-    std::printf("dataplane policies (--dataplane=bypass):\n");
-    for (const std::string &name : preg.names()) {
-        std::string help = preg.help(name);
-        std::printf("  %-16s %s\n", name.c_str(), help.c_str());
-    }
-    AdmissionPolicyRegistry &areg = AdmissionPolicyRegistry::instance();
-    std::printf("admission policies (resilience.admission):\n");
-    for (const std::string &name : areg.names()) {
-        std::string help = areg.help(name);
-        std::printf("  %-16s %s\n", name.c_str(), help.c_str());
-    }
+    listFamily<FreqPolicyRegistry>("frequency policies");
+    listFamily<IdlePolicyRegistry>("sleep policies");
+    listFamily<DispatchRegistry>("dispatch policies (cluster mode)");
+    listFamily<DataplanePolicyRegistry>(
+        "dataplane policies (--dataplane=bypass)");
+    listFamily<AdmissionPolicyRegistry>(
+        "admission policies (resilience.admission)");
 }
 
 /** Split "--flag=value" / "--flag value" into (flag, value). */
@@ -398,35 +388,7 @@ main(int argc, char **argv)
                 text << is.rdbuf();
                 ccfg = ClusterConfig{};
                 cluster_mode = false;
-                std::istringstream lines(text.str());
-                std::string line;
-                while (std::getline(lines, line)) {
-                    std::string t = line;
-                    std::size_t b = t.find_first_not_of(" \t\r");
-                    if (b == std::string::npos)
-                        continue;
-                    std::size_t e2 = t.find_last_not_of(" \t\r");
-                    t = t.substr(b, e2 - b + 1);
-                    if (t.empty() || t[0] == '#')
-                        continue;
-                    std::size_t keq = t.find('=');
-                    if (keq == std::string::npos) {
-                        std::fprintf(stderr,
-                                     "config: expected key=value, "
-                                     "got '%s'\n",
-                                     t.c_str());
-                        return 2;
-                    }
-                    auto trimmed = [](std::string s) {
-                        std::size_t sb = s.find_first_not_of(" \t");
-                        if (sb == std::string::npos)
-                            return std::string();
-                        std::size_t se = s.find_last_not_of(" \t");
-                        return s.substr(sb, se - sb + 1);
-                    };
-                    apply(trimmed(t.substr(0, keq)),
-                          trimmed(t.substr(keq + 1)));
-                }
+                readConfigLines(text.str(), apply);
             } else if (f.name == "--print-config") {
                 print_config = true;
             } else if (f.name == "--json") {
@@ -452,18 +414,13 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Unknown names fail here, before the simulation spins up.
-    PolicyRegistry &reg = PolicyRegistry::instance();
+    // Constructing the harness validates the whole config, so a bad
+    // config fails before the banner prints.
     try {
-        if (!reg.hasFreq(cfg.freqPolicy))
-            fatal("unknown frequency policy '" + cfg.freqPolicy +
-                  "' (see --list-policies)");
-        if (!reg.hasIdle(cfg.idlePolicy))
-            fatal("unknown sleep policy '" + cfg.idlePolicy +
-                  "' (see --list-policies)");
         if (cluster_mode)
             return runCluster(ccfg, json_path, csv_path);
 
+        Experiment exp(cfg);
         std::printf("app=%s policy=%s idle=%s load=%s cores=%d "
                     "duration=%.0fms seed=%llu\n",
                     cfg.app.name.c_str(), cfg.freqPolicy.c_str(),
@@ -471,7 +428,7 @@ main(int argc, char **argv)
                     cfg.numCores, toMilliseconds(cfg.duration),
                     static_cast<unsigned long long>(cfg.seed));
 
-        ExperimentResult r = Experiment(cfg).run();
+        ExperimentResult r = exp.run();
 
         Table table({"metric", "value"});
         table.addRow({"P50 latency (us)",
