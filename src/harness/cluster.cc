@@ -209,7 +209,12 @@ ClusterExperiment::run()
 
     // --- Hosts --------------------------------------------------------
     // Each host takes its own fork of the master stream, in id order.
+    // Offline NMAP profiling is a pure function of the host config, so
+    // hosts with equal configs share one pass.
     std::vector<std::unique_ptr<Host>> hosts;
+    std::vector<
+        std::pair<const ExperimentConfig *, std::pair<double, double>>>
+        profiles;
     for (int id = 0; id < config_.numHosts; ++id) {
         const ExperimentConfig &cfg = hostConfig(id);
         hosts.push_back(std::make_unique<Host>(eq, cfg, rng.fork(),
@@ -217,8 +222,14 @@ ClusterExperiment::run()
         Host &host = *hosts.back();
         host.rig.attachPolicies(
             host.rng, hostDataplanes_[static_cast<std::size_t>(id)],
-            &host.feedback,
-            [&cfg] { return Experiment::profileThresholds(cfg); });
+            &host.feedback, [&cfg, &profiles] {
+                for (const auto &[seen, thresholds] : profiles)
+                    if (*seen == cfg)
+                        return thresholds;
+                profiles.emplace_back(&cfg,
+                                      Experiment::profileThresholds(cfg));
+                return profiles.back().second;
+            });
         sw.downlink(id).setSink(
             [&nic = host.rig.nic()](const Packet &pkt) {
                 nic.receive(pkt);

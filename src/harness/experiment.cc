@@ -56,6 +56,8 @@ Experiment::profileThresholds(const ExperimentConfig &config)
     pcfg.duration = pcfg.burst.period; // one burst + its drain
     pcfg.collectTraces = false;
     pcfg.collectLatencyTrace = false;
+    // The caller's observers watch the caller's run, not this one.
+    pcfg.extraObservers.clear();
 
     // Thresholds describe a *healthy* system: profile without any
     // injected faults or client retries (also keeps cluster-derived

@@ -100,7 +100,9 @@ struct ExperimentConfig
     /** Extra NAPI observers. Borrowed, never owned: each pointer must
      *  stay valid until Experiment::run() returns (the harness
      *  attaches them for the run and drops them with the rig; they are
-     *  not serialised and do not survive into the result). */
+     *  not serialised and do not survive into the result). They see
+     *  this run only: an auto-profiled NMAP run's offline profiling
+     *  pass (Experiment::profileThresholds) attaches none of them. */
     std::vector<NapiObserver *> extraObservers;
 
     bool operator==(const ExperimentConfig &) const = default;

@@ -321,5 +321,48 @@ TEST(ClusterTest, ClusterRecordCarriesPerHostColumns)
     EXPECT_NE(json.find("switch_port_drops"), std::string::npos);
 }
 
+TEST(ClusterTest, AutoProfiledClusterMatchesPinnedThresholds)
+{
+    // Auto-profiled NMAP hosts (two identical ones, which share one
+    // profiling pass, then c6only and chip-wide variants) must run
+    // byte for byte like the same cluster with every NMAP host's
+    // thresholds pinned to its own profile.
+    ClusterConfig cfg = smallCluster();
+    cfg.base.freqPolicy = "NMAP";
+    cfg.numHosts = 5;
+    cfg.hosts.resize(5);
+    cfg.hosts[2].idlePolicy = "c6only";
+    cfg.hosts[3].freqPolicy = "NMAP-chipwide";
+    cfg.hosts[4].freqPolicy = "ondemand";
+
+    ClusterConfig pinned = cfg;
+    const ClusterExperiment exp(cfg);
+    for (int i = 0; i < 4; ++i) {
+        auto [ni, cu] = Experiment::profileThresholds(exp.hostConfig(i));
+        pinned.hosts[static_cast<std::size_t>(i)]
+            .params.set("nmap.ni_th", ni)
+            .set("nmap.cu_th", cu);
+    }
+
+    const ClusterResult shared = ClusterExperiment(cfg).run();
+    const ClusterResult reference = ClusterExperiment(pinned).run();
+    auto json = [](const ClusterConfig &c, const ClusterResult &r) {
+        ResultWriter writer;
+        appendClusterResultRecord(writer, c, r);
+        std::ostringstream os;
+        writer.writeJson(os);
+        return os.str();
+    };
+    EXPECT_EQ(json(cfg, shared), json(pinned, reference));
+    ASSERT_EQ(shared.hosts.size(), 5u);
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_GT(shared.hosts[i].niThresholdUsed, 0.0);
+        EXPECT_EQ(shared.hosts[i].niThresholdUsed,
+                  reference.hosts[i].niThresholdUsed);
+        EXPECT_EQ(shared.hosts[i].cuThresholdUsed,
+                  reference.hosts[i].cuThresholdUsed);
+    }
+}
+
 } // namespace
 } // namespace nmapsim

@@ -181,6 +181,31 @@ TEST(ExperimentTest, AutoProfileWiresThresholdsIntoNmapRun)
     EXPECT_DOUBLE_EQ(r.cuThresholdUsed, cu);
 }
 
+TEST(ExperimentTest, ExtraObserversSeeOnlyTheirOwnRun)
+{
+    // An auto-profiled NMAP run simulates its profiling burst before
+    // the run itself; the caller's observers must see only the run.
+    // With no warmup the result's NAPI counters cover the whole run.
+    struct Counter : NapiObserver
+    {
+        std::uint64_t pkts = 0;
+        void
+        onPollProcessed(int, std::uint32_t intr_pkts,
+                        std::uint32_t poll_pkts) override
+        {
+            pkts += intr_pkts + poll_pkts;
+        }
+    } counter;
+    ExperimentConfig cfg = shortConfig("NMAP", LoadLevel::kLow);
+    cfg.warmup = 0;
+    cfg.duration = milliseconds(100);
+    cfg.extraObservers.push_back(&counter);
+    ExperimentResult r = Experiment(cfg).run();
+    ASSERT_GT(r.niThresholdUsed, 0.0);
+    EXPECT_GT(counter.pkts, 0u);
+    EXPECT_EQ(counter.pkts, r.pktsIntrMode + r.pktsPollMode);
+}
+
 TEST(ExperimentTest, AutoProfileDisabledLeavesThresholdsUnset)
 {
     ExperimentConfig cfg =

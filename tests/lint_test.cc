@@ -6,7 +6,7 @@
  * gate this whole PR exists for — the real source tree lints clean.
  *
  * The binary is exercised end-to-end via its CLI (popen), exactly as
- * CI and `make nmaplint` run it. Paths are injected by CMake:
+ * CI and the `lint` build target run it. Paths are injected by CMake:
  * NMAPLINT_BIN, LINT_FIXTURES_DIR, NMAPSIM_SOURCE_DIR.
  */
 
