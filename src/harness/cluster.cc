@@ -49,21 +49,30 @@ struct Host
 
 } // namespace
 
+void
+requireHostOverlayKey(int host, const std::string &key)
+{
+    const std::string ns = key.substr(0, key.find('.') + 1);
+    bool banned = RunPlan::owns(key);
+    for (const char *run_wide : {"gov.", "burst.", "os.", "nic.", "cluster."})
+        banned = banned || ns == run_wide;
+    if (banned)
+        fatal("config key 'host" + std::to_string(host) + "." + key +
+              "': '" + ns + "*' keys cannot be overridden per host");
+}
+
 ClusterExperiment::ClusterExperiment(ClusterConfig config)
     : config_(std::move(config)),
-      topology_(TopologyPlan::fromParams(config_.base.params)),
-      fault_(FaultPlan::fromParams(config_.base.params)),
-      retry_(ClientRetryPolicy::fromParams(config_.base.params)),
-      resilience_(ResiliencePlan::fromParams(config_.base.params))
+      plan_(RunPlan::fromParams(config_.base.params))
 {
     ensureBuiltinDispatchPolicies();
 
     // A declared topology owns the host count: tiers are contiguous
     // host-id ranges, so `hosts` (the count) is derived and per-host
     // override vectors must match the derived total.
-    if (topology_.enabled()) {
-        config_.numHosts = topology_.totalHosts();
-        for (const TierSpec &tier : topology_.tiers)
+    if (plan_.topology.enabled()) {
+        config_.numHosts = plan_.topology.totalHosts();
+        for (const TierSpec &tier : plan_.topology.tiers)
             if (!tier.dispatch.empty())
                 DispatchRegistry::instance().require(
                     tier.dispatch,
@@ -93,31 +102,25 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
     DispatchRegistry::instance().require(config_.dispatch);
     config_.fabric.validate();
 
-    if (fault_.flapHost >= config_.numHosts)
+    if (plan_.fault.flapHost >= config_.numHosts)
         fatal("fault.flap_host out of range");
-    for (int crash_host : fault_.crashHosts)
+    for (int crash_host : plan_.fault.crashHosts)
         if (crash_host >= config_.numHosts)
             fatal("fault.crash_host out of range");
-    if (resilience_.wantsRetryBudget() && !retry_.enabled())
-        fatal("resilience.retry_budget requires client retry "
-              "(client.timeout)");
 
     // Resolve every host's configuration (base, then the tier's, then
-    // the host's overrides) and validate it as a server, once.
+    // the host's overrides) and validate it as a server, once. The run
+    // wires the run-scoped plans, so no host config carries their keys.
     for (int id = 0; id < config_.numHosts; ++id) {
         ExperimentConfig cfg = config_.base;
-        if (topology_.enabled()) {
-            // The host-side rig (and its offline profiling Experiment)
-            // must not see cluster-only topology keys.
-            std::vector<std::string> topo_keys;
-            for (const auto &[key, value] : cfg.params)
-                if (key.rfind("topology.", 0) == 0)
-                    topo_keys.push_back(key);
-            for (const std::string &key : topo_keys)
-                cfg.params.erase(key);
+        cfg.params = {};
+        for (const auto &[key, value] : config_.base.params)
+            if (!RunPlan::owns(key))
+                cfg.params.set(key, value);
+        if (plan_.topology.enabled()) {
             const TierSpec &tier =
-                topology_.tiers[static_cast<std::size_t>(
-                    topology_.tierOf(id))];
+                plan_.topology.tiers[static_cast<std::size_t>(
+                    plan_.topology.tierOf(id))];
             if (!tier.freqPolicy.empty())
                 cfg.freqPolicy = tier.freqPolicy;
             if (!tier.idlePolicy.empty())
@@ -130,10 +133,12 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
                 cfg.freqPolicy = spec.freqPolicy;
             if (!spec.idlePolicy.empty())
                 cfg.idlePolicy = spec.idlePolicy;
-            for (const auto &[key, value] : spec.params)
+            for (const auto &[key, value] : spec.params) {
+                requireHostOverlayKey(id, key);
                 cfg.params.set(key, value);
+            }
         }
-        hostDataplanes_.push_back(ServerRig::validate(cfg).dataplane);
+        hostDataplanes_.push_back(ServerRig::validate(cfg));
         hostConfigs_.push_back(std::move(cfg));
     }
 
@@ -166,14 +171,14 @@ ClusterExperiment::hostWeights() const
 std::vector<SwitchTier>
 ClusterExperiment::switchTiers() const
 {
-    if (!topology_.enabled())
+    if (!plan_.topology.enabled())
         return {SwitchTier{"all", 0, config_.numHosts, config_.dispatch}};
     std::vector<SwitchTier> tiers;
-    for (int t = 0; t < topology_.numTiers(); ++t) {
+    for (int t = 0; t < plan_.topology.numTiers(); ++t) {
         const TierSpec &tier =
-            topology_.tiers[static_cast<std::size_t>(t)];
+            plan_.topology.tiers[static_cast<std::size_t>(t)];
         tiers.push_back(SwitchTier{
-            tier.name, topology_.firstHostOf(t), tier.hosts,
+            tier.name, plan_.topology.firstHostOf(t), tier.hosts,
             tier.dispatch.empty() ? config_.dispatch : tier.dispatch});
     }
     return tiers;
@@ -183,11 +188,11 @@ Tick
 ClusterExperiment::tierSlo(int tier) const
 {
     const TierSpec &spec =
-        topology_.tiers[static_cast<std::size_t>(tier)];
+        plan_.topology.tiers[static_cast<std::size_t>(tier)];
     if (spec.slo > 0)
         return spec.slo;
     // Default: an even split of the end-to-end latency budget.
-    return config_.base.app.slo / topology_.numTiers();
+    return config_.base.app.slo / plan_.topology.numTiers();
 }
 
 ClusterResult
@@ -195,6 +200,7 @@ ClusterExperiment::run()
 {
     EventQueue eq;
     Rng rng(config_.base.seed);
+    const TopologyPlan &topology = plan_.topology;
 
     // --- Switch -------------------------------------------------------
     ClusterSwitch sw(eq, config_.fabric, config_.dispatch, hostWeights(),
@@ -204,8 +210,7 @@ ClusterExperiment::run()
     // anywhere and keeps the run byte-identical; the subsystem forks no
     // random stream, so enabling it perturbs no other component's
     // stream either.
-    if (resilience_.enabled())
-        sw.enableResilience(resilience_);
+    sw.enableResilience(plan_.resilience);
 
     // --- Hosts --------------------------------------------------------
     // Each host takes its own fork of the master stream, in id order.
@@ -236,16 +241,15 @@ ClusterExperiment::run()
             });
         host.uplink.setSink(
             [&sw, id](const Packet &pkt) { sw.fromHost(id, pkt); });
-        if (topology_.enabled()) {
+        if (topology.enabled()) {
             // Every tier but the last forwards east-west.
-            const int t = topology_.tierOf(id);
-            host.app.setForwardDownstream(t < topology_.numTiers() - 1);
+            const int t = topology.tierOf(id);
+            host.app.setForwardDownstream(t < topology.numTiers() - 1);
             host.app.setServiceScale(
-                topology_.tiers[static_cast<std::size_t>(t)]
+                topology.tiers[static_cast<std::size_t>(t)]
                     .serviceScale);
         }
-        if (resilience_.enabled())
-            host.app.setResilience(resilience_);
+        host.app.setResilience(plan_.resilience);
     }
     sw.setResponseTap([&hosts](int host, const Packet &pkt) {
         hosts[static_cast<std::size_t>(host)]->feedback.onResponse(pkt);
@@ -255,7 +259,7 @@ ClusterExperiment::run()
     // (dispatch to return, covering queueing + service on the host).
     std::vector<LatencyRecorder> hop_lat(
         static_cast<std::size_t>(config_.numHosts));
-    if (topology_.enabled()) {
+    if (topology.enabled()) {
         sw.setHopTap([&hop_lat, &eq](int host, int tier, Tick hop,
                                      bool forwarded) {
             (void)tier;
@@ -287,6 +291,7 @@ ClusterExperiment::run()
                 kFlowSpaceStride);
         if (entry_tier > 0)
             group.client->setEntryTier(entry_tier);
+        plan_.configure(*group.client);
         group.gen = std::make_unique<LoadGenerator>(
             eq, *group.client, config_.base.burst, rng.fork());
         groups.push_back(std::move(group));
@@ -297,9 +302,9 @@ ClusterExperiment::run()
     // (topology.tier<i>.clients). Built after the front-door groups in
     // tier order, so flow spaces and Rng forks are stable and a
     // topology without tier clients stays byte-identical.
-    for (int t = 0; t < topology_.numTiers(); ++t) {
+    for (int t = 0; t < topology.numTiers(); ++t) {
         const TierSpec &tier =
-            topology_.tiers[static_cast<std::size_t>(t)];
+            topology.tiers[static_cast<std::size_t>(t)];
         for (int c = 0; c < tier.clients; ++c)
             addGroup(t);
     }
@@ -314,13 +319,9 @@ ClusterExperiment::run()
     });
 
     // --- Load ---------------------------------------------------------
-    LoadLevelSpec spec = config_.base.app.level(config_.base.load);
-    if (config_.base.rpsOverride > 0.0)
-        spec.rps = config_.base.rpsOverride;
-    if (config_.base.trainMeanOverride > 0.0)
-        spec.trainMean = config_.base.trainMeanOverride;
-    if (config_.base.dutyOverride > 0.0)
-        spec.duty = config_.base.dutyOverride;
+    const ExperimentConfig &base = config_.base;
+    LoadLevelSpec spec = loadSpec(base.app, base.load, base.rpsOverride,
+                                  base.trainMeanOverride, base.dutyOverride);
     // The configured rate is the cluster's offered load, split evenly
     // over every client group (front-door and mid-chain alike).
     spec.rps /= static_cast<double>(groups.size());
@@ -330,21 +331,9 @@ ClusterExperiment::run()
     // fork is the last one taken: a disabled plan leaves all other
     // streams untouched and the run byte-identical to a fault-free
     // build.
-    if (retry_.enabled())
-        for (Group &group : groups)
-            group.client->setRetryPolicy(retry_);
-    if (resilience_.wantsRetryBudget())
-        for (Group &group : groups)
-            group.client->setRetryBudget(resilience_.retryBudget,
-                                         resilience_.retryMin,
-                                         resilience_.retryCap);
-    if (resilience_.wantsDeadline())
-        for (Group &group : groups)
-            group.client->setDeadlineBudget(resilience_.deadline);
-
     std::unique_ptr<FaultInjector> injector;
-    if (fault_.enabled()) {
-        injector = std::make_unique<FaultInjector>(eq, fault_,
+    if (plan_.fault.enabled()) {
+        injector = std::make_unique<FaultInjector>(eq, plan_.fault,
                                                    rng.fork());
         // Loss/corruption live on the host access links (switch port
         // down, host uplink up), in topology order.
@@ -353,10 +342,10 @@ ClusterExperiment::run()
             injector->addLossyWire(
                 hosts[static_cast<std::size_t>(id)]->uplink);
         }
-        if (fault_.wantsFlap()) {
+        if (plan_.fault.wantsFlap()) {
             std::vector<Wire *> flapping;
             for (int id = 0; id < config_.numHosts; ++id) {
-                if (fault_.flapHost >= 0 && fault_.flapHost != id)
+                if (plan_.fault.flapHost >= 0 && plan_.fault.flapHost != id)
                     continue;
                 flapping.push_back(&sw.downlink(id));
                 flapping.push_back(
@@ -364,10 +353,10 @@ ClusterExperiment::run()
             }
             injector->addFlapGroup(std::move(flapping));
         }
-        if (fault_.wantsRingDegrade())
+        if (plan_.fault.wantsRingDegrade())
             for (std::unique_ptr<Host> &host : hosts)
                 injector->addDegradableNic(host->rig.nic());
-        for (int crash_host : fault_.crashHosts) {
+        for (int crash_host : plan_.fault.crashHosts) {
             // Fail-stop from the network's point of view: both access
             // links go dark; the host itself keeps simulating (its
             // power draw during the outage is part of the result).
@@ -420,28 +409,16 @@ ClusterExperiment::run()
 
     // --- Collect ------------------------------------------------------
     ClusterResult result;
+    std::vector<const Client *> clients;
     LatencyRecorder merged;
     LatencyRecorder merged_attempts;
     for (Group &group : groups) {
+        clients.push_back(group.client.get());
         merged.merge(group.client->latencies());
         merged_attempts.merge(group.client->attemptLatencies());
-        result.requestsSent += group.client->requestsSent();
-        result.responsesReceived += group.client->responsesReceived();
-        result.requestsTimedOut += group.client->requestsTimedOut();
-        result.retransmits += group.client->retransmits();
-        result.requestsInFlight += group.client->requestsInFlight();
-        result.duplicateResponses +=
-            group.client->duplicateResponses();
-        result.requestsShed += group.client->requestsShed();
-        result.retryBudgetExhausted +=
-            group.client->retryBudgetExhausted();
     }
-    result.slo = config_.base.app.slo;
-    result.p50 = merged.percentile(50.0);
-    result.p99 = merged.percentile(99.0);
-    result.maxLatency = merged.max();
-    result.meanLatency = merged.mean();
-    result.fracOverSlo = merged.fractionAbove(result.slo);
+    result.collect(clients, merged, merged_attempts, config_.base.app.slo,
+                   injector.get(), plan_);
 
     result.requestsForwarded = sw.totalRequestsForwarded();
     result.responsesReturned = sw.totalResponsesReturned();
@@ -453,17 +430,6 @@ ClusterExperiment::run()
     result.switchDeadlineSheds = sw.deadlineSheds();
     result.breakerShortCircuits = sw.breakerShortCircuits();
     result.breakerTransitions = sw.totalBreakerTransitions();
-    result.attemptP99 = merged_attempts.percentile(99.0);
-    if (injector) {
-        result.faultPacketsLost = injector->packetsFaultLost();
-        result.faultPacketsCorrupted = injector->packetsCorrupted();
-        result.linkDownDrops = injector->packetsLinkDownLost();
-    }
-    result.availability =
-        result.requestsSent == 0
-            ? 1.0
-            : static_cast<double>(result.responsesReceived) /
-                  static_cast<double>(result.requestsSent);
     result.goodputRps =
         static_cast<double>(result.responsesReceived) /
         toSeconds(sim_end);
@@ -482,7 +448,7 @@ ClusterExperiment::run()
         hr.p50 = lat.percentile(50.0);
         hr.p99 = lat.percentile(99.0);
         hr.ejections = sw.ejections(id);
-        if (resilience_.enabled()) {
+        if (plan_.resilience.enabled()) {
             hr.shedAdmission = host.app.shedAdmission();
             hr.shedSojourn = host.app.shedSojourn();
             hr.shedDeadline = host.app.shedDeadline();
@@ -491,10 +457,10 @@ ClusterExperiment::run()
             result.shedSojourn += hr.shedSojourn;
             result.shedDeadline += hr.shedDeadline;
         }
-        if (topology_.enabled()) {
-            hr.tier = topology_.tierOf(id);
+        if (topology.enabled()) {
+            hr.tier = topology.tierOf(id);
             hr.tierName =
-                topology_.tiers[static_cast<std::size_t>(hr.tier)].name;
+                topology.tiers[static_cast<std::size_t>(hr.tier)].name;
             const LatencyRecorder &hop =
                 hop_lat[static_cast<std::size_t>(id)];
             hr.hopsCompleted = hop.count();
@@ -509,18 +475,18 @@ ClusterExperiment::run()
         result.energyJoules / toSeconds(sim_end - measure_start);
 
     // --- Per-tier SLO attribution -------------------------------------
-    if (topology_.enabled()) {
+    if (topology.enabled()) {
         result.eastWestForwards = sw.eastWestForwards();
         result.eastWestBytes = sw.eastWestBytes();
         result.goodputBytes = sw.goodputBytes();
         result.controlBytes = sw.controlBytes();
-        for (int t = 0; t < topology_.numTiers(); ++t) {
+        for (int t = 0; t < topology.numTiers(); ++t) {
             const TierSpec &tier =
-                topology_.tiers[static_cast<std::size_t>(t)];
+                topology.tiers[static_cast<std::size_t>(t)];
             ClusterTierResult tr;
             tr.tier = t;
             tr.name = tier.name;
-            tr.firstHost = topology_.firstHostOf(t);
+            tr.firstHost = topology.firstHostOf(t);
             tr.hosts = tier.hosts;
             tr.dispatch = sw.tier(t).dispatch;
             tr.slo = tierSlo(t);

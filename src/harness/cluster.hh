@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "cluster/switch.hh"
-#include "cluster/topology.hh"
 #include "harness/experiment.hh"
 
 namespace nmapsim {
@@ -46,6 +45,11 @@ struct HostSpec
 
     bool operator==(const HostSpec &) const = default;
 };
+
+/** fatal() unless host @p host can take @p key as a HostSpec::params
+ *  overlay: structured (`gov.`, `burst.`, `os.`, `nic.`), `cluster.`
+ *  and run-scoped (RunPlan::owns) keys configure the whole run. */
+void requireHostOverlayKey(int host, const std::string &key);
 
 /** Declarative description of one cluster run. */
 struct ClusterConfig
@@ -157,28 +161,17 @@ struct ClusterHostResult : ServerCounters
     /**@}*/
 };
 
-/** Everything a cluster run produces. */
-struct ClusterResult
+/** Everything a cluster run produces: what the clients measured (see
+ *  RunCounters), cluster aggregates and the per-tier and per-host
+ *  breakdowns. */
+struct ClusterResult : RunCounters
 {
-    /** @name Cluster-level latency (all completed requests, measured
-     *  end-to-end at the clients) */
-    /**@{*/
-    Tick p50 = 0;
-    Tick p99 = 0;
-    Tick maxLatency = 0;
-    double meanLatency = 0.0;
-    double fracOverSlo = 0.0;
-    Tick slo = 0;
-    /**@}*/
-
     /** Sum of every host's package energy over the measurement. */
     double energyJoules = 0.0;
     double avgPowerWatts = 0.0;
 
     /** @name Conservation accounting */
     /**@{*/
-    std::uint64_t requestsSent = 0;
-    std::uint64_t responsesReceived = 0;
     std::uint64_t requestsForwarded = 0; //!< switch -> hosts
     std::uint64_t responsesReturned = 0; //!< hosts -> switch
     std::uint64_t switchPortDrops = 0;   //!< egress-port queue drops
@@ -189,35 +182,16 @@ struct ClusterResult
 
     /** @name Fault/robustness accounting (all zero in fault-free runs) */
     /**@{*/
-    std::uint64_t requestsTimedOut = 0;   //!< client retry budget spent
-    std::uint64_t retransmits = 0;        //!< client retransmissions
-    std::uint64_t requestsInFlight = 0;   //!< unanswered at sim end
-    std::uint64_t duplicateResponses = 0; //!< answers after give-up
-    std::uint64_t faultPacketsLost = 0;   //!< injected wire loss
-    std::uint64_t faultPacketsCorrupted = 0; //!< injected corruption
-    std::uint64_t linkDownDrops = 0;      //!< lost to downed links
     std::uint64_t ejections = 0;          //!< failure-detector ejections
     std::uint64_t requestsRerouted = 0;   //!< steered around ejections
     std::uint64_t lateResponses = 0;      //!< from written-off hosts
-    /** Completed / sent; 1 when nothing was sent. */
-    double availability = 1.0;
     /** Completions per second over the whole run (goodput). */
     double goodputRps = 0.0;
-    /** P99 of the winning attempt only (0 without client retry). */
-    Tick attemptP99 = 0;
     /**@}*/
 
     /** @name Resilience accounting (all zero — and not serialised —
      *  without a `resilience.*` plan) */
     /**@{*/
-    /** Requests rejected back to clients (all shed sites summed on
-     *  the client side; terminal — never retried). */
-    std::uint64_t requestsShed = 0;
-    /** Retransmissions the client retry budget refused to fund. */
-    std::uint64_t retryBudgetExhausted = 0;
-    std::uint64_t shedAdmission = 0; //!< host admission-gate refusals
-    std::uint64_t shedSojourn = 0;   //!< host sojourn (CoDel) sheds
-    std::uint64_t shedDeadline = 0;  //!< host past-deadline sheds
     /** Switch-side past-deadline sheds (before dispatch). */
     std::uint64_t switchDeadlineSheds = 0;
     /** Requests refused because a tier's breakers were all open. */
@@ -237,12 +211,6 @@ struct ClusterResult
     Tick hopP99Sum = 0;
     /**@}*/
 
-    /** @name Engine counters (bench/perf_core; never serialised —
-     *  they describe the simulator, not the simulated system) */
-    /**@{*/
-    std::uint64_t eventsProcessed = 0; //!< kernel events fired, whole run
-    /**@}*/
-
     /** Per-tier breakdown; empty unless a topology was declared. */
     std::vector<ClusterTierResult> tiers;
     std::vector<ClusterHostResult> hosts;
@@ -259,10 +227,10 @@ class ClusterExperiment
 
     const ClusterConfig &config() const { return config_; }
 
-    /** The service topology parsed from `topology.*` keys (disabled =
-     *  classic single-tier cluster). When enabled, numHosts is derived
-     *  from the plan's per-tier host counts. */
-    const TopologyPlan &topology() const { return topology_; }
+    /** The run-scoped plans, parsed from the base config. A declared
+     *  topology (plan().topology) derives numHosts from its per-tier
+     *  host counts. */
+    const RunPlan &plan() const { return plan_; }
 
     /** The fully resolved configuration host @p id runs (base with the
      *  tier's, then the host's, overrides applied). */
@@ -283,10 +251,7 @@ class ClusterExperiment
     std::vector<SwitchTier> switchTiers() const;
 
     ClusterConfig config_;
-    TopologyPlan topology_;
-    FaultPlan fault_;
-    ClientRetryPolicy retry_;
-    ResiliencePlan resilience_;
+    RunPlan plan_;
     /** Per host: the resolved config and its validated dataplane. */
     std::vector<ExperimentConfig> hostConfigs_;
     std::vector<DataplanePlan> hostDataplanes_;

@@ -5,7 +5,6 @@
 
 #include "harness/config_io.hh"
 #include "harness/result_io.hh"
-#include "resilience/plan.hh"
 #include "sim/logging.hh"
 
 namespace nmapsim {
@@ -104,19 +103,7 @@ setClusterConfigValue(ClusterConfig &c, const std::string &key,
         else if (rest == "weight")
             spec.weight = PolicyParams::parseDouble(value, key);
         else if (rest.find('.') != std::string::npos) {
-            // Structured (gov/os/nic/burst) and cluster-scoped
-            // (cluster/fault/client/topology) namespaces are not
-            // honoured per host; silently stashing them in params
-            // would drop them, so reject with a labelled error — the
-            // same contract fault.* key validation gives.
-            const std::string ns = rest.substr(0, rest.find('.'));
-            for (const char *banned :
-                 {"gov", "burst", "os", "nic", "cluster", "fault",
-                  "client", "topology", "resilience"}) {
-                if (ns == banned)
-                    fatal("config key '" + key + "': '" + ns +
-                          ".*' keys cannot be overridden per host");
-            }
+            requireHostOverlayKey(host, rest);
             spec.params.set(rest, value);
         } else {
             fatal("unknown per-host config key '" + key +
@@ -247,9 +234,7 @@ appendClusterResultRecord(ResultWriter &writer,
     // Resilience counters only exist when a resilience.* plan is
     // configured, so pre-resilience records (goldens, bench baselines)
     // stay byte-identical.
-    const bool resilient =
-        ResiliencePlan::fromParams(config.base.params).enabled();
-    if (resilient) {
+    if (result.resilient) {
         rec.set("requests_shed", result.requestsShed)
             .set("retry_budget_exhausted", result.retryBudgetExhausted)
             .set("shed_admission", result.shedAdmission)
@@ -322,7 +307,7 @@ appendClusterResultRecord(ResultWriter &writer,
         }
         // Resilience columns follow the same gate as the cluster-level
         // ones.
-        if (resilient) {
+        if (result.resilient) {
             rec.set(p + "shed_admission", host.shedAdmission)
                 .set(p + "shed_sojourn", host.shedSojourn)
                 .set(p + "shed_deadline", host.shedDeadline)

@@ -18,11 +18,15 @@
  *   cluster.port_bandwidth      egress-port link rate, bits/s
  *   cluster.port_propagation    egress-port propagation (duration)
  *   cluster.port_queue          egress-port queue bound, packets
+ *   cluster.health_interval     failure-detector period (duration)
+ *   cluster.health_timeout      silence that ejects a host (duration)
+ *   cluster.eject_duration      ejection hold (duration)
  *   host<i>.freq_policy         per-host frequency-policy override
  *   host<i>.idle_policy         per-host sleep-policy override
  *   host<i>.weight              per-host dispatch weight
- *   host<i>.<param>             per-host tunable overlay (any dotted
- *                               params key, e.g. host0.nmap.ni_th)
+ *   host<i>.<param>             per-host tunable overlay (a dotted key
+ *                               requireHostOverlayKey accepts, e.g.
+ *                               host0.nmap.ni_th)
  *
  * Dispatch tunables (`dispatch.vnodes`, `dispatch.pack_limit`) travel
  * in the base params blob like any policy tunable.

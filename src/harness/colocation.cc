@@ -27,11 +27,8 @@ ColocationExperiment::ColocationExperiment(ColocationConfig config)
     // retry, overload control or topology: refuse their keys rather
     // than ignore them.
     for (const auto &[key, value] : config_.params)
-        for (const char *ns : {"dataplane.", "fault.", "client.",
-                               "resilience.", "topology."})
-            if (key.rfind(ns, 0) == 0)
-                fatal("'" + key + "' is not supported in colocation "
-                      "runs");
+        if (RunPlan::owns(key) || key.rfind("dataplane.", 0) == 0)
+            fatal("'" + key + "' is not supported in colocation runs");
 
     server_.cpuProfile = config_.cpuProfile;
     server_.numCores = config_.numCores;
@@ -103,14 +100,9 @@ ColocationExperiment::run()
     rig.start();
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         const TenantConfig &tc = config_.tenants[i];
-        LoadLevelSpec spec = tc.app.level(tc.load);
-        if (tc.rpsOverride > 0.0)
-            spec.rps = tc.rpsOverride;
-        if (tc.dutyOverride > 0.0)
-            spec.duty = tc.dutyOverride;
-        if (tc.trainMeanOverride > 0.0)
-            spec.trainMean = tc.trainMeanOverride;
-        tenants[i].gen->setLoad(spec);
+        tenants[i].gen->setLoad(loadSpec(tc.app, tc.load, tc.rpsOverride,
+                                         tc.trainMeanOverride,
+                                         tc.dutyOverride));
         tenants[i].gen->start();
     }
 

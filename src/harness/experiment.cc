@@ -3,6 +3,7 @@
 #include "fault/injector.hh"
 #include "net/wire.hh"
 #include "nmap/profiler.hh"
+#include "resilience/admission.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -10,33 +11,114 @@
 
 namespace nmapsim {
 
+LoadLevelSpec
+loadSpec(const AppProfile &app, LoadLevel level, double rps_override,
+         double train_mean_override, double duty_override)
+{
+    LoadLevelSpec spec = app.level(level);
+    if (rps_override > 0.0)
+        spec.rps = rps_override;
+    if (train_mean_override > 0.0)
+        spec.trainMean = train_mean_override;
+    if (duty_override > 0.0)
+        spec.duty = duty_override;
+    return spec;
+}
+
+RunPlan
+RunPlan::fromParams(const PolicyParams &params)
+{
+    RunPlan plan{FaultPlan::fromParams(params),
+                 ClientRetryPolicy::fromParams(params),
+                 ResiliencePlan::fromParams(params),
+                 TopologyPlan::fromParams(params)};
+    if (plan.resilience.wantsRetryBudget() && !plan.retry.enabled())
+        fatal("resilience.retry_budget requires client retry "
+              "(client.timeout)");
+    // The admission factory forks nothing and schedules nothing, so it
+    // is built once here: a bad parameter (a token bucket without a
+    // rate) fails now.
+    if (plan.resilience.wantsAdmission()) {
+        ensureBuiltinAdmissionPolicies();
+        (void)AdmissionPolicyRegistry::instance().make(
+            plan.resilience.admission, AdmissionContext{plan.resilience});
+    }
+    return plan;
+}
+
+bool
+RunPlan::owns(const std::string &key)
+{
+    for (const char *ns : {"fault.", "client.", "resilience.", "topology."})
+        if (key.rfind(ns, 0) == 0)
+            return true;
+    return false;
+}
+
+void
+RunPlan::configure(Client &client) const
+{
+    client.setRetryPolicy(retry);
+    if (resilience.wantsRetryBudget())
+        client.setRetryBudget(resilience.retryBudget, resilience.retryMin,
+                              resilience.retryCap);
+    client.setDeadlineBudget(resilience.deadline);
+}
+
+void
+RunCounters::collect(const std::vector<const Client *> &clients,
+                     const LatencyRecorder &latencies,
+                     const LatencyRecorder &attempts, Tick run_slo,
+                     const FaultInjector *injector, const RunPlan &plan)
+{
+    for (const Client *client : clients) {
+        requestsSent += client->requestsSent();
+        responsesReceived += client->responsesReceived();
+        requestsTimedOut += client->requestsTimedOut();
+        retransmits += client->retransmits();
+        requestsInFlight += client->requestsInFlight();
+        duplicateResponses += client->duplicateResponses();
+        requestsShed += client->requestsShed();
+        retryBudgetExhausted += client->retryBudgetExhausted();
+    }
+    // Percentiles first: they sort the samples, which fixes the
+    // summation order mean() sees.
+    slo = run_slo;
+    p50 = latencies.percentile(50.0);
+    p99 = latencies.percentile(99.0);
+    maxLatency = latencies.max();
+    meanLatency = latencies.mean();
+    fracOverSlo = latencies.fractionAbove(slo);
+    attemptP99 = attempts.percentile(99.0);
+    if (injector) {
+        faultPacketsLost = injector->packetsFaultLost();
+        faultPacketsCorrupted = injector->packetsCorrupted();
+        linkDownDrops = injector->packetsLinkDownLost();
+    }
+    availability = requestsSent == 0
+                       ? 1.0
+                       : static_cast<double>(responsesReceived) /
+                             static_cast<double>(requestsSent);
+    resilient = plan.resilience.enabled();
+}
+
 Experiment::Experiment(ExperimentConfig config)
-    : config_(std::move(config)), server_(ServerRig::validate(config_)),
-      fault_(FaultPlan::fromParams(config_.params)),
-      retry_(ClientRetryPolicy::fromParams(config_.params))
+    : config_(std::move(config)), plan_(RunPlan::fromParams(config_.params)),
+      dataplane_(ServerRig::validate(config_))
 {
     if (config_.duration <= 0)
         fatal("Experiment duration must be positive");
 
-    // Host-indexed faults only make sense behind a switch.
-    if (fault_.wantsCrash())
+    // Host-indexed faults, service topologies and circuit breakers only
+    // exist behind the cluster switch.
+    if (plan_.fault.wantsCrash())
         fatal("fault.crash_host requires a cluster run");
-    if (fault_.flapHost >= 0)
+    if (plan_.fault.flapHost >= 0)
         fatal("fault.flap_host requires a cluster run");
-
-    // Service topologies only exist behind the cluster switch.
-    for (const auto &[key, value] : config_.params)
-        if (key.rfind("topology.", 0) == 0)
-            fatal("'" + key + "' requires a cluster run");
-
-    // Circuit breakers and mid-chain deadlines live in the switch, so
-    // breaker keys only make sense behind one.
-    const ResiliencePlan &resilience = server_.resilience;
-    if (resilience.wantsBreakers())
+    if (plan_.topology.enabled())
+        fatal("topology.tiers requires a cluster run");
+    if (plan_.resilience.wantsBreakers())
         fatal("resilience.breaker_window requires a cluster run");
-    if (resilience.wantsRetryBudget() && !retry_.enabled())
-        fatal("resilience.retry_budget requires client retry "
-              "(client.timeout)");
 }
 
 std::pair<double, double>
@@ -60,21 +142,15 @@ Experiment::profileThresholds(const ExperimentConfig &config)
     pcfg.extraObservers.clear();
 
     // Thresholds describe a *healthy* system: profile without any
-    // injected faults or client retries (also keeps cluster-derived
-    // configs from tripping the cluster-only fault key checks).
-    // ... and without the bypass dataplane: NMAP's NI/CU thresholds
-    // describe the NAPI mode-transition signal, which only exists on
-    // the interrupt path.
-    std::vector<std::string> stripped;
-    for (const auto &[key, value] : pcfg.params)
-        if (key.rfind("fault.", 0) == 0 ||
-            key.rfind("client.", 0) == 0 ||
-            key.rfind("dataplane.", 0) == 0 ||
-            key.rfind("metronome.", 0) == 0 ||
-            key.rfind("resilience.", 0) == 0)
-            stripped.push_back(key);
-    for (const std::string &key : stripped)
-        pcfg.params.erase(key);
+    // run-scoped plan (injected faults, client retries, overload
+    // control) and without the bypass dataplane: NMAP's NI/CU
+    // thresholds describe the NAPI mode-transition signal, which only
+    // exists on the interrupt path.
+    pcfg.params = {};
+    for (const auto &[key, value] : config.params)
+        if (!RunPlan::owns(key) && key.rfind("dataplane.", 0) != 0 &&
+            key.rfind("metronome.", 0) != 0)
+            pcfg.params.set(key, value);
 
     ThresholdProfiler profiler(pcfg.numCores);
     profiler.beginBurst();
@@ -103,19 +179,16 @@ Experiment::run()
     ServerApp app(rig.os(), rig.nic(), config_.app, rng.fork());
     Client client(eq, client_to_server, config_.app,
                   config_.numConnections);
-    // Overload control: a disabled plan arms nothing and keeps the run
-    // byte-identical (the subsystem forks no random stream).
-    const ResiliencePlan &resilience = server_.resilience;
-    if (resilience.wantsAdmission() || resilience.wantsDeadline())
-        app.setResilience(resilience);
-    if (resilience.wantsDeadline())
-        client.setDeadlineBudget(resilience.deadline);
+    // Overload control and client retry: a disabled plan arms nothing
+    // and keeps the run byte-identical (neither forks a random stream).
+    app.setResilience(plan_.resilience);
+    plan_.configure(client);
     server_to_client.setSink(
         [&client](const Packet &pkt) { client.onResponse(pkt); });
     LoadGenerator gen(eq, client, config_.burst, rng.fork());
 
     // --- Policies, observers, energy, dataplane ------------------------
-    rig.attachPolicies(rng, server_.dataplane, &client,
+    rig.attachPolicies(rng, dataplane_, &client,
                        [this] { return profileThresholds(config_); });
 
     std::shared_ptr<TraceCollector> traces;
@@ -127,14 +200,6 @@ Experiment::run()
     }
 
     // --- Load --------------------------------------------------------
-    LoadLevelSpec spec = config_.app.level(config_.load);
-    if (config_.rpsOverride > 0.0)
-        spec.rps = config_.rpsOverride;
-    if (config_.trainMeanOverride > 0.0)
-        spec.trainMean = config_.trainMeanOverride;
-    if (config_.dutyOverride > 0.0)
-        spec.duty = config_.dutyOverride;
-
     std::vector<std::unique_ptr<EventFunctionWrapper>> load_events;
     for (const LoadChange &change : config_.loadSchedule) {
         load_events.push_back(std::make_unique<EventFunctionWrapper>(
@@ -148,29 +213,24 @@ Experiment::run()
     // fork is the last one taken: a disabled plan leaves all other
     // streams untouched and the run byte-identical to a fault-free
     // build.
-    if (retry_.enabled())
-        client.setRetryPolicy(retry_);
-    if (resilience.wantsRetryBudget())
-        client.setRetryBudget(resilience.retryBudget,
-                              resilience.retryMin,
-                              resilience.retryCap);
-
     std::unique_ptr<FaultInjector> injector;
-    if (fault_.enabled()) {
-        injector = std::make_unique<FaultInjector>(eq, fault_, rng.fork());
+    if (plan_.fault.enabled()) {
+        injector =
+            std::make_unique<FaultInjector>(eq, plan_.fault, rng.fork());
         injector->addLossyWire(client_to_server);
         injector->addLossyWire(server_to_client);
-        if (fault_.wantsFlap())
+        if (plan_.fault.wantsFlap())
             injector->addFlapGroup(
                 {&client_to_server, &server_to_client});
-        if (fault_.wantsRingDegrade())
+        if (plan_.fault.wantsRingDegrade())
             injector->addDegradableNic(rig.nic());
     }
 
     // --- Run -----------------------------------------------------------
     rig.start();
     gen.setConnectionSkew(config_.connectionSkew);
-    gen.setLoad(spec);
+    gen.setLoad(loadSpec(config_.app, config_.load, config_.rpsOverride,
+                         config_.trainMeanOverride, config_.dutyOverride));
     gen.start();
 
     eq.runUntil(config_.warmup);
@@ -188,36 +248,11 @@ Experiment::run()
     ExperimentResult result;
     rig.collect(end, result);
     const LatencyRecorder &lat = client.latencies();
-    result.slo = config_.app.slo;
-    result.p50 = lat.percentile(50.0);
-    result.p99 = lat.percentile(99.0);
-    result.maxLatency = lat.max();
-    result.meanLatency = lat.mean();
-    result.fracOverSlo = lat.fractionAbove(config_.app.slo);
-
-    result.requestsSent = client.requestsSent();
-    result.responsesReceived = client.responsesReceived();
-    result.requestsTimedOut = client.requestsTimedOut();
-    result.retransmits = client.retransmits();
-    result.requestsInFlight = client.requestsInFlight();
-    result.duplicateResponses = client.duplicateResponses();
-    result.requestsShed = client.requestsShed();
-    result.retryBudgetExhausted = client.retryBudgetExhausted();
+    result.collect({&client}, lat, client.attemptLatencies(),
+                   config_.app.slo, injector.get(), plan_);
     result.shedAdmission = app.shedAdmission();
     result.shedSojourn = app.shedSojourn();
     result.shedDeadline = app.shedDeadline();
-    if (injector) {
-        result.faultPacketsLost = injector->packetsFaultLost();
-        result.faultPacketsCorrupted = injector->packetsCorrupted();
-        result.linkDownDrops = injector->packetsLinkDownLost();
-    }
-    result.availability =
-        result.requestsSent == 0
-            ? 1.0
-            : static_cast<double>(result.responsesReceived) /
-                  static_cast<double>(result.requestsSent);
-    result.attemptP99 = client.attemptLatencies().percentile(99.0);
-
     result.eventsProcessed = eq.numProcessed();
 
     result.traces = traces;

@@ -17,6 +17,12 @@
  * ExperimentConfig::params.
  *
  * Every bench binary and example is a thin wrapper over this class.
+ *
+ * RunPlan and RunCounters are what the single-host and cluster
+ * harnesses share around their servers, the run-level counterparts of
+ * ServerRig::validate and ServerCounters: the `fault.*`, `client.*`,
+ * `resilience.*` and `topology.*` plans, parsed once at construction,
+ * and what the clients measured, collected once.
  */
 
 #ifndef NMAPSIM_HARNESS_EXPERIMENT_HH_
@@ -27,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/topology.hh"
 #include "fault/plan.hh"
 #include "governors/freq_governor.hh"
 #include "harness/policy_params.hh"
@@ -35,6 +42,7 @@
 #include "net/nic.hh"
 #include "os/hooks.hh"
 #include "os/os_config.hh"
+#include "resilience/plan.hh"
 #include "stats/latency_recorder.hh"
 #include "stats/timeseries.hh"
 #include "workload/app_profile.hh"
@@ -42,6 +50,8 @@
 #include "workload/loadgen.hh"
 
 namespace nmapsim {
+
+class FaultInjector;
 
 /** A timed load change (Fig. 16's varying-load scenario). */
 struct LoadChange
@@ -51,6 +61,12 @@ struct LoadChange
 
     bool operator==(const LoadChange &) const = default;
 };
+
+/** @p app's in-burst load at @p level, each positive override replacing
+ *  the level's rate, train mean or duty. */
+LoadLevelSpec loadSpec(const AppProfile &app, LoadLevel level,
+                       double rps_override, double train_mean_override,
+                       double duty_override);
 
 /** Declarative description of one run. */
 struct ExperimentConfig
@@ -108,16 +124,48 @@ struct ExperimentConfig
     bool operator==(const ExperimentConfig &) const = default;
 };
 
-/** Everything a run produces: the server's counters (see ServerRig)
- *  plus what the clients measured. */
-struct ExperimentResult : ServerCounters
+/** What a run wires around its servers: the run-scoped plans, parsed
+ *  and cross-checked once, at harness construction. */
+struct RunPlan
 {
+    FaultPlan fault;
+    ClientRetryPolicy retry;
+    ResiliencePlan resilience;
+    TopologyPlan topology;
+
+    /**
+     * Parse the four blocks from @p params and check the rules that
+     * span them. The admission policy is built once, so its parameter
+     * errors fail here. fatal() on the first error.
+     */
+    static RunPlan fromParams(const PolicyParams &params);
+
+    /** True when @p key belongs to one of the four blocks. The run
+     *  wires these; a server's own config never carries them. */
+    static bool owns(const std::string &key);
+
+    /** Arm @p client with the retry policy, the retry budget and the
+     *  request deadline; a disabled plan changes nothing. */
+    void configure(Client &client) const;
+};
+
+/**
+ * Everything the clients of one run measured, plus its fault and
+ * overload accounting. ExperimentResult and ClusterResult derive from
+ * it, so a client-side counter has one name in every harness.
+ */
+struct RunCounters
+{
+    /** @name Latency over every completed request, end to end at the
+     *  clients */
+    /**@{*/
     Tick p50 = 0;
     Tick p99 = 0;
     Tick maxLatency = 0;
     double meanLatency = 0.0;
     double fracOverSlo = 0.0;
     Tick slo = 0;
+    /**@}*/
 
     std::uint64_t requestsSent = 0;
     std::uint64_t responsesReceived = 0;
@@ -140,21 +188,41 @@ struct ExperimentResult : ServerCounters
     /** @name Resilience accounting (all zero — and not serialised —
      *  without a `resilience.*` plan) */
     /**@{*/
-    /** Requests rejected back to the client (terminal, not retried). */
+    bool resilient = false; //!< the run had a resilience plan
+    /** Requests rejected back to the clients (every shed site, counted
+     *  client-side; terminal, never retried). */
     std::uint64_t requestsShed = 0;
     /** Retransmissions the client retry budget refused to fund. */
     std::uint64_t retryBudgetExhausted = 0;
-    std::uint64_t shedAdmission = 0; //!< admission-gate refusals
-    std::uint64_t shedSojourn = 0;   //!< sojourn (CoDel) sheds
-    std::uint64_t shedDeadline = 0;  //!< past-deadline sheds
+    std::uint64_t shedAdmission = 0; //!< server admission-gate refusals
+    std::uint64_t shedSojourn = 0;   //!< server sojourn (CoDel) sheds
+    std::uint64_t shedDeadline = 0;  //!< server past-deadline sheds
     /**@}*/
 
-    /** @name Engine counters (bench/perf_core; never serialised —
-     *  they describe the simulator, not the simulated system) */
+    /** @name Engine counters (bench/perf_core and perfbench; never
+     *  serialised — they describe the simulator, not the simulated
+     *  system) */
     /**@{*/
     std::uint64_t eventsProcessed = 0; //!< kernel events fired, whole run
     /**@}*/
 
+    /**
+     * Fill a fresh result: sums over @p clients, latency over
+     * @p latencies judged against @p run_slo, the attempt p99 of
+     * @p attempts, the counters of @p injector (null when the run
+     * injects no faults) and whether @p plan is resilient. The
+     * servers' shed counters and eventsProcessed are the harness's.
+     */
+    void collect(const std::vector<const Client *> &clients,
+                 const LatencyRecorder &latencies,
+                 const LatencyRecorder &attempts, Tick run_slo,
+                 const FaultInjector *injector, const RunPlan &plan);
+};
+
+/** Everything a run produces: the server's counters (see ServerRig)
+ *  plus what the clients measured (see RunCounters). */
+struct ExperimentResult : ServerCounters, RunCounters
+{
     /** Time-series traces (only with collectTraces). */
     std::shared_ptr<TraceCollector> traces;
     /** CC6 entry times on the watched core (with collectTraces). */
@@ -186,9 +254,8 @@ class Experiment
 
   private:
     ExperimentConfig config_;
-    ServerRig::Plans server_;  //!< validated dataplane + resilience
-    FaultPlan fault_;
-    ClientRetryPolicy retry_;
+    RunPlan plan_;
+    DataplanePlan dataplane_;
 };
 
 } // namespace nmapsim

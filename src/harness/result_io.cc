@@ -1,7 +1,5 @@
 #include "harness/result_io.hh"
 
-#include "resilience/plan.hh"
-
 namespace nmapsim {
 
 void
@@ -79,7 +77,7 @@ appendResultRecord(ResultWriter &writer, const ExperimentConfig &config,
     // Resilience counters only exist when a resilience.* plan is
     // configured; gating them the same way keeps every pre-resilience
     // record byte-identical.
-    if (ResiliencePlan::fromParams(config.params).enabled()) {
+    if (result.resilient) {
         rec.set("requests_shed", result.requestsShed)
             .set("retry_budget_exhausted", result.retryBudgetExhausted)
             .set("shed_admission", result.shedAdmission)

@@ -5,7 +5,6 @@
 #include "dataplane/bypass.hh"
 #include "dataplane/policy.hh"
 #include "harness/experiment.hh"
-#include "resilience/admission.hh"
 #include "sim/logging.hh"
 #include "stats/energy_meter.hh"
 
@@ -28,7 +27,7 @@ class ServerRig::KsoftirqdCounter : public NapiObserver
     std::uint64_t wakes_ = 0;
 };
 
-ServerRig::Plans
+DataplanePlan
 ServerRig::validate(const ExperimentConfig &config)
 {
     if (config.numCores < 1)
@@ -39,12 +38,10 @@ ServerRig::validate(const ExperimentConfig &config)
     FreqPolicyRegistry::instance().require(config.freqPolicy);
     IdlePolicyRegistry::instance().require(config.idlePolicy);
 
-    // The dataplane and admission factories fork nothing and schedule
-    // nothing, so each is built once here: an unknown name or a bad
-    // factory parameter (metronome.min_sleep=0) fails now.
-    Plans plans{DataplanePlan::fromParams(config.params),
-                ResiliencePlan::fromParams(config.params)};
-    const DataplanePlan &dplan = plans.dataplane;
+    // The dataplane factory forks nothing and schedules nothing, so it
+    // is built once here: an unknown name or a bad factory parameter
+    // (metronome.min_sleep=0) fails now.
+    DataplanePlan dplan = DataplanePlan::fromParams(config.params);
     if (dplan.bypass()) {
         ensureBuiltinDataplanePolicies();
         (void)DataplanePolicyRegistry::instance().make(
@@ -55,13 +52,7 @@ ServerRig::validate(const ExperimentConfig &config)
                   std::to_string(dplan.pollCores) +
                   ", cores=" + std::to_string(config.numCores) + ")");
     }
-    if (plans.resilience.wantsAdmission()) {
-        ensureBuiltinAdmissionPolicies();
-        (void)AdmissionPolicyRegistry::instance().make(
-            plans.resilience.admission,
-            AdmissionContext{plans.resilience});
-    }
-    return plans;
+    return dplan;
 }
 
 ServerRig::ServerRig(EventQueue &eq, const ExperimentConfig &config,

@@ -39,7 +39,6 @@
 
 #include "dataplane/plan.hh"
 #include "harness/policy_registry.hh"
-#include "resilience/plan.hh"
 #include "sim/time.hh"
 
 namespace nmapsim {
@@ -95,25 +94,17 @@ struct ServerCounters
 class ServerRig
 {
   public:
-    /** The plans a server consumes, parsed and validated once. */
-    struct Plans
-    {
-        DataplanePlan dataplane;
-        ResiliencePlan resilience;
-    };
-
     /**
      * Check that @p config describes a server that can be built: at
-     * least one core, registered frequency and sleep policies, a bypass
-     * dataplane that leaves a worker core, and dataplane and admission
-     * policies that build (each factory runs once, so its parameter
-     * errors fail here). fatal() on the first error; otherwise returns
-     * the parsed plans. Frequency and sleep policies are resolved but
-     * not instantiated (the NMAP factory would run a whole profiling
-     * simulation), so their factory errors still surface when the rig
-     * is built.
+     * least one core, registered frequency and sleep policies, and a
+     * bypass dataplane that builds (its factory runs once, so its
+     * parameter errors fail here) and leaves a worker core. fatal() on
+     * the first error; otherwise returns the parsed dataplane plan.
+     * Frequency and sleep policies are resolved but not instantiated
+     * (the NMAP factory would run a whole profiling simulation), so
+     * their factory errors still surface when the rig is built.
      */
-    static Plans validate(const ExperimentConfig &config);
+    static DataplanePlan validate(const ExperimentConfig &config);
 
     /**
      * Step 1: cores, NIC (transmitting into @p tx) and ServerOs. Each

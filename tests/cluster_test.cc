@@ -285,6 +285,55 @@ TEST(ClusterTest, RejectsInvalidConfigs)
         cfg.fabric.healthTimeout = milliseconds(2);
         EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
     }
+
+    // So do the run-scoped rules: a retry budget needs client retry,
+    // and the admission policy's name and parameters are checked here.
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"resilience.retry_budget", "0.1"},
+             {"resilience.admission", "token-bucket"},
+             {"resilience.admission", "no-such-admission"}}) {
+        ClusterConfig cfg = smallCluster();
+        cfg.base.params.set(key, value);
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError) << value;
+    }
+}
+
+TEST(ClusterTest, RejectsPerHostOverlaysItCannotHonour)
+{
+    auto fatalMessage = [](const auto &fn) {
+        try {
+            fn();
+        } catch (const FatalError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    // Structured, cluster-wide and run-scoped keys configure the whole
+    // run, so one host cannot take them as an overlay. Both the struct
+    // and the text path refuse them, with the same message.
+    for (const std::string key :
+         {"os.jiffy", "nic.ring", "gov.up_delay", "burst.period",
+          "cluster.drain", "topology.tiers", "fault.wire_loss",
+          "client.retries", "resilience.deadline"}) {
+        ClusterConfig cfg = smallCluster();
+        cfg.hosts.resize(2);
+        cfg.hosts[1].params.set(key, "1");
+        const std::string built =
+            fatalMessage([&cfg] { ClusterExperiment exp(cfg); });
+        const std::string parsed = fatalMessage([&cfg, &key] {
+            setClusterConfigValue(cfg, "host1." + key, "1");
+        });
+        EXPECT_NE(built, "") << key;
+        EXPECT_EQ(built, parsed) << key;
+    }
+    // An auto-profiled NMAP host fails at construction too, not in the
+    // profiling pass inside run().
+    ClusterConfig cfg = smallCluster();
+    cfg.hosts.resize(2);
+    cfg.hosts[1].freqPolicy = "NMAP";
+    cfg.hosts[1].params.set("topology.tiers", 2);
+    EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
 }
 
 TEST(ClusterTest, ConfigSurvivesThePrintParseRoundTrip)

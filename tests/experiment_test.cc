@@ -287,6 +287,21 @@ TEST(ExperimentTest, InvalidConfigRejected)
     cfg5.params.set("dataplane.policy", "metronome");
     cfg5.params.set("metronome.min_sleep", "0");
     EXPECT_THROW(Experiment{cfg5}, FatalError);
+    // A retry budget needs client retry; host-indexed faults and
+    // circuit breakers need the cluster switch.
+    ExperimentConfig budget;
+    budget.params.set("resilience.retry_budget", 0.1);
+    EXPECT_THROW(Experiment{budget}, FatalError);
+    ExperimentConfig crash;
+    crash.params.set("fault.crash_host", 0);
+    crash.params.setTick("fault.crash_at", milliseconds(1));
+    EXPECT_THROW(Experiment{crash}, FatalError);
+    ExperimentConfig flap;
+    flap.params.set("fault.flap_host", 0);
+    EXPECT_THROW(Experiment{flap}, FatalError);
+    ExperimentConfig breakers;
+    breakers.params.setTick("resilience.breaker_window", milliseconds(1));
+    EXPECT_THROW(Experiment{breakers}, FatalError);
 }
 
 TEST(ExperimentTest, EveryFamilyResolvesNamesCaseInsensitively)

@@ -309,8 +309,8 @@ TEST(TopologyExperimentTest, DerivesHostsAndAppliesTierOverrides)
 
     // numHosts is derived from the per-tier host counts (1 + 2 + 1).
     EXPECT_EQ(exp.config().numHosts, 4);
-    ASSERT_TRUE(exp.topology().enabled());
-    EXPECT_EQ(exp.topology().numTiers(), 3);
+    ASSERT_TRUE(exp.plan().topology.enabled());
+    EXPECT_EQ(exp.plan().topology.numTiers(), 3);
 
     // Tier overrides apply to the tier's hosts only, and the host
     // rigs never see cluster-only topology keys.

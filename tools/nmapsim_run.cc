@@ -32,14 +32,12 @@
 #include <vector>
 
 #include "cluster/dispatch.hh"
-#include "dataplane/plan.hh"
 #include "dataplane/policy.hh"
 #include "harness/cluster_io.hh"
 #include "harness/config_io.hh"
 #include "harness/policy_registry.hh"
 #include "harness/result_io.hh"
 #include "resilience/admission.hh"
-#include "resilience/plan.hh"
 #include "stats/table.hh"
 
 using namespace nmapsim;
@@ -216,7 +214,7 @@ runCluster(const ClusterConfig &ccfg, const std::string &json_path,
     }
     // Resilience rows print only when a resilience.* plan is set, so
     // pre-resilience stdout stays byte-identical.
-    if (ResiliencePlan::fromParams(cfg.params).enabled()) {
+    if (r.resilient) {
         table.addRow(
             {"requests shed", std::to_string(r.requestsShed)});
         table.addRow({"retry budget exhausted",
@@ -469,7 +467,7 @@ main(int argc, char **argv)
         }
         // Bypass rows only for bypass runs: default-mode stdout stays
         // byte-identical to earlier releases.
-        if (DataplanePlan::fromParams(cfg.params).bypass()) {
+        if (r.bypass) {
             table.addRow({"bypass poll loops",
                           std::to_string(r.bypassPollLoops)});
             table.addRow({"bypass empty polls",
@@ -505,7 +503,7 @@ main(int argc, char **argv)
                     {"attempt P99 (us)",
                      Table::num(toMicroseconds(r.attemptP99), 1)});
         }
-        if (ResiliencePlan::fromParams(cfg.params).enabled()) {
+        if (r.resilient) {
             table.addRow(
                 {"requests shed", std::to_string(r.requestsShed)});
             table.addRow({"retry budget exhausted",
