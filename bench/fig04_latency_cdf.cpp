@@ -52,9 +52,12 @@ main()
 
     std::vector<ExperimentConfig> points;
     for (const AppProfile &app : apps)
-        for (const std::string &policy : policies)
-            points.push_back(
-                bench::cellConfig(app, LoadLevel::kHigh, policy));
+        for (const std::string &policy : policies) {
+            ExperimentConfig cfg =
+                bench::cellConfig(app, LoadLevel::kHigh, policy);
+            cfg.collectLatencyTrace = true; // fills the CDF
+            points.push_back(cfg);
+        }
     std::vector<ExperimentResult> results =
         bench::runAll(points, "fig04");
 

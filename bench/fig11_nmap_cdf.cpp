@@ -21,9 +21,12 @@ main()
     const std::vector<AppProfile> apps = {AppProfile::memcached(),
                                           AppProfile::nginx()};
     std::vector<ExperimentConfig> points;
-    for (const AppProfile &app : apps)
-        points.push_back(
-            bench::cellConfig(app, LoadLevel::kHigh, "NMAP"));
+    for (const AppProfile &app : apps) {
+        ExperimentConfig cfg =
+            bench::cellConfig(app, LoadLevel::kHigh, "NMAP");
+        cfg.collectLatencyTrace = true; // fills the CDF
+        points.push_back(cfg);
+    }
     std::vector<ExperimentResult> results =
         bench::runAll(points, "fig11");
 

@@ -16,6 +16,7 @@ PartiesGovernor::PartiesGovernor(EventQueue &eq,
 {
     if (cores_.empty())
         fatal("PartiesGovernor requires at least one core");
+    client_.watchWindow();
 }
 
 PartiesGovernor::~PartiesGovernor()

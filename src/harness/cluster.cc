@@ -414,8 +414,8 @@ ClusterExperiment::run()
     LatencyRecorder merged_attempts;
     for (Group &group : groups) {
         clients.push_back(group.client.get());
-        merged.merge(group.client->latencies());
-        merged_attempts.merge(group.client->attemptLatencies());
+        merged.merge(std::move(group.client->latencies()));
+        merged_attempts.merge(std::move(group.client->attemptLatencies()));
     }
     result.collect(clients, merged, merged_attempts, config_.base.app.slo,
                    injector.get(), plan_);
@@ -494,7 +494,7 @@ ClusterExperiment::run()
             for (int id = tr.firstHost; id < tr.firstHost + tr.hosts;
                  ++id) {
                 const auto h = static_cast<std::size_t>(id);
-                tier_hops.merge(hop_lat[h]);
+                tier_hops.merge(std::move(hop_lat[h]));
                 tr.forwards += sw.forwardsReturned(id);
                 tr.energyJoules += result.hosts[h].energyJoules;
             }

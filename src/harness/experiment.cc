@@ -81,8 +81,6 @@ RunCounters::collect(const std::vector<const Client *> &clients,
         requestsShed += client->requestsShed();
         retryBudgetExhausted += client->retryBudgetExhausted();
     }
-    // Percentiles first: they sort the samples, which fixes the
-    // summation order mean() sees.
     slo = run_slo;
     p50 = latencies.percentile(50.0);
     p99 = latencies.percentile(99.0);
@@ -259,9 +257,10 @@ Experiment::run()
     if (config_.collectTraces)
         result.cc6Entries =
             rig.core(config_.watchCore).cstates().cc6Entries().marks();
-    if (config_.collectLatencyTrace)
+    if (config_.collectLatencyTrace) {
         result.latencyTrace = lat.trace();
-    result.cdf = lat.cdf(200);
+        result.cdf = lat.cdf(200);
+    }
 
     return result;
 }

@@ -110,7 +110,7 @@ struct ExperimentConfig
 
     bool collectTraces = false;         //!< Fig. 2/7/9 time series
     Tick traceBucket = milliseconds(1);
-    bool collectLatencyTrace = false;   //!< Fig. 3/10/16 scatter data
+    bool collectLatencyTrace = false;   //!< Fig. 3/4/10/11/16 data
     int watchCore = 0;
 
     /** Extra NAPI observers. Borrowed, never owned: each pointer must
@@ -229,7 +229,7 @@ struct ExperimentResult : ServerCounters, RunCounters
     std::vector<Tick> cc6Entries;
     /** Per-request latency trace (with collectLatencyTrace). */
     std::vector<LatencySample> latencyTrace;
-    /** Empirical latency CDF, 200 points. */
+    /** Empirical latency CDF, 200 points (with collectLatencyTrace). */
     std::vector<std::pair<Tick, double>> cdf;
 };
 

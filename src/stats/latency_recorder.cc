@@ -2,33 +2,40 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 namespace nmapsim {
 
-void
-LatencyRecorder::ensureSorted() const
+namespace {
+
+bool
+byLatency(const LatencySample &a, const LatencySample &b)
 {
-    if (sorted_)
-        return;
-    std::sort(samples_.begin(), samples_.end(),
-              [](const LatencySample &a, const LatencySample &b) {
-                  return a.latency < b.latency;
-              });
-    sorted_ = true;
+    return a.latency < b.latency;
 }
+
+} // namespace
 
 Tick
 LatencyRecorder::percentile(double p) const
 {
     if (samples_.empty())
         return 0;
-    ensureSorted();
     double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
     std::size_t lo = static_cast<std::size_t>(rank);
     std::size_t hi = std::min(lo + 1, samples_.size() - 1);
     double frac = rank - static_cast<double>(lo);
-    double v = static_cast<double>(samples_[lo].latency) * (1.0 - frac) +
-               static_cast<double>(samples_[hi].latency) * frac;
+    // Order statistic lo by selection; lo + 1 is then the minimum of
+    // the partition above it.
+    auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(samples_.begin(), nth, samples_.end(), byLatency);
+    Tick lo_latency = samples_[lo].latency;
+    Tick hi_latency =
+        hi == lo ? lo_latency
+                 : std::min_element(nth + 1, samples_.end(), byLatency)
+                       ->latency;
+    double v = static_cast<double>(lo_latency) * (1.0 - frac) +
+               static_cast<double>(hi_latency) * frac;
     return static_cast<Tick>(std::llround(v));
 }
 
@@ -37,10 +44,11 @@ LatencyRecorder::mean() const
 {
     if (samples_.empty())
         return 0.0;
-    double sum = 0.0;
+    // Integer ns sum exactly, whatever order the samples are in.
+    Tick sum = 0;
     for (const auto &s : samples_)
-        sum += static_cast<double>(s.latency);
-    return sum / static_cast<double>(samples_.size());
+        sum += s.latency;
+    return static_cast<double>(sum) / static_cast<double>(samples_.size());
 }
 
 Tick
@@ -70,7 +78,7 @@ LatencyRecorder::cdf(std::size_t points) const
     std::vector<std::pair<Tick, double>> out;
     if (samples_.empty() || points == 0)
         return out;
-    ensureSorted();
+    std::sort(samples_.begin(), samples_.end(), byLatency);
     out.reserve(points);
     for (std::size_t i = 0; i < points; ++i) {
         double q = static_cast<double>(i + 1) / static_cast<double>(points);
@@ -89,7 +97,8 @@ LatencyRecorder::trace() const
     std::vector<LatencySample> t(samples_.begin(), samples_.end());
     std::sort(t.begin(), t.end(),
               [](const LatencySample &a, const LatencySample &b) {
-                  return a.completionTime < b.completionTime;
+                  return std::tie(a.completionTime, a.latency) <
+                         std::tie(b.completionTime, b.latency);
               });
     return t;
 }
@@ -102,7 +111,17 @@ LatencyRecorder::discardBefore(Tick cutoff)
                                       return s.completionTime < cutoff;
                                   }),
                    samples_.end());
-    sorted_ = false;
+}
+
+void
+LatencyRecorder::merge(LatencyRecorder &&other)
+{
+    if (samples_.empty())
+        samples_.swap(other.samples_);
+    else
+        samples_.insert(samples_.end(), other.samples_.begin(),
+                        other.samples_.end());
+    std::vector<LatencySample>().swap(other.samples_);
 }
 
 } // namespace nmapsim

@@ -5,7 +5,8 @@
  * The recorder keeps every (completion tick, latency) pair so the
  * benchmarks can emit both the paper's latency-vs-time scatter plots
  * (Fig. 3/10/16) and the CDFs (Fig. 4/11), plus exact percentiles
- * (Fig. 12/14).
+ * (Fig. 12/14). Percentiles come from selection, not a sort, and no
+ * statistic depends on the order samples are stored in.
  */
 
 #ifndef NMAPSIM_STATS_LATENCY_RECORDER_HH_
@@ -35,7 +36,6 @@ class LatencyRecorder
     record(Tick completion_time, Tick latency)
     {
         samples_.push_back({completion_time, latency});
-        sorted_ = false;
     }
 
     std::size_t count() const { return samples_.size(); }
@@ -62,35 +62,22 @@ class LatencyRecorder
      */
     std::vector<std::pair<Tick, double>> cdf(std::size_t points) const;
 
-    /** All raw samples in completion-time order. */
+    /** All raw samples ordered by (completion time, latency). */
     std::vector<LatencySample> trace() const;
 
     /** Drop all samples recorded before @p cutoff (warm-up trimming). */
     void discardBefore(Tick cutoff);
 
-    /** Append every sample of @p other (e.g. cluster-wide percentiles
-     *  from per-host recorders). */
-    void
-    merge(const LatencyRecorder &other)
-    {
-        samples_.insert(samples_.end(), other.samples_.begin(),
-                        other.samples_.end());
-        sorted_ = false;
-    }
+    /** Append every sample of @p other and release its storage (e.g.
+     *  cluster-wide percentiles from per-host recorders). */
+    void merge(LatencyRecorder &&other);
 
     /** Remove every sample. */
-    void
-    clear()
-    {
-        samples_.clear();
-        sorted_ = false;
-    }
+    void clear() { samples_.clear(); }
 
   private:
-    void ensureSorted() const;
-
+    /** Queries reorder the samples in place (selection, the CDF). */
     mutable std::vector<LatencySample> samples_;
-    mutable bool sorted_ = false;
 };
 
 } // namespace nmapsim

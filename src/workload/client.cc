@@ -161,7 +161,8 @@ Client::onResponse(const Packet &pkt)
         ++received_;
         Tick latency = eq_.now() - pkt.sendTime;
         latencies_.record(eq_.now(), latency);
-        window_.record(eq_.now(), latency);
+        if (watchWindow_)
+            window_.record(eq_.now(), latency);
         return;
     }
     auto it = outstanding_.find(pkt.requestId);
@@ -176,7 +177,8 @@ Client::onResponse(const Packet &pkt)
     ++received_;
     Tick completion = eq_.now() - entry.firstSend;
     latencies_.record(eq_.now(), completion);
-    window_.record(eq_.now(), completion);
+    if (watchWindow_)
+        window_.record(eq_.now(), completion);
     attemptLatencies_.record(eq_.now(), eq_.now() - pkt.sendTime);
     if (budgetEnabled_)
         budgetTokens_ =

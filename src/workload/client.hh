@@ -181,9 +181,17 @@ class Client
     std::uint64_t requestsInFlight() const;
 
     /**
+     * Start recording completions into the feedback window that
+     * windowP99AndReset() drains. Off by default, so only a client
+     * with a feedback consumer keeps this second copy of its samples.
+     */
+    void watchWindow() { watchWindow_ = true; }
+
+    /**
      * P99 of responses completed since the last call, then reset the
      * window — the feedback signal long-term controllers like Parties
-     * consume. Returns 0 when the window is empty.
+     * consume. Returns 0 when the window is empty, and always without
+     * watchWindow().
      */
     Tick windowP99AndReset();
 
@@ -211,6 +219,7 @@ class Client
     LatencyRecorder latencies_;
     LatencyRecorder attemptLatencies_;
     LatencyRecorder window_;
+    bool watchWindow_ = false;
     std::uint64_t nextRequestId_ = 1;
     std::uint64_t sent_ = 0;
     std::uint64_t received_ = 0;

@@ -127,6 +127,7 @@ TEST(ExperimentTest, TracesAbsentByDefault)
             .run();
     EXPECT_EQ(r.traces, nullptr);
     EXPECT_TRUE(r.latencyTrace.empty());
+    EXPECT_TRUE(r.cdf.empty());
 }
 
 TEST(ExperimentTest, ThresholdProfilingProducesSaneValues)

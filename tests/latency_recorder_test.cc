@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "sim/rng.hh"
 #include "sim/time.hh"
 #include "stats/latency_recorder.hh"
 
@@ -21,6 +28,69 @@ makeUniformRecorder(int n)
         r.record(microseconds(i), microseconds(i));
     return r;
 }
+
+/** The recorder's percentile formula applied to a sorted copy. */
+Tick
+referencePercentile(std::vector<Tick> lat, double p)
+{
+    std::sort(lat.begin(), lat.end());
+    double rank = p / 100.0 * static_cast<double>(lat.size() - 1);
+    std::size_t lo = static_cast<std::size_t>(rank);
+    std::size_t hi = std::min(lo + 1, lat.size() - 1);
+    double frac = rank - static_cast<double>(lo);
+    double v = static_cast<double>(lat[lo]) * (1.0 - frac) +
+               static_cast<double>(lat[hi]) * frac;
+    return static_cast<Tick>(std::llround(v));
+}
+
+/** The recorder's CDF formula applied to a sorted copy. */
+std::vector<std::pair<Tick, double>>
+referenceCdf(std::vector<Tick> lat, std::size_t points)
+{
+    std::sort(lat.begin(), lat.end());
+    std::vector<std::pair<Tick, double>> out;
+    for (std::size_t i = 0; i < points; ++i) {
+        double q = static_cast<double>(i + 1) / static_cast<double>(points);
+        std::size_t idx = std::min(
+            lat.size() - 1,
+            static_cast<std::size_t>(q * static_cast<double>(lat.size())));
+        out.emplace_back(lat[idx], q);
+    }
+    return out;
+}
+
+/** Seeded lognormal latencies around 60 us, a memcached-like spread. */
+std::vector<Tick>
+lognormalLatencies(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<Tick> out(n);
+    for (Tick &t : out)
+        t = static_cast<Tick>(rng.lognormal(11.0, 0.6));
+    return out;
+}
+
+/** Record @p lat with completion ticks 0, 1, 2, ... */
+LatencyRecorder
+recorderOf(const std::vector<Tick> &lat)
+{
+    LatencyRecorder r;
+    for (std::size_t i = 0; i < lat.size(); ++i)
+        r.record(static_cast<Tick>(i), lat[i]);
+    return r;
+}
+
+/** (completion, latency) pairs, comparable with EXPECT_EQ. */
+std::vector<std::pair<Tick, Tick>>
+pairsOf(const std::vector<LatencySample> &samples)
+{
+    std::vector<std::pair<Tick, Tick>> out;
+    for (const LatencySample &s : samples)
+        out.emplace_back(s.completionTime, s.latency);
+    return out;
+}
+
+const double kPercentiles[] = {0.0, 0.1, 50.0, 99.0, 99.9, 100.0};
 
 TEST(LatencyRecorderTest, EmptyRecorder)
 {
@@ -107,6 +177,146 @@ TEST(LatencyRecorderTest, RecordAfterQueryKeepsConsistency)
     r.record(2, microseconds(15));
     EXPECT_EQ(r.percentile(100.0), microseconds(15));
     EXPECT_EQ(r.count(), 2u);
+}
+
+TEST(LatencyRecorderTest, SingleSample)
+{
+    LatencyRecorder r;
+    r.record(milliseconds(1), microseconds(42));
+    for (double p : kPercentiles)
+        EXPECT_EQ(r.percentile(p), microseconds(42)) << "p" << p;
+    EXPECT_DOUBLE_EQ(r.mean(), static_cast<double>(microseconds(42)));
+    for (const auto &[latency, q] : r.cdf(5))
+        EXPECT_EQ(latency, microseconds(42)) << "q" << q;
+}
+
+TEST(LatencyRecorderTest, TwoSamplesInterpolate)
+{
+    const std::vector<Tick> lat = {microseconds(30), microseconds(10)};
+    LatencyRecorder r = recorderOf(lat);
+    EXPECT_EQ(r.percentile(0.0), microseconds(10));
+    EXPECT_EQ(r.percentile(50.0), microseconds(20));
+    EXPECT_EQ(r.percentile(100.0), microseconds(30));
+    for (double p : {0.0, 25.0, 50.0, 99.0, 100.0})
+        EXPECT_EQ(r.percentile(p), referencePercentile(lat, p))
+            << "p" << p;
+    EXPECT_EQ(r.cdf(4), referenceCdf(lat, 4));
+}
+
+TEST(LatencyRecorderTest, AllEqualLatencies)
+{
+    LatencyRecorder r;
+    for (int i = 0; i < 1000; ++i)
+        r.record(microseconds(i), microseconds(42));
+    for (double p : kPercentiles)
+        EXPECT_EQ(r.percentile(p), microseconds(42)) << "p" << p;
+    EXPECT_DOUBLE_EQ(r.mean(), static_cast<double>(microseconds(42)));
+    EXPECT_EQ(r.max(), microseconds(42));
+    EXPECT_DOUBLE_EQ(r.fractionAbove(microseconds(42)), 0.0);
+    for (const auto &[latency, q] : r.cdf(200))
+        EXPECT_EQ(latency, microseconds(42)) << "q" << q;
+}
+
+TEST(LatencyRecorderTest, PercentilesMatchSortedReference)
+{
+    // Raw lognormal draws (nearly all distinct) and the same draws
+    // quantised to 10 us (many ties).
+    std::vector<Tick> raw = lognormalLatencies(10007, 11);
+    std::vector<Tick> tied = raw;
+    for (Tick &t : tied)
+        t = t / microseconds(10) * microseconds(10);
+    for (const std::vector<Tick> &lat : {raw, tied}) {
+        LatencyRecorder r = recorderOf(lat);
+        for (double p : kPercentiles)
+            EXPECT_EQ(r.percentile(p), referencePercentile(lat, p))
+                << "p" << p;
+        // Again, now that selection has reordered the samples.
+        for (double p : kPercentiles)
+            EXPECT_EQ(r.percentile(p), referencePercentile(lat, p))
+                << "p" << p;
+    }
+}
+
+TEST(LatencyRecorderTest, CdfMatchesSortedReference)
+{
+    const std::vector<Tick> lat = lognormalLatencies(5003, 12);
+    LatencyRecorder r = recorderOf(lat);
+    EXPECT_EQ(r.percentile(99.0), referencePercentile(lat, 99.0));
+    EXPECT_EQ(r.cdf(200), referenceCdf(lat, 200));
+}
+
+TEST(LatencyRecorderTest, RecordQueryRecordQuery)
+{
+    const std::vector<Tick> lat = lognormalLatencies(4000, 13);
+    const std::vector<Tick> first(lat.begin(), lat.begin() + 1500);
+    LatencyRecorder r = recorderOf(first);
+    for (double p : kPercentiles)
+        EXPECT_EQ(r.percentile(p), referencePercentile(first, p))
+            << "p" << p;
+    for (std::size_t i = first.size(); i < lat.size(); ++i)
+        r.record(static_cast<Tick>(i), lat[i]);
+    for (double p : kPercentiles)
+        EXPECT_EQ(r.percentile(p), referencePercentile(lat, p))
+            << "p" << p;
+    EXPECT_EQ(r.cdf(200), referenceCdf(lat, 200));
+}
+
+TEST(LatencyRecorderTest, MeanIndependentOfInsertionOrder)
+{
+    std::vector<Tick> lat = lognormalLatencies(9999, 14);
+    LatencyRecorder forward = recorderOf(lat);
+    std::reverse(lat.begin(), lat.end());
+    LatencyRecorder backward = recorderOf(lat);
+    EXPECT_EQ(forward.mean(), backward.mean());
+    // Selection reorders the samples; the mean must not notice.
+    Tick p99 = forward.percentile(99.0);
+    EXPECT_GT(p99, 0);
+    EXPECT_EQ(forward.mean(), backward.mean());
+}
+
+TEST(LatencyRecorderTest, MergeMovesAndConcatenates)
+{
+    const std::vector<Tick> lat = lognormalLatencies(300, 15);
+    LatencyRecorder whole = recorderOf(lat);
+    LatencyRecorder a;
+    LatencyRecorder b;
+    for (std::size_t i = 0; i < lat.size(); ++i)
+        (i < 100 ? a : b).record(static_cast<Tick>(i), lat[i]);
+
+    LatencyRecorder merged;
+    merged.merge(std::move(a)); // takes a's storage
+    merged.merge(std::move(b)); // appends b's samples
+    // merge() leaves each source empty.
+    EXPECT_TRUE(a.empty());
+    EXPECT_TRUE(b.empty());
+    EXPECT_EQ(merged.count(), lat.size());
+    EXPECT_EQ(pairsOf(merged.trace()), pairsOf(whole.trace()));
+    EXPECT_EQ(merged.percentile(99.0), whole.percentile(99.0));
+    EXPECT_EQ(merged.mean(), whole.mean());
+}
+
+TEST(LatencyRecorderTest, TraceOrderIsTotal)
+{
+    // 100 completions on one tick: the trace must not depend on
+    // insertion order or on a percentile query reordering samples.
+    const Tick tick = milliseconds(5);
+    LatencyRecorder ascending;
+    LatencyRecorder descending;
+    for (int i = 1; i <= 100; ++i) {
+        ascending.record(tick, microseconds(i));
+        descending.record(tick, microseconds(101 - i));
+    }
+    const auto trace = pairsOf(ascending.trace());
+    EXPECT_EQ(pairsOf(descending.trace()), trace);
+    ASSERT_EQ(trace.size(), 100u);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        EXPECT_EQ(trace[i].second,
+                  microseconds(static_cast<double>(i + 1)));
+
+    EXPECT_EQ(descending.percentile(99.0),
+              ascending.percentile(99.0));
+    EXPECT_EQ(pairsOf(ascending.trace()), trace);
+    EXPECT_EQ(pairsOf(descending.trace()), trace);
 }
 
 } // namespace

@@ -123,6 +123,7 @@ TEST_F(ClientTest, ResponseLatencyMeasured)
 
 TEST_F(ClientTest, WindowP99ResetsBetweenReads)
 {
+    client_.watchWindow();
     Packet resp;
     resp.kind = Packet::Kind::kResponse;
     resp.sendTime = 0;
@@ -133,6 +134,21 @@ TEST_F(ClientTest, WindowP99ResetsBetweenReads)
     EXPECT_GT(client_.windowP99AndReset(), 0);
     EXPECT_EQ(client_.windowP99AndReset(), 0); // window now empty
     // The global recorder keeps everything.
+    EXPECT_EQ(client_.latencies().count(), 1u);
+}
+
+TEST_F(ClientTest, WindowStaysEmptyWithoutWatcher)
+{
+    Packet resp;
+    resp.kind = Packet::Kind::kResponse;
+    resp.sendTime = 0;
+    EventFunctionWrapper deliver(
+        [&] { client_.onResponse(resp); }, "deliver");
+    eq_.schedule(&deliver, microseconds(100));
+    eq_.runAll();
+    // No feedback consumer attached: only the global recorder keeps
+    // the sample.
+    EXPECT_EQ(client_.windowP99AndReset(), 0);
     EXPECT_EQ(client_.latencies().count(), 1u);
 }
 
