@@ -15,10 +15,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "harness/cluster.hh"
+#include "harness/cluster_io.hh"
 #include "harness/experiment.hh"
 #include "harness/result_io.hh"
 #include "harness/sweep.hh"
@@ -71,9 +74,9 @@ cellConfig(const AppProfile &app, LoadLevel load,
 
 /**
  * Optional machine-readable sink: when NMAPSIM_BENCH_JSON=PATH is set,
- * every (config, result) pair a bench runs through runAll() is also
- * recorded and written to PATH as a JSON array at process exit. The
- * table output on stdout is unchanged either way.
+ * every (config, result) pair a bench runs through runAll() or
+ * runClusters() is also recorded and written to PATH as a JSON array
+ * at process exit. The table output on stdout is unchanged either way.
  */
 inline ResultWriter *
 jsonSink()
@@ -120,6 +123,33 @@ runAll(const std::vector<ExperimentConfig> &points,
     for (SweepOutcome &outcome : outcomes)
         results.push_back(std::move(outcome.value()));
     recordResults(points, results);
+    return results;
+}
+
+/**
+ * The cluster counterpart of runAll(): run every cluster config on the
+ * shared sweep thread pool, record each (config, result) pair into the
+ * NMAPSIM_BENCH_JSON sink and return the results in submission order.
+ */
+inline std::vector<ClusterResult>
+runClusters(const std::vector<ClusterConfig> &configs,
+            const std::string &tag)
+{
+    std::vector<std::function<ClusterResult()>> tasks;
+    tasks.reserve(configs.size());
+    for (const ClusterConfig &cfg : configs)
+        tasks.emplace_back(
+            [&cfg] { return ClusterExperiment(cfg).run(); });
+    SweepOptions opts;
+    opts.tag = tag;
+    std::vector<SweepSlot<ClusterResult>> slots = runParallel(tasks, opts);
+    std::vector<ClusterResult> results;
+    results.reserve(slots.size());
+    for (SweepSlot<ClusterResult> &slot : slots)
+        results.push_back(std::move(slot.value()));
+    if (ResultWriter *sink = jsonSink())
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            appendClusterResultRecord(*sink, configs[i], results[i]);
     return results;
 }
 

@@ -20,14 +20,12 @@
  */
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "harness/cluster.hh"
-#include "harness/cluster_io.hh"
 #include "stats/table.hh"
 
 using namespace nmapsim;
@@ -157,20 +155,8 @@ main()
             labels.push_back(scenario.name);
         }
 
-    std::vector<std::function<ClusterResult()>> tasks;
-    tasks.reserve(configs.size());
-    for (const ClusterConfig &cfg : configs)
-        tasks.emplace_back(
-            [&cfg] { return ClusterExperiment(cfg).run(); });
-    SweepOptions opts;
-    opts.tag = "ext_chaos";
-    std::vector<SweepSlot<ClusterResult>> slots =
-        runParallel(tasks, opts);
-
-    if (ResultWriter *sink = bench::jsonSink())
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            appendClusterResultRecord(*sink, configs[i],
-                                      slots[i].value());
+    const std::vector<ClusterResult> results =
+        bench::runClusters(configs, "ext_chaos");
 
     std::printf("\n--- 2 hosts, least-outstanding dispatch, "
                 "memcached high, detector + client retry on ---\n");
@@ -178,7 +164,7 @@ main()
                  "P99 (us)", "retx", "timeouts", "ejections",
                  "energy (J)"});
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        const ClusterResult &r = slots[i].value();
+        const ClusterResult &r = results[i];
         table.addRow({
             labels[i],
             configs[i].base.freqPolicy,

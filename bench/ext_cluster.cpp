@@ -15,19 +15,17 @@
  * tail latency under each frequency policy.
  *
  * Cluster runs are not plain Experiments, so this bench fans out
- * through the sweep subsystem's generic runParallel() engine and
+ * through bench::runClusters(), which runs them on the sweep pool and
  * records machine-readable output via the cluster record schema.
  */
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "harness/cluster.hh"
-#include "harness/cluster_io.hh"
 #include "stats/table.hh"
 
 using namespace nmapsim;
@@ -111,20 +109,8 @@ main()
             for (const Variant &v : variants)
                 configs.push_back(pointConfig(hosts, dispatch, v));
 
-    std::vector<std::function<ClusterResult()>> tasks;
-    tasks.reserve(configs.size());
-    for (const ClusterConfig &cfg : configs)
-        tasks.emplace_back(
-            [&cfg] { return ClusterExperiment(cfg).run(); });
-    SweepOptions opts;
-    opts.tag = "ext_cluster";
-    std::vector<SweepSlot<ClusterResult>> slots =
-        runParallel(tasks, opts);
-
-    if (ResultWriter *sink = bench::jsonSink())
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            appendClusterResultRecord(*sink, configs[i],
-                                      slots[i].value());
+    const std::vector<ClusterResult> results =
+        bench::runClusters(configs, "ext_cluster");
 
     for (int hosts : host_counts) {
         std::printf("\n--- %d hosts, fixed cluster load "
@@ -135,7 +121,7 @@ main()
         for (std::size_t i = 0; i < configs.size(); ++i) {
             if (configs[i].numHosts != hosts)
                 continue;
-            const ClusterResult &r = slots[i].value();
+            const ClusterResult &r = results[i];
             table.addRow({
                 configs[i].dispatch,
                 configs[i].base.freqPolicy,

@@ -20,14 +20,12 @@
  */
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "harness/cluster.hh"
-#include "harness/cluster_io.hh"
 #include "stats/table.hh"
 
 using namespace nmapsim;
@@ -160,20 +158,8 @@ main()
     for (const Variant &v : variants)
         configs.push_back(chaosConfig(v));
 
-    std::vector<std::function<ClusterResult()>> tasks;
-    tasks.reserve(configs.size());
-    for (const ClusterConfig &cfg : configs)
-        tasks.emplace_back(
-            [&cfg] { return ClusterExperiment(cfg).run(); });
-    SweepOptions opts;
-    opts.tag = "ext_tiers";
-    std::vector<SweepSlot<ClusterResult>> slots =
-        runParallel(tasks, opts);
-
-    if (ResultWriter *sink = bench::jsonSink())
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            appendClusterResultRecord(*sink, configs[i],
-                                      slots[i].value());
+    const std::vector<ClusterResult> results =
+        bench::runClusters(configs, "ext_tiers");
 
     int bad_conservation = 0;
     std::printf("\n--- memcached high, per-stage cost 1/depth, "
@@ -182,7 +168,7 @@ main()
                  "hopP99 sum", "tier p99s (us)", "tail tier",
                  "energy (J)"});
     for (std::size_t i = 0; i < chaos_at; ++i) {
-        const ClusterResult &r = slots[i].value();
+        const ClusterResult &r = results[i];
         if (!conserved(configs[i], r))
             ++bad_conservation;
         std::size_t tail = 0;
@@ -213,7 +199,7 @@ main()
     Table chaos({"policy", "avail", "P99 (us)", "retx", "ejections",
                  "rerouted", "tier p99s (us)", "energy (J)"});
     for (std::size_t i = chaos_at; i < configs.size(); ++i) {
-        const ClusterResult &r = slots[i].value();
+        const ClusterResult &r = results[i];
         chaos.addRow({
             configs[i].base.freqPolicy,
             Table::num(r.availability, 4),

@@ -175,14 +175,9 @@ class ClusterSwitch
     /** @name Topology */
     /**@{*/
     int numTiers() const { return static_cast<int>(tiers_.size()); }
-    bool multiTier() const { return tiers_.size() > 1; }
     const SwitchTier &tier(int t) const
     {
         return tiers_[static_cast<std::size_t>(t)];
-    }
-    int tierOfHost(int host) const
-    {
-        return hostTier_[static_cast<std::size_t>(host)];
     }
     /**@}*/
 

@@ -64,7 +64,6 @@ CStateController::wake(Tick now)
             cacheTouch_ *
             static_cast<double>(profile_.cstates.c6CacheRefillWorst));
     }
-    lastWakeLatency_ = penalty;
     return penalty;
 }
 

@@ -75,9 +75,6 @@ class CStateController
     /** Number of wake-ups from each state. */
     std::uint64_t wakeCount(CState s) const;
 
-    /** Most recent wake penalty charged. */
-    Tick lastWakeLatency() const { return lastWakeLatency_; }
-
   private:
     void accumulate(Tick now);
 
@@ -87,7 +84,6 @@ class CStateController
 
     CState state_ = CState::kC0;
     Tick lastChange_ = 0;
-    Tick lastWakeLatency_ = 0;
     std::array<Tick, 3> residency_{};
     std::array<std::uint64_t, 3> wakes_{};
     EventMarkSeries cc6Entries_;

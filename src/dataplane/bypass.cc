@@ -180,7 +180,7 @@ PollThread::disarmOwnedIrqs()
 BypassEngine::BypassEngine(ServerOs &os, Nic &nic,
                            const DataplanePlan &plan,
                            const PolicyParams &params)
-    : os_(os), nic_(nic), plan_(plan), pollMeter_(0.0)
+    : os_(os), nic_(nic), plan_(plan)
 {
     if (!plan_.bypass())
         fatal("BypassEngine requires dataplane.mode=bypass");

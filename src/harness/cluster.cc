@@ -52,13 +52,20 @@ struct Host
 void
 requireHostOverlayKey(int host, const std::string &key)
 {
-    const std::string ns = key.substr(0, key.find('.') + 1);
+    const std::string name = "host" + std::to_string(host) + "." + key;
+    const std::size_t dot = key.find('.');
+    if (dot == std::string::npos || dot == 0)
+        fatal("unknown per-host config key '" + name +
+              "' (use freq_policy, idle_policy, weight or a dotted "
+              "params key)");
+    const std::string ns = key.substr(0, dot + 1);
     bool banned = RunPlan::owns(key);
-    for (const char *run_wide : {"gov.", "burst.", "os.", "nic.", "cluster."})
+    for (const char *run_wide :
+         {"gov.", "burst.", "os.", "nic.", "cluster.", "dispatch."})
         banned = banned || ns == run_wide;
     if (banned)
-        fatal("config key 'host" + std::to_string(host) + "." + key +
-              "': '" + ns + "*' keys cannot be overridden per host");
+        fatal("config key '" + name + "': '" + ns +
+              "*' keys cannot be overridden per host");
 }
 
 ClusterExperiment::ClusterExperiment(ClusterConfig config)
@@ -99,6 +106,9 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
         !config_.base.extraObservers.empty())
         fatal("ClusterExperiment does not support load schedules or "
               "extra observers");
+    if (config_.base.collectTraces || config_.base.collectLatencyTrace)
+        fatal("ClusterExperiment does not collect traces "
+              "(collect_traces, collect_latency_trace)");
     DispatchRegistry::instance().require(config_.dispatch);
     config_.fabric.validate();
 

@@ -47,8 +47,9 @@ struct HostSpec
 };
 
 /** fatal() unless host @p host can take @p key as a HostSpec::params
- *  overlay: structured (`gov.`, `burst.`, `os.`, `nic.`), `cluster.`
- *  and run-scoped (RunPlan::owns) keys configure the whole run. */
+ *  overlay: a dotted key outside the structured (`gov.`, `burst.`,
+ *  `os.`, `nic.`), `cluster.`, `dispatch.` and run-scoped
+ *  (RunPlan::owns) namespaces, which configure the whole run. */
 void requireHostOverlayKey(int host, const std::string &key);
 
 /** Declarative description of one cluster run. */

@@ -79,7 +79,7 @@ setClusterConfigValue(ClusterConfig &c, const std::string &key,
         c.fabric.portPropagation = PolicyParams::parseTick(value, key);
     } else if (key == "cluster.port_queue") {
         c.fabric.portQueueLimit =
-            static_cast<std::size_t>(parseConfigInt(value, key));
+            static_cast<std::size_t>(parseConfigUint(value, key));
     } else if (key == "cluster.health_interval") {
         c.fabric.healthInterval = PolicyParams::parseTick(value, key);
     } else if (key == "cluster.health_timeout") {
@@ -102,13 +102,9 @@ setClusterConfigValue(ClusterConfig &c, const std::string &key,
             spec.idlePolicy = value;
         else if (rest == "weight")
             spec.weight = PolicyParams::parseDouble(value, key);
-        else if (rest.find('.') != std::string::npos) {
+        else {
             requireHostOverlayKey(host, rest);
             spec.params.set(rest, value);
-        } else {
-            fatal("unknown per-host config key '" + key +
-                  "' (use freq_policy, idle_policy, weight or a "
-                  "dotted params key)");
         }
     } else {
         setConfigValue(c.base, key, value);

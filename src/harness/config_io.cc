@@ -19,25 +19,6 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-std::uint64_t
-parseUint(const std::string &text, const std::string &key)
-{
-    std::uint64_t v = 0;
-    const char *b = text.data();
-    const char *e = b + text.size();
-    auto res = std::from_chars(b, e, v);
-    if (res.ec != std::errc() || res.ptr != e)
-        fatal("config key '" + key +
-              "': not an unsigned integer: '" + text + "'");
-    return v;
-}
-
-std::size_t
-parseSize(const std::string &text, const std::string &key)
-{
-    return static_cast<std::size_t>(parseUint(text, key));
-}
-
 bool
 parseBool(const std::string &text, const std::string &key)
 {
@@ -87,6 +68,19 @@ parseConfigInt(const std::string &text, const std::string &key)
     if (res.ec != std::errc() || res.ptr != e)
         fatal("config key '" + key + "': not an integer: '" + text +
               "'");
+    return v;
+}
+
+std::uint64_t
+parseConfigUint(const std::string &text, const std::string &key)
+{
+    std::uint64_t v = 0;
+    const char *b = text.data();
+    const char *e = b + text.size();
+    auto res = std::from_chars(b, e, v);
+    if (res.ec != std::errc() || res.ptr != e)
+        fatal("config key '" + key +
+              "': not an unsigned integer: '" + text + "'");
     return v;
 }
 
@@ -153,7 +147,6 @@ printConfig(const ExperimentConfig &c)
     put("os.max_softirq_iters", std::to_string(c.os.maxSoftirqIters));
     put("os.jiffy", formatConfigTick(c.os.jiffy));
     put("os.max_softirq_time", formatConfigTick(c.os.maxSoftirqTime));
-    put("nic.num_queues", std::to_string(c.nic.numQueues));
     put("nic.rx_ring_size", std::to_string(c.nic.rxRingSize));
     put("nic.itr", formatConfigTick(c.nic.itr));
     put("nic.dma_latency", formatConfigTick(c.nic.dmaLatency));
@@ -205,7 +198,7 @@ setConfigValue(ExperimentConfig &c, const std::string &key,
     } else if (key == "duration") {
         c.duration = parseTick(value, key);
     } else if (key == "seed") {
-        c.seed = parseUint(value, key);
+        c.seed = parseConfigUint(value, key);
     } else if (key == "collect_traces") {
         c.collectTraces = parseBool(value, key);
     } else if (key == "trace_bucket") {
@@ -252,10 +245,9 @@ setConfigValue(ExperimentConfig &c, const std::string &key,
         c.os.maxSoftirqTime = parseTick(value, key);
 
         // --- nic.* ----------------------------------------------------
-    } else if (key == "nic.num_queues") {
-        c.nic.numQueues = parseConfigInt(value, key);
     } else if (key == "nic.rx_ring_size") {
-        c.nic.rxRingSize = parseSize(value, key);
+        c.nic.rxRingSize =
+            static_cast<std::size_t>(parseConfigUint(value, key));
     } else if (key == "nic.itr") {
         c.nic.itr = parseTick(value, key);
     } else if (key == "nic.dma_latency") {

@@ -25,6 +25,7 @@
 #ifndef NMAPSIM_HARNESS_CONFIG_IO_HH_
 #define NMAPSIM_HARNESS_CONFIG_IO_HH_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -58,6 +59,10 @@ void readConfigLines(const std::string &text, const ConfigLineSink &apply);
 
 /** An integer config value; fatal() names @p key. */
 int parseConfigInt(const std::string &text, const std::string &key);
+
+/** A non-negative integer config value; fatal() names @p key. */
+std::uint64_t parseConfigUint(const std::string &text,
+                              const std::string &key);
 
 /** A duration as configs print it: integer nanoseconds ("1500ns"). */
 std::string formatConfigTick(Tick t);

@@ -111,7 +111,7 @@ ServerRig::attachPolicies(
         os_->addObserver(obs);
 
     uncore_ = std::make_unique<PackagePower>(eq_, corePtrs_);
-    package_ = std::make_unique<PackageEnergyMeter>(0.0);
+    package_ = std::make_unique<PackageEnergyMeter>();
     package_->addMeter(&uncore_->meter());
     for (Core *core : corePtrs_)
         package_->addMeter(&core->meter());

@@ -31,12 +31,6 @@ sweepProgressEnabled()
 
 SweepRunner::SweepRunner(SweepOptions opts) : opts_(std::move(opts)) {}
 
-int
-SweepRunner::jobs(std::size_t num_points) const
-{
-    return resolveJobs(opts_.jobs, num_points);
-}
-
 std::vector<SweepOutcome>
 SweepRunner::run(const std::vector<ExperimentConfig> &points) const
 {

@@ -199,9 +199,6 @@ class SweepRunner
   public:
     explicit SweepRunner(SweepOptions opts = {});
 
-    /** The worker count a run of @p num_points would use. */
-    int jobs(std::size_t num_points) const;
-
     /**
      * Execute every point (Experiment(cfg).run()) and return outcomes
      * in submission order. Never throws for a point failure: each

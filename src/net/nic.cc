@@ -120,7 +120,6 @@ Nic::raiseIrq(int q)
 {
     Queue &queue = queues_[static_cast<std::size_t>(q)];
     queue.lastIrq = eq_.now();
-    ++irqsRaised_;
     if (!irq_)
         panic("Nic interrupt with no handler attached");
     irq_(q);

@@ -114,7 +114,6 @@ class Nic
     /**@{*/
     std::uint64_t packetsReceived() const { return received_; }
     std::uint64_t packetsDropped() const { return dropped_; }
-    std::uint64_t interruptsRaised() const { return irqsRaised_; }
     std::uint64_t packetsTransmitted() const { return transmitted_; }
 
     /** Rx packets the OS harvested from the rings via popRx(). */
@@ -160,7 +159,6 @@ class Nic
 
     std::uint64_t received_ = 0;
     std::uint64_t dropped_ = 0;
-    std::uint64_t irqsRaised_ = 0;
     std::uint64_t transmitted_ = 0;
     std::uint64_t rxHarvested_ = 0;
     std::uint64_t txConsumed_ = 0;

@@ -77,7 +77,6 @@ class Wire
      * default) leaves the queue unbounded.
      */
     void setQueueLimit(std::size_t packets) { queueLimit_ = packets; }
-    std::size_t queueLimit() const { return queueLimit_; }
 
     /**
      * Install a per-packet fault filter consulted on every send()

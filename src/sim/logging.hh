@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal leveled logging and fatal-error helpers.
+ * Fatal-error helpers.
  *
  * Follows the gem5 convention: fatal() is for user/configuration errors
  * (clean exit semantics, here an exception the caller may catch), panic()
@@ -10,35 +10,10 @@
 #ifndef NMAPSIM_SIM_LOGGING_HH_
 #define NMAPSIM_SIM_LOGGING_HH_
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
 namespace nmapsim {
-
-/** Severity of a log message. */
-enum class LogLevel
-{
-    kDebug = 0,
-    kInfo = 1,
-    kWarn = 2,
-    kNone = 3,
-};
-
-/** Global logging controls; default suppresses debug chatter. */
-class Log
-{
-  public:
-    static LogLevel level();
-    static void setLevel(LogLevel level);
-
-    /** Emit a message if @p level is at or above the global level. */
-    static void write(LogLevel level, const std::string &msg);
-
-    // lint: shared-state-ok(process-wide verbosity, set once in main before any engine runs; never written mid-simulation)
-  private:
-    static LogLevel level_;
-};
 
 /** Error thrown for invalid user configuration (gem5 fatal()). */
 class FatalError : public std::runtime_error
@@ -70,24 +45,6 @@ fatal(const std::string &msg)
 panic(const std::string &msg)
 {
     throw PanicError(msg);
-}
-
-inline void
-inform(const std::string &msg)
-{
-    Log::write(LogLevel::kInfo, msg);
-}
-
-inline void
-warn(const std::string &msg)
-{
-    Log::write(LogLevel::kWarn, msg);
-}
-
-inline void
-debugLog(const std::string &msg)
-{
-    Log::write(LogLevel::kDebug, msg);
 }
 
 } // namespace nmapsim

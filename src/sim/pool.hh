@@ -1,27 +1,14 @@
 /**
  * @file
- * Allocation-free containers for the simulator's hot paths.
+ * Allocation-free FIFO for the simulator's hot paths.
  *
- * Two building blocks with one goal: no per-packet (or per-event)
- * malloc/free once a run reaches steady state.
+ * Ring<T>: a power-of-two ring buffer with deque semantics
+ * (push_back/pop_front) and vector storage. A deque allocates and
+ * frees fixed-size chunks as its window slides — per-packet churn on
+ * wire and NIC queues; a ring reaches its high-water capacity once and
+ * never allocates again. Growth preserves FIFO order.
  *
- *  - SlabPool<T>: a slab-carved object pool with an explicit freelist.
- *    acquire() hands out value-reset objects, release() returns them
- *    for reuse; releasing an object twice or releasing a pointer the
- *    pool never issued is a fail-stop panic, not silent corruption.
- *    Slabs are never returned to the allocator mid-run, so pointers
- *    stay valid for the pool's lifetime.
- *
- *  - Ring<T>: a power-of-two ring buffer with deque semantics
- *    (push_back/pop_front) and vector storage. A deque allocates and
- *    frees fixed-size chunks as its window slides — per-packet churn on
- *    wire and NIC queues; a ring reaches its high-water capacity once
- *    and never allocates again. Growth preserves FIFO order.
- *
- * Rules (see DESIGN.md "Pooling rules"): pooled objects carry no
- * destructor-managed resources (they are trivially copyable values
- * like Packet); acquire() returns a fully value-initialised object —
- * never the previous occupant's state; containers that live in
+ * Rules (see DESIGN.md "Pooling rules"): containers that live in
  * steady-state paths reserve once and are reused via clear(), not
  * reconstructed.
  */
@@ -31,120 +18,9 @@
 
 #include <bit>
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "sim/logging.hh"
-
 namespace nmapsim {
-
-/**
- * Slab-carved object pool for trivially copyable value types.
- *
- * Objects are carved out of fixed-size slabs and recycled through a
- * freelist; the allocator is touched only when every previously carved
- * object is live. Double-release and foreign-pointer release are
- * detected and panic.
- */
-template <typename T>
-class SlabPool
-{
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "SlabPool is for value types without owned resources");
-    static_assert(std::is_default_constructible_v<T>,
-                  "SlabPool resets objects by value-initialisation");
-
-  public:
-    explicit SlabPool(std::size_t slab_objects = 256)
-        : slabObjects_(slab_objects)
-    {
-        if (slab_objects == 0)
-            panic("SlabPool slab size must be positive");
-    }
-
-    SlabPool(const SlabPool &) = delete;
-    SlabPool &operator=(const SlabPool &) = delete;
-
-    /** Fetch a value-initialised object (reused storage or new slab). */
-    T *
-    acquire()
-    {
-        if (freelist_.empty())
-            addSlab();
-        else
-            ++reused_;
-        const std::size_t idx = freelist_.back();
-        freelist_.pop_back();
-        if (!free_[idx])
-            panic("SlabPool freelist corruption");
-        free_[idx] = false;
-        ++live_;
-        T *obj = at(idx);
-        *obj = T(); // reset-on-reuse: never leak the previous occupant
-        return obj;
-    }
-
-    /** Return @p obj to the pool; must be a live pointer from acquire(). */
-    void
-    release(T *obj)
-    {
-        const std::size_t idx = indexOf(obj);
-        if (free_[idx])
-            panic("SlabPool double release");
-        free_[idx] = true;
-        --live_;
-        freelist_.push_back(idx);
-    }
-
-    /** @name Introspection (pool tests, leak accounting) */
-    /**@{*/
-    std::size_t liveObjects() const { return live_; }
-    std::size_t capacity() const { return slabs_.size() * slabObjects_; }
-    std::size_t slabCount() const { return slabs_.size(); }
-    /** Number of acquire() calls served from the freelist. */
-    std::uint64_t reuseCount() const { return reused_; }
-    /**@}*/
-
-  private:
-    T *
-    at(std::size_t idx)
-    {
-        return &slabs_[idx / slabObjects_][idx % slabObjects_];
-    }
-
-    std::size_t
-    indexOf(const T *obj) const
-    {
-        for (std::size_t s = 0; s < slabs_.size(); ++s) {
-            const T *base = slabs_[s].get();
-            if (obj >= base && obj < base + slabObjects_)
-                return s * slabObjects_ +
-                       static_cast<std::size_t>(obj - base);
-        }
-        panic("SlabPool release of a pointer it never issued");
-    }
-
-    void
-    addSlab()
-    {
-        slabs_.push_back(std::make_unique<T[]>(slabObjects_));
-        const std::size_t base = (slabs_.size() - 1) * slabObjects_;
-        free_.resize(free_.size() + slabObjects_, true);
-        // Issue low indices first: freelist_ is consumed from the back.
-        for (std::size_t i = slabObjects_; i > 0; --i)
-            freelist_.push_back(base + i - 1);
-    }
-
-    std::size_t slabObjects_;
-    std::vector<std::unique_ptr<T[]>> slabs_;
-    std::vector<std::size_t> freelist_; //!< indices ready for reuse
-    std::vector<char> free_;            //!< per-object free flag
-    std::size_t live_ = 0;
-    std::uint64_t reused_ = 0;
-};
 
 /**
  * Power-of-two ring buffer with deque semantics and vector storage.

@@ -77,16 +77,6 @@ toMicroseconds(Tick t)
 }
 
 /**
- * Number of simulated clock cycles that elapse in @p duration at
- * frequency @p freq_hz, rounded down.
- */
-constexpr double
-cyclesIn(Tick duration, double freq_hz)
-{
-    return toSeconds(duration) * freq_hz;
-}
-
-/**
  * Duration in ticks needed to execute @p cycles cycles at frequency
  * @p freq_hz, rounded up so that work never completes early.
  */

@@ -23,18 +23,10 @@ EnergyMeter::energyJoules(Tick now) const
     return j;
 }
 
-void
-EnergyMeter::resetAt(Tick now)
-{
-    joules_ = -watts_ * toSeconds(now - lastUpdate_);
-    // After this, energyJoules(now) == 0 and integration continues at
-    // the current power level.
-}
-
 double
 PackageEnergyMeter::energyJoules(Tick now) const
 {
-    double j = uncoreWatts_ * toSeconds(now - measureStart_);
+    double j = 0.0;
     for (std::size_t i = 0; i < meters_.size(); ++i) {
         double base = i < baseline_.size() ? baseline_[i] : 0.0;
         j += meters_[i]->energyJoules(now) - base;
@@ -45,7 +37,6 @@ PackageEnergyMeter::energyJoules(Tick now) const
 void
 PackageEnergyMeter::startMeasurement(Tick now)
 {
-    measureStart_ = now;
     baseline_.clear();
     baseline_.reserve(meters_.size());
     for (const EnergyMeter *m : meters_)

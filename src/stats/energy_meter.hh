@@ -3,8 +3,8 @@
  * RAPL-style integrating energy meter.
  *
  * Components report power-level changes as they happen; the meter
- * integrates power over simulated time. The package meter aggregates
- * per-core meters plus an uncore floor, mirroring how the paper reads
+ * integrates power over simulated time. The package meter sums the
+ * per-core meters and the uncore meter, mirroring how the paper reads
  * the RAPL package counter.
  */
 
@@ -35,9 +35,6 @@ class EnergyMeter
     /** Energy accumulated up to @p now, in joules. */
     double energyJoules(Tick now) const;
 
-    /** Forget energy accumulated before @p now (warm-up trimming). */
-    void resetAt(Tick now);
-
   private:
     double joules_ = 0.0;
     double watts_ = 0.0;
@@ -45,31 +42,23 @@ class EnergyMeter
 };
 
 /**
- * Sums several EnergyMeters plus a constant uncore/package floor; the
- * analogue of the RAPL package-energy counter the paper reports.
+ * Sums several EnergyMeters; the analogue of the RAPL package-energy
+ * counter the paper reports.
  */
 class PackageEnergyMeter
 {
   public:
-    explicit PackageEnergyMeter(double uncore_watts = 0.0)
-        : uncoreWatts_(uncore_watts)
-    {
-    }
-
     /** Register a per-core meter; the pointer must outlive this object. */
     void addMeter(const EnergyMeter *meter) { meters_.push_back(meter); }
 
-    double uncoreWatts() const { return uncoreWatts_; }
-
-    /** Total package energy accumulated in [measureStart, now]. */
+    /** Total package energy accumulated from startMeasurement() to
+     *  @p now. */
     double energyJoules(Tick now) const;
 
     /** Begin measuring at @p now (discards earlier accumulation). */
     void startMeasurement(Tick now);
 
   private:
-    double uncoreWatts_;
-    Tick measureStart_ = 0;
     std::vector<const EnergyMeter *> meters_;
     std::vector<double> baseline_;
 };

@@ -104,16 +104,6 @@ LatencyRecorder::trace() const
 }
 
 void
-LatencyRecorder::discardBefore(Tick cutoff)
-{
-    samples_.erase(std::remove_if(samples_.begin(), samples_.end(),
-                                  [cutoff](const LatencySample &s) {
-                                      return s.completionTime < cutoff;
-                                  }),
-                   samples_.end());
-}
-
-void
 LatencyRecorder::merge(LatencyRecorder &&other)
 {
     if (samples_.empty())

@@ -65,9 +65,6 @@ class LatencyRecorder
     /** All raw samples ordered by (completion time, latency). */
     std::vector<LatencySample> trace() const;
 
-    /** Drop all samples recorded before @p cutoff (warm-up trimming). */
-    void discardBefore(Tick cutoff);
-
     /** Append every sample of @p other and release its storage (e.g.
      *  cluster-wide percentiles from per-host recorders). */
     void merge(LatencyRecorder &&other);

@@ -67,20 +67,4 @@ Table::print(std::ostream &os) const
         emit_row(row);
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit_row = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            os << row[c];
-            if (c + 1 < row.size())
-                os << ',';
-        }
-        os << '\n';
-    };
-    emit_row(headers_);
-    for (const auto &row : rows_)
-        emit_row(row);
-}
-
 } // namespace nmapsim

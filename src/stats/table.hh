@@ -32,9 +32,6 @@ class Table
     /** Render the table with column padding and a separator rule. */
     void print(std::ostream &os) const;
 
-    /** Render as CSV (no padding). */
-    void printCsv(std::ostream &os) const;
-
     std::size_t numRows() const { return rows_.size(); }
 
   private:

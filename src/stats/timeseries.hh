@@ -43,7 +43,6 @@ class TimeSeries
     /** Number of buckets with any data (index of last touched + 1). */
     std::size_t numBuckets() const { return buckets_.size(); }
 
-    Tick bucketWidth() const { return bucketWidth_; }
     Tick start() const { return start_; }
 
     /** Sum/level in bucket @p i; buckets never touched read as 0 for

@@ -116,18 +116,6 @@ class Client
      */
     void setEntryTier(int tier);
 
-    /** First flow hash of this client's flow space. */
-    std::uint32_t flowBase() const { return flowBase_; }
-
-    /** True when @p pkt belongs to this client's flow space. */
-    bool
-    ownsFlow(const Packet &pkt) const
-    {
-        return pkt.flowHash >= flowBase_ &&
-               pkt.flowHash < flowBase_ + static_cast<std::uint32_t>(
-                                              numConnections_);
-    }
-
     int numConnections() const { return numConnections_; }
 
     /** Send one request on connection @p conn right now. */

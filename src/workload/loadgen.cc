@@ -98,7 +98,6 @@ LoadGenerator::setConnectionSkew(double skew)
 void
 LoadGenerator::onTrain()
 {
-    ++trains_;
     auto size = rng_.geometric(1.0 / trainMean_);
     int n = client_.numConnections();
     int conn;

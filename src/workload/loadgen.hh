@@ -69,8 +69,6 @@ class LoadGenerator
 
     double rps() const { return rps_; }
 
-    std::uint64_t trainsEmitted() const { return trains_; }
-
   private:
     void scheduleNextTrain();
     void onTrain();
@@ -85,7 +83,6 @@ class LoadGenerator
     double connSkew_ = 0.0;
     Tick origin_ = 0;
     bool running_ = false;
-    std::uint64_t trains_ = 0;
 
     EventFunctionWrapper trainEvent_;
 };

@@ -55,7 +55,6 @@ class ServerApp
      * the addressing fields. Configure before traffic starts.
      */
     void setForwardDownstream(bool forward) { forward_ = forward; }
-    bool forwardDownstream() const { return forward_; }
 
     /**
      * Multiplier on sampled service cycles (tier heterogeneity, e.g. a

@@ -204,6 +204,18 @@ TEST(ClusterTest, RejectsInvalidConfigs)
             {milliseconds(1), cfg.base.app.level(LoadLevel::kLow)});
         EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
     }
+    // The cluster run collects no traces, so asking for one must not
+    // run as if unset.
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.base.collectTraces = true;
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.base.collectLatencyTrace = true;
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
 
     // Every host is validated as a server at construction: errors in
     // the base config or in one host's overrides never reach run().
@@ -309,13 +321,15 @@ TEST(ClusterTest, RejectsPerHostOverlaysItCannotHonour)
         }
         return std::string();
     };
-    // Structured, cluster-wide and run-scoped keys configure the whole
-    // run, so one host cannot take them as an overlay. Both the struct
-    // and the text path refuse them, with the same message.
+    // Structured, cluster-wide, dispatch and run-scoped keys configure
+    // the whole run, so one host cannot take them as an overlay; nor
+    // can an undotted key name a params overlay. Both the struct and
+    // the text path refuse them, with the same message.
     for (const std::string key :
          {"os.jiffy", "nic.ring", "gov.up_delay", "burst.period",
-          "cluster.drain", "topology.tiers", "fault.wire_loss",
-          "client.retries", "resilience.deadline"}) {
+          "cluster.drain", "dispatch.vnodes", "topology.tiers",
+          "fault.wire_loss", "client.retries", "resilience.deadline",
+          "cores"}) {
         ClusterConfig cfg = smallCluster();
         cfg.hosts.resize(2);
         cfg.hosts[1].params.set(key, "1");
@@ -353,6 +367,16 @@ TEST(ClusterTest, ConfigSurvivesThePrintParseRoundTrip)
 
     ClusterConfig parsed = parseClusterConfig(printClusterConfig(cfg));
     EXPECT_EQ(parsed, cfg);
+}
+
+TEST(ClusterTest, PortQueueIsAnUnsignedInteger)
+{
+    // A negative limit must not wrap around to an unbounded queue.
+    ClusterConfig cfg = smallCluster();
+    EXPECT_THROW(setClusterConfigValue(cfg, "cluster.port_queue", "-1"),
+                 FatalError);
+    setClusterConfigValue(cfg, "cluster.port_queue", "64");
+    EXPECT_EQ(cfg.fabric.portQueueLimit, 64u);
 }
 
 TEST(ClusterTest, ClusterRecordCarriesPerHostColumns)

@@ -147,6 +147,9 @@ TEST(ConfigIoTest, UnknownHarnessStructKeyIsFatal)
     EXPECT_THROW(setConfigValue(cfg, "nic.ringsize", "1"), FatalError);
     EXPECT_THROW(setConfigValue(cfg, "burst.up", "1"), FatalError);
     EXPECT_THROW(setConfigValue(cfg, ".leading_dot", "1"), FatalError);
+    // The NIC always gets one queue per core, so the queue count is
+    // not a key.
+    EXPECT_THROW(setConfigValue(cfg, "nic.num_queues", "4"), FatalError);
 }
 
 TEST(ConfigIoTest, MalformedValuesAreFatal)

@@ -151,17 +151,6 @@ TEST(LatencyRecorderTest, TraceSortedByCompletionTime)
         EXPECT_LE(trace[i - 1].completionTime, trace[i].completionTime);
 }
 
-TEST(LatencyRecorderTest, DiscardBeforeDropsWarmup)
-{
-    LatencyRecorder r;
-    r.record(milliseconds(1), microseconds(10));
-    r.record(milliseconds(2), microseconds(20));
-    r.record(milliseconds(3), microseconds(30));
-    r.discardBefore(milliseconds(2));
-    EXPECT_EQ(r.count(), 2u);
-    EXPECT_EQ(r.percentile(0.0), microseconds(20));
-}
-
 TEST(LatencyRecorderTest, ClearEmptiesRecorder)
 {
     LatencyRecorder r = makeUniformRecorder(5);

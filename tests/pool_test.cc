@@ -1,153 +1,21 @@
 /**
  * @file
- * Lifecycle tests for the allocation-free containers in sim/pool.hh:
- * SlabPool (acquire/release/reuse, reset-on-reuse, double-free and
- * foreign-pointer fail-stops, pointer stability across slab growth)
- * and Ring (FIFO order through wraparound and growth, steady-state
- * zero allocation via the capacity high-water mark). The randomized
- * stress sections double as the ASan workout CI runs them under.
+ * Lifecycle tests for Ring, the allocation-free FIFO in sim/pool.hh:
+ * FIFO order through wraparound and growth, steady-state zero
+ * allocation via the capacity high-water mark. The randomized stress
+ * section doubles as the ASan workout CI runs it under.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <deque>
-#include <set>
-#include <vector>
 
-#include "sim/logging.hh"
 #include "sim/pool.hh"
 #include "sim/rng.hh"
 
 namespace nmapsim {
 namespace {
-
-struct Payload
-{
-    std::uint64_t id = 0;
-    double value = 0.0;
-    bool flag = false;
-};
-
-TEST(SlabPoolTest, AcquireReturnsValueInitialisedObjects)
-{
-    SlabPool<Payload> pool(4);
-    Payload *p = pool.acquire();
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(p->id, 0u);
-    EXPECT_EQ(p->value, 0.0);
-    EXPECT_FALSE(p->flag);
-    EXPECT_EQ(pool.liveObjects(), 1u);
-    pool.release(p);
-    EXPECT_EQ(pool.liveObjects(), 0u);
-}
-
-TEST(SlabPoolTest, ReleaseThenAcquireReusesStorageAndResets)
-{
-    SlabPool<Payload> pool(4);
-    Payload *p = pool.acquire();
-    p->id = 42;
-    p->value = 3.5;
-    p->flag = true;
-    pool.release(p);
-
-    // With one slab and one released object, the freelist must serve
-    // the same storage back — value-reset, not carrying the occupant.
-    Payload *q = pool.acquire();
-    EXPECT_EQ(q, p);
-    EXPECT_EQ(q->id, 0u);
-    EXPECT_EQ(q->value, 0.0);
-    EXPECT_FALSE(q->flag);
-    EXPECT_EQ(pool.reuseCount(), 1u);
-    pool.release(q);
-}
-
-TEST(SlabPoolTest, GrowsBySlabsAndKeepsPointersStable)
-{
-    SlabPool<Payload> pool(8);
-    std::vector<Payload *> live;
-    for (int i = 0; i < 50; ++i) {
-        Payload *p = pool.acquire();
-        p->id = static_cast<std::uint64_t>(i);
-        live.push_back(p);
-    }
-    EXPECT_EQ(pool.liveObjects(), 50u);
-    EXPECT_EQ(pool.slabCount(), 7u); // ceil(50/8)
-    EXPECT_EQ(pool.capacity(), 56u);
-
-    // Slab growth must not move previously issued objects.
-    for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(live[i]->id, static_cast<std::uint64_t>(i));
-
-    for (Payload *p : live)
-        pool.release(p);
-    EXPECT_EQ(pool.liveObjects(), 0u);
-
-    // Steady state: churning within capacity never adds a slab.
-    for (int round = 0; round < 200; ++round) {
-        Payload *p = pool.acquire();
-        pool.release(p);
-    }
-    EXPECT_EQ(pool.slabCount(), 7u);
-    EXPECT_GE(pool.reuseCount(), 200u);
-}
-
-TEST(SlabPoolTest, DoubleReleasePanics)
-{
-    SlabPool<Payload> pool(4);
-    Payload *p = pool.acquire();
-    pool.release(p);
-    EXPECT_THROW(pool.release(p), PanicError);
-}
-
-TEST(SlabPoolTest, ForeignPointerReleasePanics)
-{
-    SlabPool<Payload> pool(4);
-    Payload stack_obj;
-    EXPECT_THROW(pool.release(&stack_obj), PanicError);
-
-    // A pointer from a *different* pool is just as foreign.
-    SlabPool<Payload> other(4);
-    Payload *p = other.acquire();
-    EXPECT_THROW(pool.release(p), PanicError);
-    other.release(p);
-}
-
-TEST(SlabPoolTest, RandomChurnConservesAccounting)
-{
-    SlabPool<Payload> pool(16);
-    Rng rng(7);
-    std::vector<Payload *> live;
-    std::uint64_t next_id = 1;
-
-    for (int op = 0; op < 20000; ++op) {
-        if (live.empty() || rng.bernoulli(0.55)) {
-            Payload *p = pool.acquire();
-            // Reset-on-reuse means a fresh object every time, however
-            // scrambled the previous occupant left it.
-            ASSERT_EQ(p->id, 0u);
-            p->id = next_id++;
-            live.push_back(p);
-        } else {
-            const std::size_t i = static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<std::int64_t>(
-                                      live.size() - 1)));
-            live[i]->id = 0; // scramble before release
-            pool.release(live[i]);
-            live[i] = live.back();
-            live.pop_back();
-        }
-        ASSERT_EQ(pool.liveObjects(), live.size());
-        ASSERT_GE(pool.capacity(), pool.liveObjects());
-    }
-
-    // No aliasing: every live pointer is distinct storage.
-    std::set<Payload *> distinct(live.begin(), live.end());
-    EXPECT_EQ(distinct.size(), live.size());
-    for (Payload *p : live)
-        pool.release(p);
-    EXPECT_EQ(pool.liveObjects(), 0u);
-}
 
 TEST(RingTest, FifoOrderThroughWraparound)
 {

@@ -28,15 +28,6 @@ TEST(TableTest, FormatsAlignedColumns)
     EXPECT_NE(out.find("---"), std::string::npos);
 }
 
-TEST(TableTest, CsvOutput)
-{
-    Table t({"a", "b"});
-    t.addRow({"1", "2"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(TableTest, RowArityMismatchIsFatal)
 {
     Table t({"a", "b"});

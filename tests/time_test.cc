@@ -33,14 +33,6 @@ TEST(TimeTest, RoundTripThroughSeconds)
     EXPECT_NEAR(seconds(toSeconds(t)), t, 1);
 }
 
-TEST(TimeTest, CyclesIn)
-{
-    // 1 us at 1 GHz is 1000 cycles.
-    EXPECT_DOUBLE_EQ(cyclesIn(microseconds(1), 1e9), 1000.0);
-    // 1 ms at 3.2 GHz.
-    EXPECT_DOUBLE_EQ(cyclesIn(milliseconds(1), 3.2e9), 3.2e6);
-}
-
 TEST(TimeTest, TicksForCyclesRoundsUp)
 {
     // 1 cycle at 3 GHz is 1/3 ns; must round up to 1 tick so work

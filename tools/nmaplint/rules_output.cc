@@ -5,15 +5,14 @@
  * Bench stdouts are pinned byte-for-byte across refactors, and all
  * machine-readable results flow through ResultWriter. A stray
  * std::cout or printf in a governor or harness interleaves with (and
- * corrupts) that contract. Everything user-facing goes through the
- * logging helpers (sim/logging.hh: inform/warn/debugLog, which write
- * stderr) or the stats/result pipeline.
+ * corrupts) that contract. Results go through ResultWriter and the
+ * stats pipeline; diagnostics go to stderr.
  *
  * Scope: src/ except src/stats/ (the table/CSV/JSON renderers are the
- * sanctioned formatting layer) and src/sim/logging.* (the sanctioned
- * sink). stderr writes (fprintf(stderr, ...), std::cerr) are allowed:
- * diagnostics never mix into captured results. Waive deliberate
- * stdout writers with `// lint: raw-output-ok(<reason>)`.
+ * sanctioned formatting layer). stderr writes (fprintf(stderr, ...),
+ * std::cerr) are allowed: diagnostics never mix into captured
+ * results. Waive deliberate stdout writers with
+ * `// lint: raw-output-ok(<reason>)`.
  */
 
 #include "lint.hh"
@@ -27,8 +26,7 @@ class RawOutputRule : public LintRule
     bool
     appliesTo(const FileContext &file) const override
     {
-        return file.under("src/") && !file.under("src/stats/") &&
-               !file.under("src/sim/logging");
+        return file.under("src/") && !file.under("src/stats/");
     }
 
     void
@@ -42,14 +40,13 @@ class RawOutputRule : public LintRule
             if (hasToken(line, "cout"))
                 sink.report(lineNo, id,
                             "std::cout in simulator code; route output "
-                            "through ResultWriter or sim/logging.hh");
+                            "through ResultWriter or stderr");
             for (const char *fn : {"printf", "puts", "putchar"}) {
                 if (findCall(line, fn) != std::string::npos)
                     sink.report(lineNo, id,
                                 std::string(fn) +
                                     "() writes stdout; route output "
-                                    "through ResultWriter or "
-                                    "sim/logging.hh");
+                                    "through ResultWriter or stderr");
             }
             const std::size_t fp = findCall(line, "fprintf");
             if (fp != std::string::npos) {
@@ -63,7 +60,7 @@ class RawOutputRule : public LintRule
                     sink.report(lineNo, id,
                                 "fprintf(stdout, ...) in simulator "
                                 "code; route output through "
-                                "ResultWriter or sim/logging.hh");
+                                "ResultWriter or stderr");
             }
         }
     }
@@ -77,8 +74,8 @@ makeRawOutputRule()
 
 REGISTER_LINT_RULE(
     "raw-output", &makeRawOutputRule, "raw-output-ok",
-    "bans std::cout/printf-to-stdout in src/ outside stats/ and "
-    "sim/logging");
+    "bans std::cout/printf-to-stdout in src/ outside stats/; route "
+    "output through ResultWriter or stderr");
 
 } // namespace
 
