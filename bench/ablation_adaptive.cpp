@@ -30,13 +30,7 @@ using namespace nmapsim;
 
 namespace {
 
-struct Variant
-{
-    const char *name;
-    std::string policy;
-    double ni;
-    double cu;
-};
+using bench::Variant;
 
 std::vector<ExperimentConfig>
 appPoints(const AppProfile &app, const std::vector<Variant> &variants)
@@ -47,10 +41,7 @@ appPoints(const AppProfile &app, const std::vector<Variant> &variants)
              {LoadLevel::kLow, LoadLevel::kMed, LoadLevel::kHigh}) {
             ExperimentConfig cfg = bench::cellConfig(app, load,
                                                      v.policy);
-            if (v.policy == "NMAP") {
-                cfg.params.set("nmap.ni_th", v.ni);
-                cfg.params.set("nmap.cu_th", v.cu);
-            }
+            v.pinThresholds(cfg.params);
             points.push_back(cfg);
         }
     }

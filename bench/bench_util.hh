@@ -72,6 +72,27 @@ cellConfig(const AppProfile &app, LoadLevel load,
     return cfg;
 }
 
+/** One policy column of a bench: its label, its frequency policy and,
+ *  for NMAP, the thresholds that policy runs with. */
+struct Variant
+{
+    const char *name;
+    std::string policy;
+    double ni;
+    double cu;
+
+    /** Pin `nmap.ni_th`/`nmap.cu_th` when the policy is NMAP, so the
+     *  run never profiles. */
+    void
+    pinThresholds(PolicyParams &params) const
+    {
+        if (policy == "NMAP") {
+            params.set("nmap.ni_th", ni);
+            params.set("nmap.cu_th", cu);
+        }
+    }
+};
+
 /**
  * Optional machine-readable sink: when NMAPSIM_BENCH_JSON=PATH is set,
  * every (config, result) pair a bench runs through runAll() or

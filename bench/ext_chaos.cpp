@@ -32,13 +32,7 @@ using namespace nmapsim;
 
 namespace {
 
-struct Variant
-{
-    const char *name;
-    std::string policy;
-    double ni;
-    double cu;
-};
+using bench::Variant;
 
 struct Scenario
 {
@@ -99,10 +93,7 @@ pointConfig(const Scenario &scenario, const Variant &v)
     ClusterConfig cfg;
     cfg.base = bench::cellConfig(AppProfile::memcached(),
                                  LoadLevel::kHigh, v.policy);
-    if (v.policy == "NMAP") {
-        cfg.base.params.set("nmap.ni_th", v.ni);
-        cfg.base.params.set("nmap.cu_th", v.cu);
-    }
+    v.pinThresholds(cfg.base.params);
     cfg.numHosts = 2;
     cfg.dispatch = "least-outstanding";
     cfg.clientGroups = 2;

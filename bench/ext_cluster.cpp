@@ -32,13 +32,7 @@ using namespace nmapsim;
 
 namespace {
 
-struct Variant
-{
-    const char *name;
-    std::string policy;
-    double ni;
-    double cu;
-};
+using bench::Variant;
 
 ClusterConfig
 pointConfig(int hosts, const std::string &dispatch, const Variant &v)
@@ -46,10 +40,7 @@ pointConfig(int hosts, const std::string &dispatch, const Variant &v)
     ClusterConfig cfg;
     cfg.base = bench::cellConfig(AppProfile::memcached(),
                                  LoadLevel::kHigh, v.policy);
-    if (v.policy == "NMAP") {
-        cfg.base.params.set("nmap.ni_th", v.ni);
-        cfg.base.params.set("nmap.cu_th", v.cu);
-    }
+    v.pinThresholds(cfg.base.params);
     cfg.numHosts = hosts;
     cfg.dispatch = dispatch;
     // The default spill knee (16 in-flight) is sized for closed-loop

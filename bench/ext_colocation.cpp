@@ -34,13 +34,7 @@ using namespace nmapsim;
 
 namespace {
 
-struct Variant
-{
-    const char *name;
-    std::string policy;
-    double ni;
-    double cu;
-};
+using bench::Variant;
 
 ColocationConfig
 variantConfig(const TenantConfig &a, const TenantConfig &b,
@@ -51,10 +45,7 @@ variantConfig(const TenantConfig &a, const TenantConfig &b,
     cfg.freqPolicy = v.policy;
     cfg.duration = static_cast<Tick>(
         static_cast<double>(seconds(1)) * bench::durationScale());
-    if (v.policy == "NMAP") {
-        cfg.params.set("nmap.ni_th", v.ni);
-        cfg.params.set("nmap.cu_th", v.cu);
-    }
+    v.pinThresholds(cfg.params);
     return cfg;
 }
 

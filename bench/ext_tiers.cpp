@@ -32,13 +32,7 @@ using namespace nmapsim;
 
 namespace {
 
-struct Variant
-{
-    const char *name;
-    std::string policy;
-    double ni;
-    double cu;
-};
+using bench::Variant;
 
 Tick
 intoWindow(const ClusterConfig &cfg, double frac)
@@ -59,10 +53,7 @@ chainConfig(int depth, const std::string &dispatch, const Variant &v)
     ClusterConfig cfg;
     cfg.base = bench::cellConfig(AppProfile::memcached(),
                                  LoadLevel::kHigh, v.policy);
-    if (v.policy == "NMAP") {
-        cfg.base.params.set("nmap.ni_th", v.ni);
-        cfg.base.params.set("nmap.cu_th", v.cu);
-    }
+    v.pinThresholds(cfg.base.params);
     cfg.dispatch = dispatch;
     cfg.clientGroups = 2;
     cfg.drain = milliseconds(2);

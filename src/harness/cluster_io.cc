@@ -48,45 +48,42 @@ hostSpec(ClusterConfig &config, int id, const std::string &key)
     return config.hosts[static_cast<std::size_t>(id)];
 }
 
+/** Every cluster-level key once, in print order. */
+template <typename Config, typename Key>
+void
+clusterKeys(Config &c, Key &&key)
+{
+    key("hosts", c.numHosts);
+    key("dispatch", c.dispatch);
+    key("cluster.client_groups", c.clientGroups);
+    key("cluster.drain", c.drain);
+    key("cluster.fabric_bandwidth", c.fabric.fabricBandwidthBps);
+    key("cluster.fabric_latency", c.fabric.fabricLatency);
+    key("cluster.port_bandwidth", c.fabric.portBandwidthBps);
+    key("cluster.port_propagation", c.fabric.portPropagation);
+    key("cluster.port_queue", c.fabric.portQueueLimit);
+    key("cluster.health_interval", c.fabric.healthInterval);
+    key("cluster.health_timeout", c.fabric.healthTimeout);
+    key("cluster.eject_duration", c.fabric.ejectDuration);
+}
+
 } // namespace
 
 bool
 setClusterConfigValue(ClusterConfig &c, const std::string &key,
                       const std::string &value)
 {
-    int host = 0;
-    std::string rest;
-    if (key == "hosts") {
-        c.numHosts = parseConfigInt(value, key);
-        if (!c.hosts.empty())
+    ConfigKeySetter set{key, value};
+    clusterKeys(c, set);
+    if (set.found) {
+        if (key == "hosts" && !c.hosts.empty())
             fatal("config key 'hosts': set the host count before any "
                   "host<i>.* override");
-    } else if (key == "dispatch") {
-        c.dispatch = value;
-    } else if (key == "cluster.client_groups") {
-        c.clientGroups = parseConfigInt(value, key);
-    } else if (key == "cluster.drain") {
-        c.drain = PolicyParams::parseTick(value, key);
-    } else if (key == "cluster.fabric_bandwidth") {
-        c.fabric.fabricBandwidthBps =
-            PolicyParams::parseDouble(value, key);
-    } else if (key == "cluster.fabric_latency") {
-        c.fabric.fabricLatency = PolicyParams::parseTick(value, key);
-    } else if (key == "cluster.port_bandwidth") {
-        c.fabric.portBandwidthBps =
-            PolicyParams::parseDouble(value, key);
-    } else if (key == "cluster.port_propagation") {
-        c.fabric.portPropagation = PolicyParams::parseTick(value, key);
-    } else if (key == "cluster.port_queue") {
-        c.fabric.portQueueLimit =
-            static_cast<std::size_t>(parseConfigUint(value, key));
-    } else if (key == "cluster.health_interval") {
-        c.fabric.healthInterval = PolicyParams::parseTick(value, key);
-    } else if (key == "cluster.health_timeout") {
-        c.fabric.healthTimeout = PolicyParams::parseTick(value, key);
-    } else if (key == "cluster.eject_duration") {
-        c.fabric.ejectDuration = PolicyParams::parseTick(value, key);
-    } else if (key.rfind("cluster.", 0) == 0) {
+        return true;
+    }
+    int host = 0;
+    std::string rest;
+    if (key.rfind("cluster.", 0) == 0) {
         fatal("unknown config key '" + key + "'");
     } else if (key.rfind("topology.", 0) == 0) {
         // Topologies only exist behind the switch: claiming the key
@@ -121,23 +118,7 @@ printClusterConfig(const ClusterConfig &c)
         os << key << "=" << value << "\n";
     };
 
-    put("hosts", std::to_string(c.numHosts));
-    put("dispatch", c.dispatch);
-    put("cluster.client_groups", std::to_string(c.clientGroups));
-    put("cluster.drain", formatConfigTick(c.drain));
-    put("cluster.fabric_bandwidth",
-        PolicyParams::formatDouble(c.fabric.fabricBandwidthBps));
-    put("cluster.fabric_latency", formatConfigTick(c.fabric.fabricLatency));
-    put("cluster.port_bandwidth",
-        PolicyParams::formatDouble(c.fabric.portBandwidthBps));
-    put("cluster.port_propagation",
-        formatConfigTick(c.fabric.portPropagation));
-    put("cluster.port_queue",
-        std::to_string(c.fabric.portQueueLimit));
-    put("cluster.health_interval",
-        formatConfigTick(c.fabric.healthInterval));
-    put("cluster.health_timeout", formatConfigTick(c.fabric.healthTimeout));
-    put("cluster.eject_duration", formatConfigTick(c.fabric.ejectDuration));
+    clusterKeys(c, ConfigKeyPrinter{os});
 
     for (std::size_t i = 0; i < c.hosts.size(); ++i) {
         const HostSpec &spec = c.hosts[i];

@@ -19,41 +19,47 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-bool
-parseBool(const std::string &text, const std::string &key)
+/** Every schema key once, in print order. */
+template <typename Config, typename Key>
+void
+experimentKeys(Config &c, Key &&key)
 {
-    if (text == "true" || text == "1")
-        return true;
-    if (text == "false" || text == "0")
-        return false;
-    fatal("config key '" + key + "': not a bool: '" + text +
-          "' (use true/false)");
-}
-
-LoadLevel
-parseLoadLevel(const std::string &text, const std::string &key)
-{
-    if (text == "low")
-        return LoadLevel::kLow;
-    if (text == "med")
-        return LoadLevel::kMed;
-    if (text == "high")
-        return LoadLevel::kHigh;
-    fatal("config key '" + key + "': unknown load level '" + text +
-          "' (known: low, med, high)");
-}
-
-// Reuse the params-blob scalar grammar for doubles and durations.
-double
-parseDouble(const std::string &text, const std::string &key)
-{
-    return PolicyParams::parseDouble(text, key);
-}
-
-Tick
-parseTick(const std::string &text, const std::string &key)
-{
-    return PolicyParams::parseTick(text, key);
+    key("cpu_profile", c.cpuProfile);
+    key("cores", c.numCores);
+    key("app", c.app);
+    key("load", c.load);
+    key("rps_override", c.rpsOverride);
+    key("train_mean_override", c.trainMeanOverride);
+    key("duty_override", c.dutyOverride);
+    key("burst.period", c.burst.period);
+    key("burst.on_time", c.burst.onTime);
+    key("connection_skew", c.connectionSkew);
+    key("freq_policy", c.freqPolicy);
+    key("idle_policy", c.idlePolicy);
+    key("gov.sample_period", c.gov.samplePeriod);
+    key("gov.up_threshold", c.gov.upThreshold);
+    key("gov.down_threshold", c.gov.downThreshold);
+    key("gov.ewma_alpha", c.gov.ewmaAlpha);
+    key("os.irq_cycles", c.os.irqCycles);
+    key("os.poll_overhead_cycles", c.os.pollOverheadCycles);
+    key("os.rx_packet_cycles", c.os.rxPacketCycles);
+    key("os.tx_completion_cycles", c.os.txCompletionCycles);
+    key("os.napi_weight", c.os.napiWeight);
+    key("os.tx_clean_budget", c.os.txCleanBudget);
+    key("os.max_softirq_iters", c.os.maxSoftirqIters);
+    key("os.jiffy", c.os.jiffy);
+    key("os.max_softirq_time", c.os.maxSoftirqTime);
+    key("nic.rx_ring_size", c.nic.rxRingSize);
+    key("nic.itr", c.nic.itr);
+    key("nic.dma_latency", c.nic.dmaLatency);
+    key("connections", c.numConnections);
+    key("warmup", c.warmup);
+    key("duration", c.duration);
+    key("seed", c.seed);
+    key("collect_traces", c.collectTraces);
+    key("trace_bucket", c.traceBucket);
+    key("collect_latency_trace", c.collectLatencyTrace);
+    key("watch_core", c.watchCore);
 }
 
 } // namespace
@@ -84,10 +90,28 @@ parseConfigUint(const std::string &text, const std::string &key)
     return v;
 }
 
-std::string
-formatConfigTick(Tick t)
+bool
+parseConfigBool(const std::string &text, const std::string &key)
 {
-    return std::to_string(t) + "ns";
+    if (text == "true" || text == "1")
+        return true;
+    if (text == "false" || text == "0")
+        return false;
+    fatal("config key '" + key + "': not a bool: '" + text +
+          "' (use true/false)");
+}
+
+LoadLevel
+parseConfigLoadLevel(const std::string &text, const std::string &key)
+{
+    if (text == "low")
+        return LoadLevel::kLow;
+    if (text == "med")
+        return LoadLevel::kMed;
+    if (text == "high")
+        return LoadLevel::kHigh;
+    fatal("config key '" + key + "': unknown load level '" + text +
+          "' (known: low, med, high)");
 }
 
 void
@@ -117,52 +141,9 @@ std::string
 printConfig(const ExperimentConfig &c)
 {
     std::ostringstream os;
-    auto put = [&os](const std::string &key, const std::string &value) {
-        os << key << "=" << value << "\n";
-    };
-    auto fd = [](double v) { return PolicyParams::formatDouble(v); };
-
-    put("cpu_profile", c.cpuProfile);
-    put("cores", std::to_string(c.numCores));
-    put("app", c.app.name);
-    put("load", loadLevelName(c.load));
-    put("rps_override", fd(c.rpsOverride));
-    put("train_mean_override", fd(c.trainMeanOverride));
-    put("duty_override", fd(c.dutyOverride));
-    put("burst.period", formatConfigTick(c.burst.period));
-    put("burst.on_time", formatConfigTick(c.burst.onTime));
-    put("connection_skew", fd(c.connectionSkew));
-    put("freq_policy", c.freqPolicy);
-    put("idle_policy", c.idlePolicy);
-    put("gov.sample_period", formatConfigTick(c.gov.samplePeriod));
-    put("gov.up_threshold", fd(c.gov.upThreshold));
-    put("gov.down_threshold", fd(c.gov.downThreshold));
-    put("gov.ewma_alpha", fd(c.gov.ewmaAlpha));
-    put("os.irq_cycles", fd(c.os.irqCycles));
-    put("os.poll_overhead_cycles", fd(c.os.pollOverheadCycles));
-    put("os.rx_packet_cycles", fd(c.os.rxPacketCycles));
-    put("os.tx_completion_cycles", fd(c.os.txCompletionCycles));
-    put("os.napi_weight", std::to_string(c.os.napiWeight));
-    put("os.tx_clean_budget", std::to_string(c.os.txCleanBudget));
-    put("os.max_softirq_iters", std::to_string(c.os.maxSoftirqIters));
-    put("os.jiffy", formatConfigTick(c.os.jiffy));
-    put("os.max_softirq_time", formatConfigTick(c.os.maxSoftirqTime));
-    put("nic.rx_ring_size", std::to_string(c.nic.rxRingSize));
-    put("nic.itr", formatConfigTick(c.nic.itr));
-    put("nic.dma_latency", formatConfigTick(c.nic.dmaLatency));
-    put("connections", std::to_string(c.numConnections));
-    put("warmup", formatConfigTick(c.warmup));
-    put("duration", formatConfigTick(c.duration));
-    put("seed", std::to_string(c.seed));
-    put("collect_traces", c.collectTraces ? "true" : "false");
-    put("trace_bucket", formatConfigTick(c.traceBucket));
-    put("collect_latency_trace",
-        c.collectLatencyTrace ? "true" : "false");
-    put("watch_core", std::to_string(c.watchCore));
-
+    experimentKeys(c, ConfigKeyPrinter{os});
     for (const auto &[key, value] : c.params)
-        put(key, value);
-
+        os << key << "=" << value << "\n";
     return os.str();
 }
 
@@ -170,100 +151,20 @@ void
 setConfigValue(ExperimentConfig &c, const std::string &key,
                const std::string &value)
 {
-    // --- Flat keys ----------------------------------------------------
-    if (key == "cpu_profile") {
-        c.cpuProfile = value;
-    } else if (key == "cores") {
-        c.numCores = parseConfigInt(value, key);
-    } else if (key == "app") {
-        c.app = AppProfile::byName(value);
-    } else if (key == "load") {
-        c.load = parseLoadLevel(value, key);
-    } else if (key == "rps_override") {
-        c.rpsOverride = parseDouble(value, key);
-    } else if (key == "train_mean_override") {
-        c.trainMeanOverride = parseDouble(value, key);
-    } else if (key == "duty_override") {
-        c.dutyOverride = parseDouble(value, key);
-    } else if (key == "connection_skew") {
-        c.connectionSkew = parseDouble(value, key);
-    } else if (key == "freq_policy") {
-        c.freqPolicy = value;
-    } else if (key == "idle_policy") {
-        c.idlePolicy = value;
-    } else if (key == "connections") {
-        c.numConnections = parseConfigInt(value, key);
-    } else if (key == "warmup") {
-        c.warmup = parseTick(value, key);
-    } else if (key == "duration") {
-        c.duration = parseTick(value, key);
-    } else if (key == "seed") {
-        c.seed = parseConfigUint(value, key);
-    } else if (key == "collect_traces") {
-        c.collectTraces = parseBool(value, key);
-    } else if (key == "trace_bucket") {
-        c.traceBucket = parseTick(value, key);
-    } else if (key == "collect_latency_trace") {
-        c.collectLatencyTrace = parseBool(value, key);
-    } else if (key == "watch_core") {
-        c.watchCore = parseConfigInt(value, key);
+    ConfigKeySetter set{key, value};
+    experimentKeys(c, set);
+    if (set.found)
+        return;
 
-        // --- burst.* --------------------------------------------------
-    } else if (key == "burst.period") {
-        c.burst.period = parseTick(value, key);
-    } else if (key == "burst.on_time") {
-        c.burst.onTime = parseTick(value, key);
-
-        // --- gov.* ----------------------------------------------------
-    } else if (key == "gov.sample_period") {
-        c.gov.samplePeriod = parseTick(value, key);
-    } else if (key == "gov.up_threshold") {
-        c.gov.upThreshold = parseDouble(value, key);
-    } else if (key == "gov.down_threshold") {
-        c.gov.downThreshold = parseDouble(value, key);
-    } else if (key == "gov.ewma_alpha") {
-        c.gov.ewmaAlpha = parseDouble(value, key);
-
-        // --- os.* -----------------------------------------------------
-    } else if (key == "os.irq_cycles") {
-        c.os.irqCycles = parseDouble(value, key);
-    } else if (key == "os.poll_overhead_cycles") {
-        c.os.pollOverheadCycles = parseDouble(value, key);
-    } else if (key == "os.rx_packet_cycles") {
-        c.os.rxPacketCycles = parseDouble(value, key);
-    } else if (key == "os.tx_completion_cycles") {
-        c.os.txCompletionCycles = parseDouble(value, key);
-    } else if (key == "os.napi_weight") {
-        c.os.napiWeight = parseConfigInt(value, key);
-    } else if (key == "os.tx_clean_budget") {
-        c.os.txCleanBudget = parseConfigInt(value, key);
-    } else if (key == "os.max_softirq_iters") {
-        c.os.maxSoftirqIters = parseConfigInt(value, key);
-    } else if (key == "os.jiffy") {
-        c.os.jiffy = parseTick(value, key);
-    } else if (key == "os.max_softirq_time") {
-        c.os.maxSoftirqTime = parseTick(value, key);
-
-        // --- nic.* ----------------------------------------------------
-    } else if (key == "nic.rx_ring_size") {
-        c.nic.rxRingSize =
-            static_cast<std::size_t>(parseConfigUint(value, key));
-    } else if (key == "nic.itr") {
-        c.nic.itr = parseTick(value, key);
-    } else if (key == "nic.dma_latency") {
-        c.nic.dmaLatency = parseTick(value, key);
-
-        // --- Policy params passthrough --------------------------------
-    } else {
-        std::size_t dot = key.find('.');
-        if (dot == std::string::npos || dot == 0)
-            fatal("unknown config key '" + key + "'");
-        std::string prefix = key.substr(0, dot);
-        if (prefix == "gov" || prefix == "burst" || prefix == "os" ||
-            prefix == "nic")
-            fatal("unknown config key '" + key + "'");
-        c.params.set(key, value);
-    }
+    // Policy params passthrough.
+    std::size_t dot = key.find('.');
+    if (dot == std::string::npos || dot == 0)
+        fatal("unknown config key '" + key + "'");
+    std::string prefix = key.substr(0, dot);
+    if (prefix == "gov" || prefix == "burst" || prefix == "os" ||
+        prefix == "nic")
+        fatal("unknown config key '" + key + "'");
+    c.params.set(key, value);
 }
 
 ExperimentConfig

@@ -199,9 +199,8 @@ struct RunCounters
     std::uint64_t shedDeadline = 0;  //!< server past-deadline sheds
     /**@}*/
 
-    /** @name Engine counters (bench/perf_core and perfbench; never
-     *  serialised — they describe the simulator, not the simulated
-     *  system) */
+    /** @name Engine counters (perfbench only; never serialised —
+     *  they describe the simulator, not the simulated system) */
     /**@{*/
     std::uint64_t eventsProcessed = 0; //!< kernel events fired, whole run
     /**@}*/

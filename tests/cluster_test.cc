@@ -356,8 +356,15 @@ TEST(ClusterTest, ConfigSurvivesThePrintParseRoundTrip)
     cfg.numHosts = 3;
     cfg.dispatch = "consistent-hash";
     cfg.clientGroups = 2;
-    cfg.fabric.portQueueLimit = 128;
+    cfg.drain = milliseconds(3);
+    cfg.fabric.fabricBandwidthBps = 25e9;
     cfg.fabric.fabricLatency = microseconds(3);
+    cfg.fabric.portBandwidthBps = 2.5e9;
+    cfg.fabric.portPropagation = microseconds(7);
+    cfg.fabric.portQueueLimit = 128;
+    cfg.fabric.healthInterval = microseconds(200);
+    cfg.fabric.healthTimeout = milliseconds(1);
+    cfg.fabric.ejectDuration = milliseconds(2);
     cfg.hosts.resize(3);
     cfg.hosts[0].freqPolicy = "ondemand";
     cfg.hosts[1].weight = 2.5;

@@ -232,14 +232,6 @@ TEST(LintTest, ExplicitPathsSkipProjectPhaseUnlessRequested)
         << project.out;
 }
 
-TEST(LintTest, ParallelJobsOutputIsByteIdenticalToSerial)
-{
-    const RunResult serial = lintProjectTree("--jobs 1");
-    const RunResult parallel = lintProjectTree("--jobs 8");
-    EXPECT_EQ(serial.exitCode, parallel.exitCode);
-    EXPECT_EQ(serial.out, parallel.out);
-}
-
 std::string
 readFileOrEmpty(const std::string &path)
 {
@@ -254,13 +246,6 @@ goldenPath(const std::string &name)
 {
     return std::string(NMAPSIM_SOURCE_DIR) + "/tests/golden/lint/" +
            name;
-}
-
-TEST(LintTest, JsonOutputMatchesGoldenSnapshot)
-{
-    const RunResult r = lintProjectTree("--format json");
-    EXPECT_EQ(r.exitCode, 1);
-    EXPECT_EQ(r.out, readFileOrEmpty(goldenPath("project.json")));
 }
 
 TEST(LintTest, SarifOutputMatchesGoldenSnapshot)
@@ -376,6 +361,7 @@ TEST(LintTest, ChangedLintsOnlyGitModifiedFiles)
 TEST(LintTest, UnknownFormatIsUsageError)
 {
     EXPECT_EQ(run("--format yaml").exitCode, 2);
+    EXPECT_EQ(run("--format json").exitCode, 2);
 }
 
 TEST(LintTest, ListRulesNamesEveryRule)

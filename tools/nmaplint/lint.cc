@@ -2,18 +2,16 @@
  * @file
  * nmaplint core implementation: code-view stripping, token matching,
  * the rule registry, waiver handling and the two-phase driver (the
- * parallel per-file pass, then the serial project pass).
+ * per-file pass, then the project pass).
  */
 
 #include "lint.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 namespace nmaplint {
 
@@ -652,29 +650,11 @@ lintPaths(const std::vector<std::string> &files, const std::string &root,
     if (!prefix.empty() && prefix.back() != '/')
         prefix += '/';
 
-    // Phase 1: per-file rules, embarrassingly parallel. Results are
-    // slotted by input index, so the merged finding list — and with it
-    // every output format — is byte-identical for any job count.
-    std::vector<FileResult> results(files.size());
-    const int jobs = std::max(
-        1, std::min(options.jobs, static_cast<int>(files.size())));
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < files.size(); ++i)
-            results[i] = lintOnePath(files[i], prefix);
-    } else {
-        std::atomic<std::size_t> next{0};
-        auto worker = [&]() {
-            for (std::size_t i = next.fetch_add(1); i < files.size();
-                 i = next.fetch_add(1))
-                results[i] = lintOnePath(files[i], prefix);
-        };
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(jobs));
-        for (int t = 0; t < jobs; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
+    // Phase 1: per-file rules, one file at a time.
+    std::vector<FileResult> results;
+    results.reserve(files.size());
+    for (const std::string &file : files)
+        results.push_back(lintOnePath(file, prefix));
 
     std::vector<Finding> findings;
     for (FileResult &r : results)
@@ -682,8 +662,7 @@ lintPaths(const std::vector<std::string> &files, const std::string &root,
                         std::make_move_iterator(r.findings.begin()),
                         std::make_move_iterator(r.findings.end()));
 
-    // Phase 2: project rules over the whole loaded tree, serial (the
-    // include graph and waiver-usage record are shared state).
+    // Phase 2: project rules over the whole loaded tree.
     if (options.project) {
         ProjectContext project(root);
         for (FileResult &r : results) {

@@ -20,8 +20,7 @@
  *
  * The pass runs in two phases:
  *
- *  1. Per-file rules (LintRule) see one FileContext at a time and run
- *     embarrassingly parallel under `--jobs N`.
+ *  1. Per-file rules (LintRule) see one FileContext at a time.
  *  2. Project rules (ProjectRule) see the whole loaded tree through a
  *     ProjectContext — the `#include` graph, every file's waiver
  *     usage, and non-source documents like README.md — and check
@@ -436,9 +435,6 @@ void lintFile(const FileContext &file, std::vector<Finding> &out,
 /** Scan controls for lintPaths(). */
 struct LintOptions
 {
-    /** Worker threads for the per-file phase; findings are merged and
-     *  sorted afterwards, so output is byte-identical for any value. */
-    int jobs = 1;
     /** Run the project phase (include graph + ProjectRules) after the
      *  per-file phase. */
     bool project = false;
@@ -460,17 +456,13 @@ std::string waiverComment(const std::string &ruleIdOrToken,
                           const std::string &reason);
 
 /** @name Output emitters
- * All emitters consume sorted findings and produce byte-stable text:
- * field order is fixed and nothing depends on scan order or thread
- * count.
+ * Both emitters consume sorted findings and produce byte-stable text:
+ * field order is fixed and nothing depends on scan order.
  */
 /**@{*/
 
 /** `file:line: rule: message` lines, one per finding. */
 std::string renderText(const std::vector<Finding> &findings);
-
-/** A stable JSON array of {file, line, rule, message} objects. */
-std::string renderJson(const std::vector<Finding> &findings);
 
 /** A SARIF 2.1.0 log: one run, driver "nmaplint", one result per
  *  finding; rule metadata is emitted for every rule that fired. */

@@ -7,9 +7,7 @@
  *     nmaplint --waive RULE REASON...     print the waiver comment
  *
  * Options:
- *     --format text|json|sarif  output format (default text)
- *     --jobs N                  per-file phase worker threads; output
- *                               is byte-identical for any N
+ *     --format text|sarif       output format (default text)
  *     --changed                 lint only git-modified files (fast
  *                               pre-commit loop; per-file phase only)
  *     --project                 force the project phase for explicit
@@ -32,7 +30,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -144,7 +141,7 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--root DIR] [--format text|json|sarif] [--jobs N]\n"
+        "usage: %s [--root DIR] [--format text|sarif]\n"
         "       %*s [--changed] [--project] [PATH...]\n"
         "       %s --list-rules\n"
         "       %s --waive RULE REASON...\n"
@@ -207,7 +204,6 @@ main(int argc, char **argv)
     std::string root = fs::current_path().string();
     std::string format = "text";
     std::vector<std::string> paths;
-    int jobs = 1;
     bool changed = false;
     bool forceProject = false;
 
@@ -236,22 +232,10 @@ main(int argc, char **argv)
             if (++i >= argc)
                 return usage(argv[0]);
             format = argv[i];
-            if (format != "text" && format != "json" &&
-                format != "sarif") {
+            if (format != "text" && format != "sarif") {
                 std::fprintf(stderr,
                              "nmaplint: unknown format '%s'\n",
                              format.c_str());
-                return 2;
-            }
-        } else if (arg == "--jobs") {
-            if (++i >= argc)
-                return usage(argv[0]);
-            jobs = std::atoi(argv[i]);
-            if (jobs < 1) {
-                std::fprintf(stderr,
-                             "nmaplint: --jobs wants a positive "
-                             "thread count, got '%s'\n",
-                             argv[i]);
                 return 2;
             }
         } else if (arg == "--changed") {
@@ -271,7 +255,6 @@ main(int argc, char **argv)
 
     std::vector<std::string> files;
     nmaplint::LintOptions options;
-    options.jobs = jobs;
     if (changed) {
         files = changedFiles(root);
         options.project = forceProject;
@@ -298,13 +281,9 @@ main(int argc, char **argv)
     const std::vector<nmaplint::Finding> findings =
         nmaplint::lintPaths(files, root, options);
 
-    std::string rendered;
-    if (format == "json")
-        rendered = nmaplint::renderJson(findings);
-    else if (format == "sarif")
-        rendered = nmaplint::renderSarif(findings);
-    else
-        rendered = nmaplint::renderText(findings);
+    const std::string rendered = format == "sarif"
+                                     ? nmaplint::renderSarif(findings)
+                                     : nmaplint::renderText(findings);
     std::fwrite(rendered.data(), 1, rendered.size(), stdout);
 
     if (findings.empty()) {

@@ -1,10 +1,9 @@
 /**
  * @file
- * Output emitters: text, JSON and SARIF 2.1.0 renderings of a sorted
- * finding list. All three are byte-stable — field order is fixed,
- * rule metadata is sorted, and nothing depends on scan order or the
- * `--jobs` thread count — so golden-file tests can pin them and the
- * serial-vs-parallel byte-identity gate holds for every format.
+ * Output emitters: text and SARIF 2.1.0 renderings of a sorted
+ * finding list. Both are byte-stable — field order is fixed, rule
+ * metadata is sorted, and nothing depends on scan order — so
+ * golden-file tests can pin them.
  */
 
 #include "lint.hh"
@@ -83,24 +82,6 @@ renderText(const std::vector<Finding> &findings)
         out += f.message;
         out += '\n';
     }
-    return out;
-}
-
-std::string
-renderJson(const std::vector<Finding> &findings)
-{
-    std::string out = "[\n";
-    for (std::size_t i = 0; i < findings.size(); ++i) {
-        const Finding &f = findings[i];
-        out += "  {\"file\": " + quoted(f.file);
-        out += ", \"line\": " + std::to_string(f.line);
-        out += ", \"rule\": " + quoted(f.rule);
-        out += ", \"message\": " + quoted(f.message) + "}";
-        if (i + 1 < findings.size())
-            out += ',';
-        out += '\n';
-    }
-    out += "]\n";
     return out;
 }
 

@@ -5,10 +5,10 @@
  *
  * Code-side keys are harvested from three places:
  *
- *   1. the `key == "..."` dispatch chains in
- *      src/harness/config_io.cc and src/harness/cluster_io.cc (plus
- *      cluster_io's `rest == "..."` per-host suffixes, documented as
- *      `host<i>.<suffix>`),
+ *   1. the `key("...", field)` schema entries and `key == "..."`
+ *      comparisons in src/harness/config_io.cc and
+ *      src/harness/cluster_io.cc (plus cluster_io's `rest == "..."`
+ *      per-host suffixes, documented as `host<i>.<suffix>`),
  *   2. PolicyParams getter calls anywhere under src/ —
  *      getDouble/getInt/getBool/getTick/has/raw — whose first
  *      argument is a dotted string literal, and
@@ -30,6 +30,7 @@
 #include "lint.hh"
 
 #include <cctype>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -147,15 +148,15 @@ harvestComparisons(const FileContext &file, const std::string &var,
     }
 }
 
-/** Harvest dotted string-literal first arguments of PolicyParams
- *  getter calls. */
+/** Harvest string-literal first arguments of calls to @p fns; with
+ *  @p dottedOnly, only the dotted ones. */
 void
-harvestGetters(const FileContext &file, KeySet &keys)
+harvestCalls(const FileContext &file,
+             std::initializer_list<const char *> fns, bool dottedOnly,
+             KeySet &keys)
 {
-    static const char *kGetters[] = {"getDouble", "getInt", "getBool",
-                                     "getTick", "has", "raw"};
     const std::string &code = file.codeText();
-    for (const char *fn : kGetters) {
+    for (const char *fn : fns) {
         for (std::size_t pos = findCall(code, fn);
              pos != std::string::npos;
              pos = findCall(code, fn, pos + 1)) {
@@ -180,7 +181,8 @@ harvestGetters(const FileContext &file, KeySet &keys)
             std::string literal;
             if (!literalAt(file, open + 1, argEnd, literal))
                 continue;
-            if (literal.find('.') != std::string::npos &&
+            if ((!dottedOnly ||
+                 literal.find('.') != std::string::npos) &&
                 keyGrammar(literal))
                 keys.add(literal, file.path(), file.lineOf(pos));
         }
@@ -282,11 +284,16 @@ class ConfigDocRule : public ProjectRule
             const bool ioFile =
                 file->path() == "src/harness/config_io.cc" ||
                 file->path() == "src/harness/cluster_io.cc";
-            if (ioFile)
+            if (ioFile) {
                 harvestComparisons(*file, "key", "", code);
+                harvestCalls(*file, {"key"}, false, code);
+            }
             if (file->path() == "src/harness/cluster_io.cc")
                 harvestComparisons(*file, "rest", "host<i>.", code);
-            harvestGetters(*file, code);
+            harvestCalls(*file,
+                         {"getDouble", "getInt", "getBool", "getTick",
+                          "has", "raw"},
+                         true, code);
             harvestTemplates(*file, code);
         }
 
