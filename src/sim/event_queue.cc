@@ -34,54 +34,70 @@ EventFunctionWrapper::EventFunctionWrapper(std::function<void()> callback,
 EventQueue::EventQueue()
     : buckets_(kBucketCount)
 {
+    farHead_.fill(kNoNode);
 }
 
 void
-EventQueue::setBit(int slot)
+EventQueue::Occupancy::set(int slot)
 {
     words_[static_cast<std::size_t>(slot >> 6)] |=
         std::uint64_t{1} << (slot & 63);
-    summary_[static_cast<std::size_t>(slot >> 12)] |=
-        std::uint64_t{1} << ((slot >> 6) & 63);
 }
 
 void
-EventQueue::clearBit(int slot)
+EventQueue::Occupancy::clear(int slot)
 {
-    const int w = slot >> 6;
-    words_[static_cast<std::size_t>(w)] &=
+    words_[static_cast<std::size_t>(slot >> 6)] &=
         ~(std::uint64_t{1} << (slot & 63));
-    if (words_[static_cast<std::size_t>(w)] == 0)
-        summary_[static_cast<std::size_t>(slot >> 12)] &=
-            ~(std::uint64_t{1} << (w & 63));
 }
 
 int
-EventQueue::findSlot(int from) const
+EventQueue::Occupancy::first(int from) const
 {
-    if (from >= kBucketCount)
-        return kBucketCount;
-    const int w = from >> 6;
-    const std::uint64_t first =
-        words_[static_cast<std::size_t>(w)] &
-        (~std::uint64_t{0} << (from & 63));
-    if (first != 0)
-        return (w << 6) + std::countr_zero(first);
-    int sw = (w + 1) >> 6;
-    if (sw >= kSummaryWordCount)
-        return kBucketCount;
-    std::uint64_t sword = summary_[static_cast<std::size_t>(sw)] &
-                          (~std::uint64_t{0} << ((w + 1) & 63));
+    if (from >= kSlots)
+        return kSlots;
+    int w = from >> 6;
+    std::uint64_t word = words_[static_cast<std::size_t>(w)] &
+                         (~std::uint64_t{0} << (from & 63));
     for (;;) {
-        if (sword != 0) {
-            const int wi = (sw << 6) + std::countr_zero(sword);
-            return (wi << 6) +
-                   std::countr_zero(
-                       words_[static_cast<std::size_t>(wi)]);
+        if (word != 0)
+            return (w << 6) + std::countr_zero(word);
+        if (++w == kSlots / 64)
+            return kSlots;
+        word = words_[static_cast<std::size_t>(w)];
+    }
+}
+
+std::int64_t
+EventQueue::farWindow(int slot) const
+{
+    return window() + ((slot - window()) & kFarMask);
+}
+
+void
+EventQueue::place(const Entry &e)
+{
+    const std::int64_t ahead = (e.when >> kWindowShift) - window();
+    if (ahead == 0) {
+        insertWheel(e, e.when >> kBucketShift);
+    } else if (ahead < kFarCount) {
+        const int slot = static_cast<int>((e.when >> kWindowShift) &
+                                          kFarMask);
+        std::uint32_t &head = farHead_[static_cast<std::size_t>(slot)];
+        std::uint32_t node = farFree_;
+        if (node == kNoNode) {
+            node = static_cast<std::uint32_t>(farNodes_.size());
+            farNodes_.push_back(FarNode{e, head});
+        } else {
+            farFree_ = farNodes_[node].next;
+            farNodes_[node] = FarNode{e, head};
         }
-        if (++sw >= kSummaryWordCount)
-            return kBucketCount;
-        sword = summary_[static_cast<std::size_t>(sw)];
+        head = node;
+        farBits_.set(slot);
+    } else {
+        overflow_.push_back(e);
+        std::push_heap(overflow_.begin(), overflow_.end(),
+                       std::greater<Entry>{});
     }
 }
 
@@ -108,7 +124,7 @@ EventQueue::insertWheel(const Entry &e, std::int64_t bucket)
     }
     const int slot = static_cast<int>(bucket & kSlotMask);
     buckets_[static_cast<std::size_t>(slot)].push_back(e);
-    setBit(slot);
+    wheelBits_.set(slot);
     if (slot < cursorSlot_)
         cursorSlot_ = slot;
 }
@@ -126,7 +142,7 @@ EventQueue::flushActive()
     for (std::size_t i = activePos_; i < active_.size(); ++i)
         bucket.push_back(active_[i]);
     if (!bucket.empty())
-        setBit(slot);
+        wheelBits_.set(slot);
     active_.clear();
     activePos_ = 0;
     activeValid_ = false;
@@ -148,10 +164,10 @@ EventQueue::findNext()
             activePos_ = 0;
             activeValid_ = false;
         }
-        const int slot = findSlot(cursorSlot_);
+        const int slot = wheelBits_.first(cursorSlot_);
         if (slot < kBucketCount) {
             active_.swap(buckets_[static_cast<std::size_t>(slot)]);
-            clearBit(slot);
+            wheelBits_.clear(slot);
             // A bucket holds a handful of entries; inline insertion
             // sort beats the std::sort call at those sizes. (Entries
             // never compare equal — seq is unique — so the sorts
@@ -174,6 +190,9 @@ EventQueue::findNext()
             continue;
         }
         cursorSlot_ = kBucketCount;
+        farNext_ = findFar();
+        if (farNext_ >= 0)
+            return Next::kFar;
         while (!overflow_.empty() && stale(overflow_.front())) {
             std::pop_heap(overflow_.begin(), overflow_.end(),
                           std::greater<Entry>{});
@@ -183,26 +202,90 @@ EventQueue::findNext()
     }
 }
 
+int
+EventQueue::findFar()
+{
+    // The current window's slot is empty, so scanning from the slot
+    // after it and wrapping once meets the later windows in order.
+    const int current = static_cast<int>(window() & kFarMask);
+    for (;;) {
+        int slot = farBits_.first(current + 1);
+        if (slot == Occupancy::kSlots)
+            slot = farBits_.first(0);
+        if (slot == Occupancy::kSlots)
+            return -1;
+        for (std::uint32_t n = farHead_[static_cast<std::size_t>(slot)];
+             n != kNoNode; n = farNodes_[n].next) {
+            if (!stale(farNodes_[n].entry))
+                return slot;
+        }
+        // Nothing fresh: release the slot but keep the epoch. Moving it
+        // with nothing to fire would leave the window ahead of now(),
+        // and the next schedule(now() + 1) would land behind it.
+        releaseFar(slot);
+    }
+}
+
+void
+EventQueue::releaseFar(int slot)
+{
+    std::uint32_t &head = farHead_[static_cast<std::size_t>(slot)];
+    while (head != kNoNode) {
+        const std::uint32_t node = head;
+        head = farNodes_[node].next;
+        farNodes_[node].next = farFree_;
+        farFree_ = node;
+    }
+    farBits_.clear(slot);
+}
+
+void
+EventQueue::advanceFar(int slot)
+{
+    // Caller guarantees the wheel is empty and the slot holds a fresh
+    // entry. Re-base the window at the slot's window and spread its
+    // fresh entries over the wheel's buckets; the bucket sort at
+    // activation restores (when, priority, seq) order.
+    epochBase_ = farWindow(slot) << kWindowBits;
+    for (std::uint32_t n = farHead_[static_cast<std::size_t>(slot)];
+         n != kNoNode; n = farNodes_[n].next) {
+        const Entry &e = farNodes_[n].entry;
+        if (!stale(e))
+            insertWheel(e, e.when >> kBucketShift);
+    }
+    releaseFar(slot);
+    pullOverflow();
+}
+
 void
 EventQueue::advanceEpoch()
 {
-    // Caller guarantees the wheel is empty and overflow_.front() is
-    // fresh. Re-base the window at that event's (aligned) epoch and
-    // pull in every overflow entry that now lands inside it; the
-    // front event fires immediately afterwards, which restores the
-    // epochBase_ <= bucket(now_) invariant before any user code runs.
+    // Caller guarantees the wheel and the ring are empty and
+    // overflow_.front() is fresh. Re-base the window at that event's
+    // (aligned) epoch; the front event fires immediately afterwards,
+    // which restores the epochBase_ <= bucket(now_) invariant before
+    // any user code runs.
     const std::int64_t front =
         overflow_.front().when >> kBucketShift;
     epochBase_ = front & ~static_cast<std::int64_t>(kSlotMask);
+    pullOverflow();
+}
+
+void
+EventQueue::pullOverflow()
+{
+    // Every overflow entry lies at least kFarCount windows past the
+    // window before this re-base; those the window's move brought
+    // within reach drop into the ring, or into the wheel.
+    const std::int64_t limit = window() + kFarCount;
     while (!overflow_.empty() &&
-           (overflow_.front().when >> kBucketShift) <
-               epochBase_ + kBucketCount) {
+           (overflow_.front().when >> kWindowShift) < limit) {
         const Entry e = overflow_.front();
         std::pop_heap(overflow_.begin(), overflow_.end(),
                       std::greater<Entry>{});
         overflow_.pop_back();
         if (!stale(e))
-            insertWheel(e, e.when >> kBucketShift);
+            place(e);
     }
 }
 
@@ -232,17 +315,9 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->when_ = when;
     ev->seq_ = nextSeq_;
     ev->scheduled_ = true;
-    const Entry e{when, ev->priority_, nextSeq_++, ev};
-    const std::int64_t bucket = when >> kBucketShift;
-    if (bucket < epochBase_)
+    if ((when >> kBucketShift) < epochBase_)
         panic("event queue window behind now");
-    if (bucket >= epochBase_ + kBucketCount) {
-        overflow_.push_back(e);
-        std::push_heap(overflow_.begin(), overflow_.end(),
-                       std::greater<Entry>{});
-    } else {
-        insertWheel(e, bucket);
-    }
+    place(Entry{when, ev->priority_, nextSeq_++, ev});
     ++numPending_;
 }
 
@@ -272,6 +347,9 @@ EventQueue::step()
         switch (findNext()) {
         case Next::kNone:
             return false;
+        case Next::kFar:
+            advanceFar(farNext_);
+            continue;
         case Next::kOverflow:
             advanceEpoch();
             continue;
@@ -289,6 +367,15 @@ EventQueue::runUntil(Tick end)
         const Next next = findNext();
         if (next == Next::kNone)
             break;
+        if (next == Next::kFar) {
+            // Enter the window only once end reaches its start, so
+            // the closing now_ = max(now_, end) keeps the window at or
+            // behind now().
+            if ((farWindow(farNext_) << kWindowShift) > end)
+                break;
+            advanceFar(farNext_);
+            continue;
+        }
         if (next == Next::kOverflow) {
             // Skipping stale entries (inside findNext) never advances
             // time; stopping short of a future event does not either.

@@ -9,16 +9,21 @@
  * reschedule-heavy paths (CPU slice preemption, interrupt moderation)
  * cheap.
  *
- * Internally the queue is a calendar queue (a timing wheel with an
- * overflow heap), not a binary heap: the wheel covers a sliding window
- * of 2^8 buckets of 2^9 ticks each (~131 us of 512 ns buckets), events
- * beyond the window wait in a min-heap and are pulled in when the wheel
- * runs dry. Near-term scheduling — the simulator's overwhelmingly common
- * case — is O(1) bucket insertion plus a small per-bucket sort at
- * consumption time, instead of an O(log n) sift over every pending
- * event. The ordering contract is identical to the old heap and is
- * pinned by tests/event_queue_diff_test.cc, which drives this queue and
- * a reference heap implementation through randomized schedules and
+ * Internally the queue is a three-level calendar queue, not a binary
+ * heap:
+ *  - the wheel: 2^8 buckets of 2^9 ticks each, one ~131 us window of
+ *    512 ns buckets, sorted a bucket at a time as it is consumed;
+ *  - the far ring: one unsorted slot per later window, 2^8 slots
+ *    (~33.5 ms), cascaded into the wheel when the wheel runs dry;
+ *  - an overflow min-heap for anything beyond the ring.
+ * Near-term scheduling, the simulator's overwhelmingly common case, is
+ * O(1) bucket insertion plus a small per-bucket sort at consumption
+ * time. The common far-future event is a client's per-request timeout,
+ * re-armed on every send and response; it is one node linked into a far
+ * slot instead of an O(log n) heap sift. The ordering contract is
+ * identical to the old heap and is pinned by
+ * tests/event_queue_diff_test.cc, which drives this queue and a
+ * reference heap implementation through randomized schedules and
  * demands bit-identical firing order (see DESIGN.md).
  */
 
@@ -174,7 +179,11 @@ class EventQueue
     /** Schedule @p ev to fire @p delay ticks from now. */
     void scheduleIn(Event *ev, Tick delay) { schedule(ev, now_ + delay); }
 
-    /** Remove a pending event; no-op fields if not scheduled. */
+    /**
+     * Remove a pending event lazily: it stops counting as pending and
+     * its calendar entry is dropped when reached. A no-op when @p ev
+     * is not scheduled.
+     */
     void deschedule(Event *ev);
 
     /** Deschedule (if needed) then schedule at @p when. */
@@ -228,22 +237,53 @@ class EventQueue
     {
         kNone,     //!< queue drained (pending entries were all stale)
         kActive,   //!< active_[activePos_] is fresh
-        kOverflow, //!< wheel empty; overflow_.front() is fresh
+        kFar,      //!< wheel empty; far slot farNext_ holds a fresh entry
+        kOverflow, //!< wheel and ring empty; overflow_.front() is fresh
     };
 
     /** log2 of the bucket width: 2^9 ticks = 512 ns per bucket. */
     static constexpr int kBucketShift = 9;
+    /** log2 of the buckets per wheel window. */
+    static constexpr int kWindowBits = 8;
     /**
      * Buckets per wheel window: 2^8 (window spans ~131 us). Sized so
      * the slot headers and occupancy bitmaps stay cache-resident: the
      * simulation's hot events (slices, ITR, DMA, wire times) all land
-     * within tens of microseconds, while the rare long-range timer
-     * (jiffies, load trains) takes the overflow heap instead.
+     * within tens of microseconds, while client timeouts, jiffies and
+     * health checks take the far ring instead.
      */
-    static constexpr int kBucketCount = 1 << 8;
+    static constexpr int kBucketCount = 1 << kWindowBits;
     static constexpr int kSlotMask = kBucketCount - 1;
-    static constexpr int kWordCount = kBucketCount / 64;
-    static constexpr int kSummaryWordCount = (kWordCount + 63) / 64;
+    /** log2 of the window width: 2^17 ticks, ~131 us. */
+    static constexpr int kWindowShift = kBucketShift + kWindowBits;
+    /** Far slots, one per window: the ring spans ~33.5 ms. */
+    static constexpr int kFarCount = 1 << 8;
+    static constexpr int kFarMask = kFarCount - 1;
+
+    /** A far-ring entry, chained into its slot's list or the free list. */
+    struct FarNode
+    {
+        Entry entry;
+        std::uint32_t next; //!< next node in the same list
+    };
+    static constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
+
+    /** Occupancy bits of 256 slots: wheel buckets or far windows. */
+    class Occupancy
+    {
+      public:
+        static constexpr int kSlots = 256;
+
+        void set(int slot);
+        void clear(int slot);
+        /** First occupied slot >= @p from, or kSlots if none. */
+        int first(int from) const;
+
+      private:
+        std::array<std::uint64_t, kSlots / 64> words_{};
+    };
+    static_assert(kBucketCount == Occupancy::kSlots &&
+                  kFarCount == Occupancy::kSlots);
 
     bool
     stale(const Entry &e) const
@@ -251,27 +291,51 @@ class EventQueue
         return !e.event->scheduled_ || e.event->seq_ != e.seq;
     }
 
-    void setBit(int slot);
-    void clearBit(int slot);
-    /** First occupied slot >= @p from, or kBucketCount if none. */
-    int findSlot(int from) const;
+    /** The current window, as an absolute window number. */
+    std::int64_t window() const { return epochBase_ >> kWindowBits; }
+    /** The absolute window far slot @p slot holds. */
+    std::int64_t farWindow(int slot) const;
 
+    /** Route an entry at or after the current window to its level. */
+    void place(const Entry &e);
     /** Place an entry whose bucket lies inside the current window. */
     void insertWheel(const Entry &e, std::int64_t bucket);
     /** Return the active bucket's unconsumed tail to its wheel slot. */
     void flushActive();
     /** Purge stale entries until the next fresh one is located. */
     Next findNext();
-    /** Re-base the window at the overflow minimum and drain it in. */
+    /**
+     * First far slot after the current window holding a fresh entry;
+     * -1 if none. All-stale slots on the way are released without
+     * moving the epoch.
+     */
+    int findFar();
+    /** Return far slot @p slot's nodes to the free list. */
+    void releaseFar(int slot);
+    /** Re-base the window at far slot @p slot and cascade it in. */
+    void advanceFar(int slot);
+    /** Re-base the window at the overflow minimum. */
     void advanceEpoch();
+    /** Move overflow entries now inside the ring's span down a level. */
+    void pullOverflow();
     /** Fire active_[activePos_]; caller guarantees it is fresh. */
     void fireFront();
 
     std::vector<std::vector<Entry>> buckets_;
-    /** Per-slot occupancy bits, plus a summary bit per 64-slot word. */
-    std::array<std::uint64_t, kWordCount> words_{};
-    std::array<std::uint64_t, kSummaryWordCount> summary_{};
-    /** Events beyond the window; min-heap ordered by (when, prio, seq). */
+    Occupancy wheelBits_;
+    /**
+     * Entries of windows 1..255 ahead, slot = window & kFarMask, each
+     * slot a list of nodes in one pool. The pool grows to the peak
+     * number of stored far entries, then recycles nodes through the
+     * free list. The current window's slot is always empty.
+     */
+    std::vector<FarNode> farNodes_;
+    std::array<std::uint32_t, kFarCount> farHead_;
+    std::uint32_t farFree_ = kNoNode;
+    Occupancy farBits_;
+    /** The far slot findNext() located when it returned kFar. */
+    int farNext_ = -1;
+    /** Events beyond the ring; min-heap ordered by (when, prio, seq). */
     std::vector<Entry> overflow_;
 
     /** The bucket being consumed, sorted; activePos_ is the read head. */

@@ -56,6 +56,12 @@ class Ring
     }
 
     /** Element @p i positions behind the front (0 == front()). */
+    T &
+    at(std::size_t i)
+    {
+        return buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+
     const T &
     at(std::size_t i) const
     {

@@ -91,8 +91,22 @@ Client::setEntryTier(int tier)
 void
 Client::sendRequest(int conn)
 {
+    const std::uint64_t id = nextRequestId_++;
+    ++sent_;
+    if (retry_.enabled()) {
+        outstanding_.push_back(Outstanding{
+            eq_.now(), eq_.now() + retry_.timeout, conn, 1});
+        ++inFlight_;
+        armTimeoutEvent();
+    }
+    transmit(id, conn);
+}
+
+void
+Client::transmit(std::uint64_t id, int conn)
+{
     Packet pkt;
-    pkt.requestId = nextRequestId_++;
+    pkt.requestId = id;
     pkt.kind = Packet::Kind::kRequest;
     pkt.flowHash = flowBase_ + static_cast<std::uint32_t>(conn);
     pkt.sizeBytes = profile_.requestBytes;
@@ -101,36 +115,48 @@ Client::sendRequest(int conn)
     pkt.tier = static_cast<std::uint8_t>(entryTier_);
     if (deadlineBudget_ > 0)
         pkt.deadline = eq_.now() + deadlineBudget_;
-    ++sent_;
-    if (retry_.enabled()) {
-        Outstanding entry;
-        entry.conn = conn;
-        entry.firstSend = eq_.now();
-        entry.lastSend = eq_.now();
-        entry.attempts = 1;
-        entry.deadline = eq_.now() + retry_.timeout;
-        outstanding_.emplace(pkt.requestId, entry);
-        deadlines_.emplace(entry.deadline, pkt.requestId);
-        armTimeoutEvent();
-    }
     toServer_.send(pkt);
 }
 
-void
-Client::transmit(std::uint64_t id, Outstanding &entry)
+Client::Outstanding *
+Client::find(std::uint64_t id)
 {
-    Packet pkt;
-    pkt.requestId = id;
-    pkt.kind = Packet::Kind::kRequest;
-    pkt.flowHash = flowBase_ + static_cast<std::uint32_t>(entry.conn);
-    pkt.sizeBytes = profile_.requestBytes;
-    pkt.sendTime = eq_.now();
-    pkt.latencyCritical = true;
-    pkt.tier = static_cast<std::uint8_t>(entryTier_);
-    if (deadlineBudget_ > 0)
-        pkt.deadline = eq_.now() + deadlineBudget_;
-    entry.lastSend = eq_.now();
-    toServer_.send(pkt);
+    if (id < frontId_ || id >= nextRequestId_)
+        return nullptr;
+    Outstanding &entry = outstanding_.at(id - frontId_);
+    return entry.attempts == 0 ? nullptr : &entry;
+}
+
+void
+Client::settle(std::uint64_t id, Outstanding &entry)
+{
+    if (entry.attempts > 1)
+        retryDeadlines_.erase({entry.deadline, id});
+    entry.attempts = 0;
+    --inFlight_;
+    while (!outstanding_.empty() && outstanding_.front().attempts == 0) {
+        outstanding_.pop_front();
+        ++frontId_;
+    }
+}
+
+Client::Deadline
+Client::nextDeadline()
+{
+    // First attempts expire in id order: move the cursor past entries
+    // that are settled or already retrying.
+    if (firstAttemptId_ < frontId_)
+        firstAttemptId_ = frontId_;
+    while (firstAttemptId_ < nextRequestId_ &&
+           outstanding_.at(firstAttemptId_ - frontId_).attempts != 1)
+        ++firstAttemptId_;
+    Deadline next{kNoDeadline, 0};
+    if (firstAttemptId_ < nextRequestId_)
+        next = {outstanding_.at(firstAttemptId_ - frontId_).deadline,
+                firstAttemptId_};
+    if (!retryDeadlines_.empty() && *retryDeadlines_.begin() < next)
+        next = *retryDeadlines_.begin();
+    return next;
 }
 
 void
@@ -146,14 +172,13 @@ Client::onResponse(const Packet &pkt)
             ++shed_;
             return;
         }
-        auto it = outstanding_.find(pkt.requestId);
-        if (it == outstanding_.end()) {
+        Outstanding *entry = find(pkt.requestId);
+        if (entry == nullptr) {
             ++duplicates_;
             return;
         }
         ++shed_;
-        deadlines_.erase({it->second.deadline, pkt.requestId});
-        outstanding_.erase(it);
+        settle(pkt.requestId, *entry);
         armTimeoutEvent();
         return;
     }
@@ -165,17 +190,16 @@ Client::onResponse(const Packet &pkt)
             window_.record(eq_.now(), latency);
         return;
     }
-    auto it = outstanding_.find(pkt.requestId);
-    if (it == outstanding_.end()) {
+    Outstanding *entry = find(pkt.requestId);
+    if (entry == nullptr) {
         // Response to a request we already gave up on (or a second
         // copy after retransmission raced the original): counted, not
         // recorded, so the latency distribution only sees completions.
         ++duplicates_;
         return;
     }
-    const Outstanding &entry = it->second;
     ++received_;
-    Tick completion = eq_.now() - entry.firstSend;
+    Tick completion = eq_.now() - entry->firstSend;
     latencies_.record(eq_.now(), completion);
     if (watchWindow_)
         window_.record(eq_.now(), completion);
@@ -183,8 +207,7 @@ Client::onResponse(const Packet &pkt)
     if (budgetEnabled_)
         budgetTokens_ =
             std::min(budgetTokens_ + budgetRatio_, budgetCap_);
-    deadlines_.erase({entry.deadline, pkt.requestId});
-    outstanding_.erase(it);
+    settle(pkt.requestId, *entry);
     armTimeoutEvent();
 }
 
@@ -192,18 +215,16 @@ void
 Client::onTimeoutDeadline()
 {
     const Tick now = eq_.now();
-    while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
-        const std::uint64_t id = deadlines_.begin()->second;
-        deadlines_.erase(deadlines_.begin());
-        auto it = outstanding_.find(id);
-        if (it == outstanding_.end())
-            continue;
-        Outstanding &entry = it->second;
+    for (;;) {
+        const auto [deadline, id] = nextDeadline();
+        if (deadline > now)
+            break;
+        Outstanding &entry = outstanding_.at(id - frontId_);
         if (entry.attempts > retry_.maxRetries) {
             // Retry ladder spent: surface the loss instead of letting
             // the request silently vanish (coordinated omission).
             ++timedOut_;
-            outstanding_.erase(it);
+            settle(id, entry);
             continue;
         }
         if (budgetEnabled_ && budgetTokens_ < 1.0) {
@@ -212,16 +233,18 @@ Client::onTimeoutDeadline()
             // plus the dedicated exhaustion counter.
             ++budgetExhausted_;
             ++timedOut_;
-            outstanding_.erase(it);
+            settle(id, entry);
             continue;
         }
         if (budgetEnabled_)
             budgetTokens_ -= 1.0;
+        if (entry.attempts > 1)
+            retryDeadlines_.erase(retryDeadlines_.begin());
         ++entry.attempts;
         ++retransmits_;
-        transmit(id, entry);
+        transmit(id, entry.conn);
         entry.deadline = now + backoffFor(entry.attempts);
-        deadlines_.emplace(entry.deadline, id);
+        retryDeadlines_.emplace(entry.deadline, id);
     }
     armTimeoutEvent();
 }
@@ -231,9 +254,10 @@ Client::armTimeoutEvent()
 {
     if (timeoutEvent_.scheduled())
         eq_.deschedule(&timeoutEvent_);
-    if (deadlines_.empty())
+    const Tick next = nextDeadline().first;
+    if (next == kNoDeadline)
         return;
-    eq_.schedule(&timeoutEvent_, deadlines_.begin()->first);
+    eq_.schedule(&timeoutEvent_, next);
 }
 
 Tick
@@ -254,7 +278,7 @@ std::uint64_t
 Client::requestsInFlight() const
 {
     if (retry_.enabled())
-        return outstanding_.size();
+        return inFlight_;
     // Without tracking, unanswered = sent minus answered (including
     // shed notices); the feedback-client case (answers observed,
     // nothing sent) clamps to zero.

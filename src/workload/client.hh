@@ -14,7 +14,7 @@
 #define NMAPSIM_WORKLOAD_CLIENT_HH_
 
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -22,6 +22,7 @@
 #include "net/packet.hh"
 #include "net/wire.hh"
 #include "sim/event_queue.hh"
+#include "sim/pool.hh"
 #include "sim/time.hh"
 #include "stats/latency_recorder.hh"
 #include "workload/app_profile.hh"
@@ -184,16 +185,28 @@ class Client
     Tick windowP99AndReset();
 
   private:
-    /** Book-keeping for one unanswered tracked request. */
+    /** Book-keeping for one tracked request. */
     struct Outstanding {
+        Tick firstSend = 0; //!< first transmission (completion base)
+        Tick deadline = 0;  //!< when the current attempt expires
         int conn = 0;
-        Tick firstSend = 0;   //!< first transmission (completion base)
-        Tick lastSend = 0;    //!< latest transmission
-        int attempts = 1;     //!< transmissions so far
-        Tick deadline = 0;    //!< when the current attempt expires
+        int attempts = 0;   //!< transmissions so far; 0 once settled
     };
 
-    void transmit(std::uint64_t id, Outstanding &entry);
+    /** (deadline, request id): the order in which timeouts fire. */
+    using Deadline = std::pair<Tick, std::uint64_t>;
+    static constexpr Tick kNoDeadline = std::numeric_limits<Tick>::max();
+
+    void transmit(std::uint64_t id, int conn);
+    /** The unsettled entry for request @p id, or nullptr. */
+    Outstanding *find(std::uint64_t id);
+    /**
+     * Answered, shed or given up: drop the request's pending deadline,
+     * mark it settled and trim settled entries off the ring's front.
+     */
+    void settle(std::uint64_t id, Outstanding &entry);
+    /** The earliest pending deadline; first == kNoDeadline if none. */
+    Deadline nextDeadline();
     void onTimeoutDeadline();
     void armTimeoutEvent();
     Tick backoffFor(int attempts) const;
@@ -221,9 +234,23 @@ class Client
     int entryTier_ = 0;
     std::uint64_t shed_ = 0;
     std::uint64_t budgetExhausted_ = 0;
-    std::map<std::uint64_t, Outstanding> outstanding_;
-    /** (deadline, requestId) pairs mirroring outstanding_. */
-    std::set<std::pair<Tick, std::uint64_t>> deadlines_;
+    /**
+     * Every request sent with retries on, ids [frontId_,
+     * nextRequestId_), indexed by id - frontId_; settled entries are
+     * trimmed from the front.
+     */
+    Ring<Outstanding> outstanding_;
+    std::uint64_t frontId_ = 1;
+    /** Unsettled entries; counted, not derived from the other
+     *  counters, so the conservation identity stays a check. */
+    std::uint64_t inFlight_ = 0;
+    /**
+     * First attempts expire at send + timeout in id order, so a cursor
+     * over the ring (the lowest id that may still await its first
+     * expiry) orders them; retransmissions' deadlines need the set.
+     */
+    std::uint64_t firstAttemptId_ = 1;
+    std::set<Deadline> retryDeadlines_;
     std::uint64_t timedOut_ = 0;
     std::uint64_t retransmits_ = 0;
     std::uint64_t duplicates_ = 0;

@@ -16,9 +16,14 @@
  * The scripts deliberately stress the calendar queue's corner cases:
  * same-tick priority ties and FIFO ties, stale entries from
  * deschedule/reschedule (including reschedule to the same tick),
- * schedules into the active bucket being consumed, bucket-boundary
- * ticks, far-future events that ride the overflow heap across epoch
- * re-basing, and runUntil() ends that land between events.
+ * schedules into the active bucket being consumed, bucket- and
+ * window-boundary ticks, far-future events that wait in the far ring
+ * and cascade into the wheel, events beyond the ring that ride the
+ * overflow heap across epoch re-basing, a client-timeout-style re-arm
+ * storm, and runUntil() ends that land between events. Two
+ * deterministic cases pin the far ring's traps: a far window whose
+ * entries are all stale, and a runUntil() that stops inside a far
+ * window before its first entry.
  */
 
 #include <gtest/gtest.h>
@@ -247,13 +252,14 @@ makePriorities(int count, Rng &rng)
 
 /**
  * Delay distribution shaped around the calendar geometry: same-tick,
- * same-bucket (< 512 ticks), in-window (< ~131 us), and far enough to
- * land in the overflow heap and force epoch re-basing.
+ * same-bucket (< 512 ticks), in-window (< 2^17 ticks, ~131 us), the
+ * far ring (2^17 to 2^25 ticks, ~33.5 ms), and beyond it, far enough
+ * to land in the overflow heap and force epoch re-basing.
  */
 Tick
 drawDelay(Rng &rng)
 {
-    switch (rng.uniformInt(0, 9)) {
+    switch (rng.uniformInt(0, 11)) {
       case 0:
         return 0; // same tick: pure priority/FIFO tie-break
       case 1:
@@ -268,9 +274,14 @@ drawDelay(Rng &rng)
         // Bucket-boundary ticks, where the slot index rolls over.
         return static_cast<Tick>(rng.uniformInt(1, 255)) << 9;
       case 8:
-        return rng.uniformInt(1 << 17, 1 << 22); // overflow heap
+        return rng.uniformInt(1 << 17, 1 << 25); // the far ring
+      case 9:
+        // Window-boundary ticks, where the far slot index rolls over.
+        return static_cast<Tick>(rng.uniformInt(1, 255)) << 17;
+      case 10:
+        return rng.uniformInt(1 << 25, 1 << 28); // overflow heap
       default:
-        return rng.uniformInt(1 << 22, 1 << 27); // multi-epoch jump
+        return rng.uniformInt(1 << 17, 1 << 28); // either side of it
     }
 }
 
@@ -457,6 +468,179 @@ TEST(EventQueueDiffTest, SameTickPriorityAndStaleTokenOrder)
     // High priority first; then default-priority in insertion order
     // (2 before the rescheduled 1); low priority last; 4 never fires.
     EXPECT_EQ(fired, (std::vector<int>{3, 2, 1, 0}));
+}
+
+/**
+ * The client.timeout pattern: event 0 is re-armed at now + 2 ms on most
+ * operations, and sometimes to the tick it already holds, while the
+ * other events schedule, fire and run. Each re-arm leaves a stale entry
+ * in a far slot ~15 windows ahead; when event 0 does fire, its handler
+ * re-arms it, as the client does after processing its deadlines.
+ */
+template <typename Rig>
+std::string
+runRearmStorm(std::uint64_t seed, int num_events, int num_ops)
+{
+    constexpr Tick kTimeout = 2'000'000;
+    std::string log;
+    Rng rng(seed);
+    Rng prio_rng(seed ^ 0x5eed);
+    const std::vector<int> prios = makePriorities(num_events, prio_rng);
+
+    Rig *rig_ptr = nullptr;
+    Tick armed = kTimeout; // event 0's tick while it is scheduled
+    bool storming = true;
+    auto on_fire = [&](int id) {
+        log += "F" + std::to_string(id) + "@" +
+               std::to_string(rig_ptr->now()) + "\n";
+        if (id == 0) {
+            if (storming) {
+                armed = rig_ptr->now() + kTimeout;
+                rig_ptr->schedule(0, armed);
+            }
+            return;
+        }
+        if (rng.uniformInt(0, 9) < 4) {
+            const int j =
+                static_cast<int>(rng.uniformInt(1, num_events - 1));
+            if (!rig_ptr->scheduled(j))
+                rig_ptr->schedule(j, rig_ptr->now() + drawDelay(rng));
+        }
+    };
+
+    Rig rig(prios, on_fire);
+    rig_ptr = &rig;
+    rig.schedule(0, armed);
+
+    for (int op = 0; op < num_ops; ++op) {
+        const std::int64_t rearm = rng.uniformInt(0, 19);
+        if (rearm < 14) {
+            armed = rig.now() + kTimeout;
+            rig.reschedule(0, armed);
+        } else if (rearm < 16 && rig.scheduled(0)) {
+            rig.reschedule(0, armed); // same tick, fresh sequence
+        }
+        const int id =
+            static_cast<int>(rng.uniformInt(1, num_events - 1));
+        switch (rng.uniformInt(0, 9)) {
+          case 0:
+          case 1:
+            if (!rig.scheduled(id))
+                rig.schedule(id, rig.now() + drawDelay(rng));
+            break;
+          case 2:
+            rig.deschedule(id);
+            break;
+          case 3:
+            rig.runUntil(rig.now() + drawDelay(rng));
+            break;
+          default:
+            rig.step();
+            break;
+        }
+        log += "op" + std::to_string(op) + " now=" +
+               std::to_string(rig.now()) + " pend=" +
+               std::to_string(rig.numPending()) + "\n";
+    }
+
+    storming = false;
+    while (rig.step()) {
+        log += "drain now=" + std::to_string(rig.now()) + "\n";
+    }
+    log += "end now=" + std::to_string(rig.now()) + " proc=" +
+           std::to_string(rig.numProcessed()) + "\n";
+    return log;
+}
+
+TEST(EventQueueDiffTest, TimeoutRearmStormMatchesReferenceHeap)
+{
+    for (std::uint64_t seed = 300; seed < 304; ++seed) {
+        const std::string ref =
+            runRearmStorm<ReferenceEventQueue>(seed, 24, 6000);
+        const std::string cal = runRearmStorm<CalendarRig>(seed, 24, 6000);
+        ASSERT_EQ(ref, cal) << firstDivergence(ref, cal)
+                            << " (seed " << seed << ")";
+    }
+}
+
+/** Log every fire and the observables after each call of @p script. */
+template <typename Rig, typename Script>
+std::string
+runTrap(int num_events, Script script)
+{
+    std::string log;
+    Rig *rig_ptr = nullptr;
+    Rig rig(std::vector<int>(num_events, Event::kDefaultPriority),
+            [&](int id) {
+                log += "F" + std::to_string(id) + "@" +
+                       std::to_string(rig_ptr->now()) + "\n";
+            });
+    rig_ptr = &rig;
+    script(rig, log);
+    while (rig.step()) {
+    }
+    log += "end now=" + std::to_string(rig.now()) + " proc=" +
+           std::to_string(rig.numProcessed()) + "\n";
+    return log;
+}
+
+/** One window of the wheel, in ticks: a far slot's span. */
+constexpr Tick kWindow = Tick{1} << 17;
+
+/**
+ * Trap (a): a far window whose entries were all descheduled holds
+ * nothing to fire, so draining past it must not move the window.
+ * Otherwise step() returns false with the window ahead of now(), and
+ * the next schedule(now() + 1) lands behind it.
+ */
+TEST(EventQueueDiffTest, AllStaleFarWindowLeavesTheWindowAtNow)
+{
+    auto script = [](auto &rig, std::string &log) {
+        rig.runUntil(1000);
+        rig.schedule(0, 3 * kWindow + 70);
+        rig.schedule(1, 3 * kWindow + 900);
+        rig.schedule(2, 5 * kWindow);
+        rig.deschedule(0);
+        rig.deschedule(1);
+        rig.deschedule(2);
+        log += rig.step() ? "stepped\n" : "drained\n";
+        log += "now=" + std::to_string(rig.now()) + "\n";
+        rig.schedule(0, rig.now() + 1);
+        rig.schedule(1, rig.now() + 2 * kWindow);
+        log += rig.step() ? "stepped\n" : "drained\n";
+    };
+    const std::string ref = runTrap<ReferenceEventQueue>(3, script);
+    const std::string cal = runTrap<CalendarRig>(3, script);
+    ASSERT_EQ(ref, cal) << firstDivergence(ref, cal);
+    EXPECT_NE(ref.find("drained\nnow=1000\nF0@1001\nstepped"),
+              std::string::npos)
+        << ref;
+}
+
+/**
+ * Trap (b): runUntil() may enter a far window only once end reaches the
+ * window's start, so that now() = end keeps the window at or behind
+ * now(). Both an end inside the window (before its first entry) and an
+ * end short of the window must leave schedule(now() + 1) valid.
+ */
+TEST(EventQueueDiffTest, RunUntilStoppingShortOfAFarEntryKeepsNowValid)
+{
+    for (const Tick end : {4 * kWindow + 100, 4 * kWindow - 100}) {
+        auto script = [end](auto &rig, std::string &log) {
+            rig.schedule(0, 4 * kWindow + 5000);
+            rig.runUntil(end);
+            log += "now=" + std::to_string(rig.now()) + "\n";
+            rig.schedule(1, rig.now() + 1);
+            rig.runUntil(rig.now() + 2);
+            log += "now=" + std::to_string(rig.now()) + "\n";
+        };
+        const std::string ref = runTrap<ReferenceEventQueue>(2, script);
+        const std::string cal = runTrap<CalendarRig>(2, script);
+        ASSERT_EQ(ref, cal) << firstDivergence(ref, cal);
+        EXPECT_NE(ref.find("F1@" + std::to_string(end + 1)),
+                  std::string::npos)
+            << ref;
+    }
 }
 
 /** runUntil to a tick with no events still advances now() on both. */

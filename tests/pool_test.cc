@@ -1,8 +1,8 @@
 /**
  * @file
  * Lifecycle tests for Ring, the allocation-free FIFO in sim/pool.hh:
- * FIFO order through wraparound and growth, steady-state zero
- * allocation via the capacity high-water mark. The randomized stress
+ * FIFO order through wraparound and growth, writes through at(),
+ * steady-state zero allocation via the capacity high-water mark. The randomized stress
  * section doubles as the ASan workout CI runs it under.
  */
 
@@ -53,6 +53,36 @@ TEST(RingTest, GrowthPreservesOrderAndContents)
         ASSERT_EQ(ring.at(i), static_cast<int>(i));
     for (int i = 0; i < 1000; ++i) {
         ASSERT_EQ(ring.front(), i);
+        ring.pop_front();
+    }
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(RingTest, AtWritesThroughWraparoundAndGrowth)
+{
+    Ring<int> ring(4);
+    // Slide the head so the next four elements wrap the buffer's end.
+    for (int i = 0; i < 3; ++i)
+        ring.push_back(-1);
+    for (int i = 0; i < 3; ++i)
+        ring.pop_front();
+    for (int i = 0; i < 4; ++i)
+        ring.push_back(i);
+    ASSERT_EQ(ring.capacity(), 4u);
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        ring.at(i) += 10;
+    EXPECT_EQ(ring.front(), 10);
+
+    // Growth unwraps the window; writes before it must survive, and
+    // writes after it must land on the same logical elements.
+    ring.push_back(14);
+    ASSERT_GT(ring.capacity(), 4u);
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        ASSERT_EQ(ring.at(i), 10 + static_cast<int>(i));
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        ring.at(i) *= 2;
+    for (int i = 0; i < 5; ++i) {
+        ASSERT_EQ(ring.front(), 2 * (10 + i));
         ring.pop_front();
     }
     EXPECT_TRUE(ring.empty());
