@@ -110,8 +110,9 @@ tierP99s(const ClusterResult &r)
 bool
 conserved(const ClusterConfig &cfg, const ClusterResult &r)
 {
-    const auto depth = static_cast<std::uint64_t>(
-        cfg.base.params.getInt("topology.tiers", 1));
+    const TopologyPlan plan = TopologyPlan::fromParams(cfg.base.params);
+    const auto depth =
+        static_cast<std::uint64_t>(plan.enabled() ? plan.numTiers() : 1);
     return r.responsesReceived == r.requestsSent &&
            r.eastWestForwards == r.requestsSent * (depth - 1) &&
            r.requestsForwarded == r.requestsSent * depth &&

@@ -108,14 +108,22 @@ linkNcapPolicies()
 
 namespace {
 
+NcapConfig
+ncapParams(const PolicyParams &params)
+{
+    NcapConfig config;
+    readParams(params, "ncap", config);
+    if (config.monitorPeriod <= 0)
+        fatal("ncap.monitor_period must be > 0");
+    return config;
+}
+
+REGISTER_PARAMS("ncap", &ncapParams, "NCAP and NCAP-menu tunables");
+
 FreqPolicyInstance
 makeNcapVariant(PolicyContext &ctx, bool disable_sleep_on_burst)
 {
-    NcapConfig config;
-    config.monitorPeriod =
-        ctx.params.getTick("ncap.monitor_period", config.monitorPeriod);
-    config.rpsThreshold =
-        ctx.params.getDouble("ncap.rps_threshold", config.rpsThreshold);
+    NcapConfig config = ncapParams(ctx.params);
     config.disableSleepOnBurst = disable_sleep_on_burst;
     auto ncap = std::make_unique<NcapGovernor>(ctx.eq, ctx.cores,
                                                ctx.nic, config, ctx.gov);

@@ -38,6 +38,15 @@ struct NcapConfig
                                             //!< at high load, 6.3)
     double rpsThreshold = 10e3; //!< latency-critical RPS burst trigger
     bool disableSleepOnBurst = true; //!< false for NCAP-menu
+
+    /** The `ncap.*` params schema (harness/policy_params.hh). */
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("ncap.monitor_period", monitorPeriod);
+        key("ncap.rps_threshold", rpsThreshold);
+    }
 };
 
 /** Chip-wide, NIC-driven power manager. */

@@ -79,22 +79,27 @@ linkPartiesPolicy()
 
 namespace {
 
+PartiesConfig
+partiesParams(const PolicyParams &params)
+{
+    PartiesConfig config;
+    readParams(params, "parties", config);
+    if (config.interval <= 0)
+        fatal("parties.interval must be > 0");
+    return config;
+}
+
+REGISTER_PARAMS("parties", &partiesParams, "Parties controller tunables");
+
 FreqPolicyInstance
 makeParties(PolicyContext &ctx)
 {
     if (!ctx.client)
         fatal("Parties needs a client-side tail-latency feed, which "
               "this harness does not provide");
-    PartiesConfig config;
-    config.interval =
-        ctx.params.getTick("parties.interval", config.interval);
-    config.slo = ctx.params.getTick("parties.slo", 0);
-    if (config.slo <= 0)
+    PartiesConfig config = partiesParams(ctx.params);
+    if (!ctx.params.has("parties.slo") || config.slo == 0)
         config.slo = ctx.app.slo;
-    config.downSlack =
-        ctx.params.getDouble("parties.down_slack", config.downSlack);
-    config.upAggression = ctx.params.getDouble("parties.up_aggression",
-                                               config.upAggression);
     return {std::make_unique<PartiesGovernor>(ctx.eq, ctx.cores,
                                               *ctx.client, config),
             nullptr};

@@ -24,9 +24,20 @@ namespace nmapsim {
 struct PartiesConfig
 {
     Tick interval = milliseconds(500); //!< decision period (paper 6.3)
-    Tick slo = milliseconds(1);        //!< target P99
+    Tick slo = milliseconds(1); //!< target P99; as a key, 0 = app SLO
     double downSlack = 0.35; //!< slack above which V/F steps down
     double upAggression = 1.0; //!< extra up-steps per unit of violation
+
+    /** The `parties.*` params schema (harness/policy_params.hh). */
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("parties.interval", interval);
+        key("parties.slo", slo);
+        key("parties.down_slack", downSlack);
+        key("parties.up_aggression", upAggression);
+    }
 };
 
 /** Slack-driven chip-wide DVFS controller. */

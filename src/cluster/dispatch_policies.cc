@@ -93,6 +93,36 @@ checkedWeights(const DispatchContext &ctx, const std::string &who)
     return w;
 }
 
+/** The `dispatch.*` params schema (harness/policy_params.hh), shared
+ *  by consistent-hash and power-pack. */
+struct DispatchConfig
+{
+    int vnodes = 64;         //!< consistent-hash vnodes per unit weight
+    double packLimit = 16.0; //!< power-pack weighted in-flight knee
+
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("dispatch.vnodes", vnodes);
+        key("dispatch.pack_limit", packLimit);
+    }
+};
+
+DispatchConfig
+dispatchParams(const PolicyParams &params)
+{
+    DispatchConfig config;
+    readParams(params, "dispatch", config);
+    if (config.vnodes < 1)
+        fatal("dispatch.vnodes must be >= 1");
+    if (config.packLimit <= 0.0)
+        fatal("dispatch.pack_limit must be positive");
+    return config;
+}
+
+REGISTER_PARAMS("dispatch", &dispatchParams, "dispatch policy tunables");
+
 // --- flow-hash ---------------------------------------------------------
 
 /** Weighted hash of the flow id: host i owns a hash-space interval
@@ -146,9 +176,7 @@ class ConsistentHashDispatch : public DispatchPolicy
     {
         std::vector<double> weights =
             checkedWeights(ctx, "consistent-hash");
-        int vnodes = ctx.params.getInt("dispatch.vnodes", 64);
-        if (vnodes < 1)
-            fatal("dispatch.vnodes must be >= 1");
+        const int vnodes = dispatchParams(ctx.params).vnodes;
         for (int host = 0; host < ctx.numHosts; ++host) {
             int replicas = std::max(
                 1, static_cast<int>(
@@ -297,14 +325,12 @@ class PowerPackDispatch : public DispatchPolicy
     explicit PowerPackDispatch(const DispatchContext &ctx)
         : weights_(checkedWeights(ctx, "power-pack")),
           outstanding_(ctx.outstanding),
-          packLimit_(ctx.params.getDouble("dispatch.pack_limit", 16.0)),
+          packLimit_(dispatchParams(ctx.params).packLimit),
           guard_(ctx)
     {
         if (!outstanding_)
             fatal("power-pack dispatch needs the switch's "
                   "outstanding-request feedback");
-        if (packLimit_ <= 0.0)
-            fatal("dispatch.pack_limit must be positive");
     }
 
     int

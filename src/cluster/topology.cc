@@ -1,49 +1,21 @@
 #include "cluster/topology.hh"
 
-#include <cstdlib>
-
 #include "sim/logging.hh"
 
 namespace nmapsim {
 namespace {
 
-// Full `topology.tier<i>.<field>` spellings: the unknown-key error
-// lists them, and nmaplint's config-doc-sync rule harvests these
-// template literals to cross-check the README key tables.
-constexpr const char *kTierKeyForms[] = {
-    "topology.tier<i>.name",        "topology.tier<i>.hosts",
-    "topology.tier<i>.dispatch",    "topology.tier<i>.freq_policy",
-    "topology.tier<i>.idle_policy", "topology.tier<i>.service_scale",
-    "topology.tier<i>.slo",         "topology.tier<i>.clients",
-};
-constexpr std::size_t kTierFieldOffset =
-    sizeof("topology.tier<i>.") - 1;
-
-bool
-isKnownTierField(const std::string &field)
-{
-    for (const char *known : kTierKeyForms)
-        if (field == known + kTierFieldOffset)
-            return true;
-    return false;
-}
-
 [[noreturn]] void
 badTierKey(const std::string &key)
 {
-    std::string known;
-    for (const char *form : kTierKeyForms) {
-        if (!known.empty())
-            known += ", ";
-        known += form;
-    }
     fatal("unknown topology key '" + key +
-          "' (expected topology.tiers or one of: " + known + ")");
+          "' (expected topology.tiers or one of: " +
+          schemaKeyList(TierSpec{}) + ")");
 }
 
 /**
- * Split "topology.tier<i>.<field>" into (i, field); fatal on any other
- * shape. `topology.tiers` is handled by the caller before this runs.
+ * Split "topology.tier<i>.<field>" into (i, the key's schema spelling
+ * "topology.tier<i>.<field>"); fatal on any other shape.
  */
 std::pair<int, std::string>
 splitTierKey(const std::string &key)
@@ -60,10 +32,8 @@ splitTierKey(const std::string &key)
         if (c < '0' || c > '9')
             badTierKey(key);
     }
-    const std::string field = rest.substr(dot + 1);
-    if (!isKnownTierField(field))
-        badTierKey(key);
-    return {std::atoi(index.c_str()), field};
+    return {parseConfigNumber<int>(index, key),
+            prefix + "<i>" + rest.substr(dot)};
 }
 
 void
@@ -79,8 +49,6 @@ validate(const TopologyPlan &plan)
             fatal(label + ".hosts must be >= 1");
         if (tier.serviceScale <= 0.0)
             fatal(label + ".service_scale must be positive");
-        if (tier.slo < 0)
-            fatal(label + ".slo must be >= 0");
         if (tier.clients < 0)
             fatal(label + ".clients must be >= 0");
         for (int u = 0; u < t; ++u) {
@@ -127,14 +95,16 @@ TopologyPlan::tierOf(int host) const
 TopologyPlan
 TopologyPlan::fromParams(const PolicyParams &params)
 {
+    // The tier count sizes the tier vector, so it is read first.
     TopologyPlan plan;
-    const int numTiers = params.getInt("topology.tiers", 0);
-    bool sawTopologyKey = params.has("topology.tiers");
-    for (const auto &[key, value] : params) {
-        if (key.rfind("topology.", 0) != 0 || key == "topology.tiers")
+    int numTiers = 0;
+    bool sawTopologyKey = false;
+    for (const auto &[name, value] : params) {
+        if (name.rfind("topology.", 0) != 0)
             continue;
         sawTopologyKey = true;
-        splitTierKey(key); // key-shape validation; fatal on typos
+        ConfigKeySetter key{name, value};
+        key("topology.tiers", numTiers);
     }
     if (!sawTopologyKey)
         return plan;
@@ -151,31 +121,26 @@ TopologyPlan::fromParams(const PolicyParams &params)
     for (const auto &[key, value] : params) {
         if (key.rfind("topology.", 0) != 0 || key == "topology.tiers")
             continue;
-        const auto [index, field] = splitTierKey(key);
+        const auto [index, form] = splitTierKey(key);
         if (index >= numTiers) {
             fatal("'" + key + "' names tier " + std::to_string(index) +
                   " but topology.tiers=" + std::to_string(numTiers));
         }
-        TierSpec &tier = plan.tiers[static_cast<std::size_t>(index)];
-        if (field == "name")
-            tier.name = value;
-        else if (field == "hosts")
-            tier.hosts = params.getInt(key, tier.hosts);
-        else if (field == "dispatch")
-            tier.dispatch = value;
-        else if (field == "freq_policy")
-            tier.freqPolicy = value;
-        else if (field == "idle_policy")
-            tier.idlePolicy = value;
-        else if (field == "service_scale")
-            tier.serviceScale = params.getDouble(key, tier.serviceScale);
-        else if (field == "slo")
-            tier.slo = params.getTick(key, tier.slo);
-        else if (field == "clients")
-            tier.clients = params.getInt(key, tier.clients);
+        bool found = false;
+        plan.tiers[static_cast<std::size_t>(index)].visit(
+            [&](const char *name, auto &field) {
+                if (form == name) {
+                    parseConfigField(value, key, field);
+                    found = true;
+                }
+            });
+        if (!found)
+            badTierKey(key);
     }
     validate(plan);
     return plan;
 }
+
+REGISTER_PARAMS("topology", &TopologyPlan::fromParams, "service tiers");
 
 } // namespace nmapsim

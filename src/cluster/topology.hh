@@ -53,6 +53,21 @@ struct TierSpec {
     Tick slo = 0;
 
     bool operator==(const TierSpec &) const = default;
+
+    /** The `topology.tier<i>.*` params schema; `<i>` is the tier. */
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("topology.tier<i>.name", name);
+        key("topology.tier<i>.hosts", hosts);
+        key("topology.tier<i>.dispatch", dispatch);
+        key("topology.tier<i>.freq_policy", freqPolicy);
+        key("topology.tier<i>.idle_policy", idlePolicy);
+        key("topology.tier<i>.service_scale", serviceScale);
+        key("topology.tier<i>.slo", slo);
+        key("topology.tier<i>.clients", clients);
+    }
 };
 
 /** Parsed, validated service topology (see `topology.*` config keys). */
@@ -70,12 +85,8 @@ struct TopologyPlan {
     /** Tier owning global host id @p host. */
     int tierOf(int host) const;
 
-    /**
-     * Build a plan from the `topology.*` keys in @p params. Unknown
-     * `topology.*` keys, out-of-range tier indices, and invalid values
-     * are fatal (config errors); non-topology keys are ignored. A
-     * params blob without topology keys yields a disabled plan.
-     */
+    /** Read and check `topology.tiers` and each tier's TierSpec keys
+     *  in @p params; without them the plan is disabled. */
     static TopologyPlan fromParams(const PolicyParams &params);
 };
 

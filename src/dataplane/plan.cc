@@ -3,59 +3,24 @@
 #include "sim/logging.hh"
 
 namespace nmapsim {
-namespace {
 
-constexpr const char *kKnownKeys[] = {
-    "dataplane.mode",
-    "dataplane.poll_cores",
-    "dataplane.poll_batch",
-    "dataplane.policy",
-    "dataplane.sleep_armed_irq",
-    "dataplane.rx_packet_cycles",
-    "dataplane.tx_completion_cycles",
-};
-
-bool
-isKnownDataplaneKey(const std::string &key)
+void
+parseConfigField(const std::string &text, const std::string &key,
+                 DataplanePlan::Mode &mode)
 {
-    for (const char *known : kKnownKeys)
-        if (key == known)
-            return true;
-    return false;
+    if (text.empty() || text == "napi")
+        mode = DataplanePlan::Mode::kNapi;
+    else if (text == "bypass")
+        mode = DataplanePlan::Mode::kBypass;
+    else
+        fatal(key + " must be 'napi' or 'bypass', got '" + text + "'");
 }
-
-} // namespace
 
 DataplanePlan
 DataplanePlan::fromParams(const PolicyParams &params)
 {
-    for (const auto &[key, value] : params) {
-        if (key.rfind("dataplane.", 0) == 0 &&
-            !isKnownDataplaneKey(key))
-            fatal("unknown dataplane key '" + key + "'");
-    }
-
     DataplanePlan plan;
-    const std::string mode = params.raw("dataplane.mode");
-    if (mode.empty() || mode == "napi")
-        plan.mode = Mode::kNapi;
-    else if (mode == "bypass")
-        plan.mode = Mode::kBypass;
-    else
-        fatal("dataplane.mode must be 'napi' or 'bypass', got '" +
-              mode + "'");
-
-    plan.pollCores = params.getInt("dataplane.poll_cores", 1);
-    plan.pollBatch = params.getInt("dataplane.poll_batch", 32);
-    if (params.has("dataplane.policy"))
-        plan.policy = params.raw("dataplane.policy");
-    plan.sleepArmedIrq =
-        params.getBool("dataplane.sleep_armed_irq", false);
-    plan.rxPacketCycles =
-        params.getDouble("dataplane.rx_packet_cycles", 1400);
-    plan.txCompletionCycles =
-        params.getDouble("dataplane.tx_completion_cycles", 100);
-
+    readParams(params, "dataplane", plan);
     if (plan.pollCores < 1)
         fatal("dataplane.poll_cores must be >= 1");
     if (plan.pollBatch < 1)
@@ -70,17 +35,14 @@ DataplanePlan::fromParams(const PolicyParams &params)
     // The non-mode keys only steer the bypass engine; rejecting them
     // under NAPI catches configs that meant to flip the mode.
     if (!plan.bypass()) {
-        for (const char *key :
-             {"dataplane.poll_cores", "dataplane.poll_batch",
-              "dataplane.policy", "dataplane.sleep_armed_irq",
-              "dataplane.rx_packet_cycles",
-              "dataplane.tx_completion_cycles"}) {
-            if (params.has(key))
-                fatal(std::string("'") + key +
-                      "' requires dataplane.mode=bypass");
+        for (const auto &[key, value] : params) {
+            if (key.rfind("dataplane.", 0) == 0 && key != "dataplane.mode")
+                fatal("'" + key + "' requires dataplane.mode=bypass");
         }
     }
     return plan;
 }
+
+REGISTER_PARAMS("dataplane", &DataplanePlan::fromParams, "the packet path");
 
 } // namespace nmapsim

@@ -67,14 +67,28 @@ struct DataplanePlan
 
     bool bypass() const { return mode == Mode::kBypass; }
 
-    /**
-     * Build a plan from the `dataplane.*` keys in @p params. Unknown
-     * `dataplane.*` keys and out-of-range values are fatal (config
-     * errors); non-dataplane keys are ignored. A params blob without
-     * dataplane keys yields the default NAPI plan.
-     */
+    /** Read and check the `dataplane.*` keys of @p params
+     *  (readParams); without them the plan is the default NAPI one. */
     static DataplanePlan fromParams(const PolicyParams &params);
+
+    /** The `dataplane.*` params schema (harness/policy_params.hh). */
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("dataplane.mode", mode);
+        key("dataplane.poll_cores", pollCores);
+        key("dataplane.poll_batch", pollBatch);
+        key("dataplane.policy", policy);
+        key("dataplane.sleep_armed_irq", sleepArmedIrq);
+        key("dataplane.rx_packet_cycles", rxPacketCycles);
+        key("dataplane.tx_completion_cycles", txCompletionCycles);
+    }
 };
+
+/** The codec's reading of a mode: `napi` or `bypass`. */
+void parseConfigField(const std::string &text, const std::string &key,
+                      DataplanePlan::Mode &mode);
 
 } // namespace nmapsim
 

@@ -53,15 +53,58 @@ REGISTER_DATAPLANE_POLICY(
     "spin", &makeSpinPolicy,
     "DPDK-style pure busy poll; poll cores never sleep");
 
+/** Metronome's tunables, the `metronome.*` params schema
+ *  (harness/policy_params.hh). */
+struct MetronomeConfig
+{
+    Tick minSleep = microseconds(1);
+    Tick maxSleep = microseconds(64);
+    double setpoint = 16.0; //!< ring-occupancy target
+    double grow = 1.5;      //!< sleep multiplier at or below setpoint
+    double shrink = 0.5;    //!< sleep multiplier above setpoint
+    int tickets = 1;        //!< threads sharing the polling duty
+
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("metronome.min_sleep", minSleep);
+        key("metronome.max_sleep", maxSleep);
+        key("metronome.setpoint", setpoint);
+        key("metronome.grow", grow);
+        key("metronome.shrink", shrink);
+        key("metronome.tickets", tickets);
+    }
+};
+
+MetronomeConfig
+metronomeParams(const PolicyParams &params)
+{
+    MetronomeConfig config;
+    readParams(params, "metronome", config);
+    if (config.minSleep <= 0)
+        fatal("metronome.min_sleep must be > 0");
+    if (config.maxSleep < config.minSleep)
+        fatal("metronome.max_sleep must be >= metronome.min_sleep");
+    if (config.setpoint <= 0.0)
+        fatal("metronome.setpoint must be > 0");
+    if (config.grow <= 1.0)
+        fatal("metronome.grow must be > 1");
+    if (config.shrink <= 0.0 || config.shrink >= 1.0)
+        fatal("metronome.shrink must be in (0, 1)");
+    if (config.tickets < 1)
+        fatal("metronome.tickets must be >= 1");
+    return config;
+}
+
+REGISTER_PARAMS("metronome", &metronomeParams, "Metronome sleep control");
+
 /** Metronome's adaptive intermittent sleep (arxiv 2103.13263). */
 class MetronomePolicy : public DataplanePolicy
 {
   public:
-    MetronomePolicy(Tick min_sleep, Tick max_sleep, double setpoint,
-                    double grow, double shrink, int tickets)
-        : minSleep_(min_sleep), maxSleep_(max_sleep),
-          setpoint_(setpoint), grow_(grow), shrink_(shrink),
-          tickets_(tickets), sleep_(static_cast<double>(max_sleep))
+    explicit MetronomePolicy(const MetronomeConfig &config)
+        : config_(config), sleep_(static_cast<double>(config.maxSleep))
     {
     }
 
@@ -73,57 +116,28 @@ class MetronomePolicy : public DataplanePolicy
         // can afford a longer nap.
         double occupancy = static_cast<double>(stats.ringOccupancy) +
                            static_cast<double>(stats.harvestedRx);
-        if (occupancy > setpoint_)
-            sleep_ *= shrink_;
+        if (occupancy > config_.setpoint)
+            sleep_ *= config_.shrink;
         else
-            sleep_ *= grow_;
-        sleep_ = std::clamp(sleep_, static_cast<double>(minSleep_),
-                            static_cast<double>(maxSleep_));
+            sleep_ *= config_.grow;
+        sleep_ = std::clamp(sleep_, static_cast<double>(config_.minSleep),
+                            static_cast<double>(config_.maxSleep));
         // With N ticket-holding threads rotating the polling duty, the
         // per-thread sleep stays `sleep_` but the ring is visited every
         // sleep_/N — model the visit rate, which is what latency sees.
-        return std::max<Tick>(
-            1, static_cast<Tick>(sleep_) / static_cast<Tick>(tickets_));
+        return std::max<Tick>(1, static_cast<Tick>(sleep_) /
+                                     static_cast<Tick>(config_.tickets));
     }
 
   private:
-    const Tick minSleep_;
-    const Tick maxSleep_;
-    const double setpoint_;
-    const double grow_;
-    const double shrink_;
-    const int tickets_;
+    const MetronomeConfig config_;
     double sleep_;
 };
 
 std::unique_ptr<DataplanePolicy>
 makeMetronomePolicy(const DataplaneContext &ctx)
 {
-    Tick min_sleep =
-        ctx.params.getTick("metronome.min_sleep", microseconds(1));
-    Tick max_sleep =
-        ctx.params.getTick("metronome.max_sleep", microseconds(64));
-    double setpoint = ctx.params.getDouble("metronome.setpoint", 16.0);
-    double grow = ctx.params.getDouble("metronome.grow", 1.5);
-    double shrink = ctx.params.getDouble("metronome.shrink", 0.5);
-    int tickets = ctx.params.getInt("metronome.tickets", 1);
-
-    if (min_sleep <= 0)
-        fatal("metronome.min_sleep must be > 0");
-    if (max_sleep < min_sleep)
-        fatal("metronome.max_sleep must be >= metronome.min_sleep");
-    if (setpoint <= 0.0)
-        fatal("metronome.setpoint must be > 0");
-    if (grow <= 1.0)
-        fatal("metronome.grow must be > 1");
-    if (shrink <= 0.0 || shrink >= 1.0)
-        fatal("metronome.shrink must be in (0, 1)");
-    if (tickets < 1)
-        fatal("metronome.tickets must be >= 1");
-
-    return std::make_unique<MetronomePolicy>(min_sleep, max_sleep,
-                                             setpoint, grow, shrink,
-                                             tickets);
+    return std::make_unique<MetronomePolicy>(metronomeParams(ctx.params));
 }
 
 REGISTER_DATAPLANE_POLICY(

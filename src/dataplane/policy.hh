@@ -10,11 +10,14 @@
  *
  *     // in src/dataplane/<policy>.cc
  *     namespace {
+ *     // myParams: readParams(params, "mine", config) on a `mine.*`
+ *     // schema (harness/policy_params.hh), plus its range checks
+ *     REGISTER_PARAMS("mine", &myParams, "one-line help");
+ *
  *     std::unique_ptr<DataplanePolicy>
  *     makeMyPolicy(const DataplaneContext &ctx)
  *     {
- *         return std::make_unique<MyPolicy>(
- *             ctx.params.getTick("mine.period", microseconds(5)));
+ *         return std::make_unique<MyPolicy>(myParams(ctx.params));
  *     }
  *     REGISTER_DATAPLANE_POLICY("my-policy", &makeMyPolicy,
  *                               "one-line help");

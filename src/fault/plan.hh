@@ -38,7 +38,7 @@ struct FaultPlan {
     Tick flapDown = 0;
     /** Down-edge to down-edge period; must exceed flapDown. */
     Tick flapPeriod = 0;
-    /** Number of down/up cycles to run. */
+    /** Number of down/up cycles to run; unset, 1 once flapDown is. */
     int flapCycles = 0;
     /** Cluster host whose access links flap; -1 flaps every host. */
     int flapHost = -1;
@@ -69,13 +69,29 @@ struct FaultPlan {
     bool wantsRingDegrade() const { return ringSize > 0; }
     bool wantsCrash() const { return !crashHosts.empty(); }
 
-    /**
-     * Build a plan from the `fault.*` keys in @p params. Unknown
-     * `fault.*` keys and out-of-range values are fatal (config
-     * errors); non-fault keys are ignored. A params blob without
-     * fault keys yields a disabled plan.
-     */
+    /** Read and check the `fault.*` keys of @p params (readParams);
+     *  without them the plan is disabled. */
     static FaultPlan fromParams(const PolicyParams &params);
+
+    /** The `fault.*` params schema (harness/policy_params.hh). */
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("fault.wire_loss", wireLoss);
+        key("fault.wire_corrupt", wireCorrupt);
+        key("fault.flap_start", flapStart);
+        key("fault.flap_down", flapDown);
+        key("fault.flap_period", flapPeriod);
+        key("fault.flap_cycles", flapCycles);
+        key("fault.flap_host", flapHost);
+        key("fault.ring_degrade_at", ringDegradeAt);
+        key("fault.ring_size", ringSize);
+        key("fault.ring_restore_at", ringRestoreAt);
+        key("fault.crash_host", crashHosts);
+        key("fault.crash_at", crashAt);
+        key("fault.recover_at", recoverAt);
+    }
 };
 
 } // namespace nmapsim

@@ -28,11 +28,34 @@ makePowersave(PolicyContext &ctx)
     return {std::make_unique<PowersaveGovernor>(ctx.cores), nullptr};
 }
 
+/** The `userspace.*` params schema (harness/policy_params.hh). */
+struct UserspaceConfig
+{
+    int pstate = 0; //!< P-state index every core is pinned at
+
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("userspace.pstate", pstate);
+    }
+};
+
+UserspaceConfig
+userspaceParams(const PolicyParams &params)
+{
+    UserspaceConfig config;
+    readParams(params, "userspace", config);
+    return config;
+}
+
+REGISTER_PARAMS("userspace", &userspaceParams, "the pinned P-state");
+
 FreqPolicyInstance
 makeUserspace(PolicyContext &ctx)
 {
     return {std::make_unique<UserspaceGovernor>(
-                ctx.cores, ctx.params.getInt("userspace.pstate", 0)),
+                ctx.cores, userspaceParams(ctx.params).pstate),
             nullptr};
 }
 

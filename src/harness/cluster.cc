@@ -102,6 +102,8 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
         fatal("client group connection count out of range");
     if (config_.base.duration <= 0)
         fatal("ClusterExperiment duration must be positive");
+    if (config_.base.warmup < 0 || config_.drain < 0)
+        fatal("ClusterExperiment warmup and drain must be >= 0");
     if (!config_.base.loadSchedule.empty() ||
         !config_.base.extraObservers.empty())
         fatal("ClusterExperiment does not support load schedules or "
@@ -150,21 +152,6 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
         }
         hostDataplanes_.push_back(ServerRig::validate(cfg));
         hostConfigs_.push_back(std::move(cfg));
-    }
-
-    // Build each dispatch policy the switch will build, once, from the
-    // same host count, weights and params but with no-op feeds, so a
-    // bad dispatch.* tunable fails here. Dispatch factories fork no Rng
-    // and schedule nothing.
-    const std::vector<double> weights = hostWeights();
-    for (const SwitchTier &tier : switchTiers()) {
-        DispatchContext ctx;
-        ctx.numHosts = tier.hosts;
-        ctx.weights.assign(weights.begin() + tier.firstHost,
-                           weights.begin() + tier.firstHost + tier.hosts);
-        ctx.params = config_.base.params;
-        ctx.outstanding = [](int) { return std::uint64_t{0}; };
-        (void)DispatchRegistry::instance().make(tier.dispatch, ctx);
     }
 }
 

@@ -87,9 +87,8 @@ setClusterConfigValue(ClusterConfig &c, const std::string &key,
         fatal("unknown config key '" + key + "'");
     } else if (key.rfind("topology.", 0) == 0) {
         // Topologies only exist behind the switch: claiming the key
-        // here flips nmapsim_run into cluster mode. Validation (key
-        // shape, tier ranges) happens in TopologyPlan::fromParams at
-        // experiment construction.
+        // here flips nmapsim_run into cluster mode; the topology
+        // schema checks it at experiment construction.
         c.base.params.set(key, value);
     } else if (splitHostKey(key, host, rest)) {
         HostSpec &spec = hostSpec(c, host, key);
@@ -98,7 +97,7 @@ setClusterConfigValue(ClusterConfig &c, const std::string &key,
         else if (rest == "idle_policy")
             spec.idlePolicy = value;
         else if (rest == "weight")
-            spec.weight = PolicyParams::parseDouble(value, key);
+            parseConfigField(value, key, spec.weight);
         else {
             requireHostOverlayKey(host, rest);
             spec.params.set(rest, value);
@@ -124,8 +123,7 @@ printClusterConfig(const ClusterConfig &c)
         const HostSpec &spec = c.hosts[i];
         const std::string prefix = "host" + std::to_string(i) + ".";
         // weight always prints so parsing recreates the spec vector.
-        put(prefix + "weight",
-            PolicyParams::formatDouble(spec.weight));
+        put(prefix + "weight", formatConfigField(spec.weight));
         if (!spec.freqPolicy.empty())
             put(prefix + "freq_policy", spec.freqPolicy);
         if (!spec.idlePolicy.empty())

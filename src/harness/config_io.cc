@@ -1,6 +1,5 @@
 #include "harness/config_io.hh"
 
-#include <charconv>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -64,54 +63,19 @@ experimentKeys(Config &c, Key &&key)
 
 } // namespace
 
-int
-parseConfigInt(const std::string &text, const std::string &key)
-{
-    int v = 0;
-    const char *b = text.data();
-    const char *e = b + text.size();
-    auto res = std::from_chars(b, e, v);
-    if (res.ec != std::errc() || res.ptr != e)
-        fatal("config key '" + key + "': not an integer: '" + text +
-              "'");
-    return v;
-}
-
-std::uint64_t
-parseConfigUint(const std::string &text, const std::string &key)
-{
-    std::uint64_t v = 0;
-    const char *b = text.data();
-    const char *e = b + text.size();
-    auto res = std::from_chars(b, e, v);
-    if (res.ec != std::errc() || res.ptr != e)
-        fatal("config key '" + key +
-              "': not an unsigned integer: '" + text + "'");
-    return v;
-}
-
-bool
-parseConfigBool(const std::string &text, const std::string &key)
-{
-    if (text == "true" || text == "1")
-        return true;
-    if (text == "false" || text == "0")
-        return false;
-    fatal("config key '" + key + "': not a bool: '" + text +
-          "' (use true/false)");
-}
-
-LoadLevel
-parseConfigLoadLevel(const std::string &text, const std::string &key)
+void
+parseConfigField(const std::string &text, const std::string &key,
+                 LoadLevel &field)
 {
     if (text == "low")
-        return LoadLevel::kLow;
-    if (text == "med")
-        return LoadLevel::kMed;
-    if (text == "high")
-        return LoadLevel::kHigh;
-    fatal("config key '" + key + "': unknown load level '" + text +
-          "' (known: low, med, high)");
+        field = LoadLevel::kLow;
+    else if (text == "med")
+        field = LoadLevel::kMed;
+    else if (text == "high")
+        field = LoadLevel::kHigh;
+    else
+        fatal("config key '" + key + "': unknown load level '" + text +
+              "' (known: low, med, high)");
 }
 
 void

@@ -35,13 +35,10 @@ RunPlan::fromParams(const PolicyParams &params)
     if (plan.resilience.wantsRetryBudget() && !plan.retry.enabled())
         fatal("resilience.retry_budget requires client retry "
               "(client.timeout)");
-    // The admission factory forks nothing and schedules nothing, so it
-    // is built once here: a bad parameter (a token bucket without a
-    // rate) fails now.
     if (plan.resilience.wantsAdmission()) {
         ensureBuiltinAdmissionPolicies();
-        (void)AdmissionPolicyRegistry::instance().make(
-            plan.resilience.admission, AdmissionContext{plan.resilience});
+        AdmissionPolicyRegistry::instance().require(
+            plan.resilience.admission);
     }
     return plan;
 }
@@ -106,6 +103,8 @@ Experiment::Experiment(ExperimentConfig config)
 {
     if (config_.duration <= 0)
         fatal("Experiment duration must be positive");
+    if (config_.warmup < 0)
+        fatal("Experiment warmup must be >= 0");
 
     // Host-indexed faults, service topologies and circuit breakers only
     // exist behind the cluster switch.

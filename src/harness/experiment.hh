@@ -89,10 +89,8 @@ struct ExperimentConfig
     /** Sleep policy, by IdlePolicyRegistry name ("menu", "disable",
      *  "c6only", "teo"). */
     std::string idlePolicy = "menu";
-    /** Policy-specific tunables (e.g. "nmap.ni_th", "parties.interval",
-     *  "userspace.pstate"); see each policy's registration. For NMAP,
-     *  an unset/<=0 "nmap.ni_th" requests offline profiling unless
-     *  "nmap.auto_profile" is false. */
+    /** Policy and plan tunables ("nmap.ni_th", "fault.wire_loss"),
+     *  each checked by its namespace's schema at construction. */
     PolicyParams params;
 
     GovernorConfig gov{}; //!< shared sampling-governor tunables
@@ -135,8 +133,8 @@ struct RunPlan
 
     /**
      * Parse the four blocks from @p params and check the rules that
-     * span them. The admission policy is built once, so its parameter
-     * errors fail here. fatal() on the first error.
+     * span them and that the admission policy is registered. fatal()
+     * on the first error.
      */
     static RunPlan fromParams(const PolicyParams &params);
 

@@ -9,12 +9,15 @@
  *
  *     // in src/<module>/<policy>.cc
  *     namespace {
+ *     // myParams: readParams(params, "mine", config) on a `mine.*`
+ *     // schema (harness/policy_params.hh), plus its range checks
+ *     REGISTER_PARAMS("mine", &myParams, "one-line help");
+ *
  *     FreqPolicyInstance
  *     makeMyPolicy(PolicyContext &ctx)
  *     {
  *         auto gov = std::make_unique<MyGovernor>(
- *             ctx.eq, ctx.cores,
- *             ctx.params.getDouble("mine.knob", 1.0), ctx.gov);
+ *             ctx.eq, ctx.cores, myParams(ctx.params), ctx.gov);
  *         ctx.addObserver(gov.get()); // declare your own hookups
  *         return {std::move(gov), nullptr};
  *     }
@@ -23,7 +26,9 @@
  *     } // namespace
  *
  * and the name is immediately usable from configs, the sweep runner,
- * every bench and the nmapsim_run CLI — no harness edits.
+ * every bench and the nmapsim_run CLI — no harness edits. Every
+ * harness checks the policy's keys at construction through the
+ * registered schema, whether or not the run selects the policy.
  *
  * Each factory receives a PolicyContext carrying everything the
  * harness wired: the event queue, the cores (DVFS actuators hang off

@@ -1,5 +1,8 @@
 #include "harness/server_rig.hh"
 
+#include <algorithm>
+
+#include "cluster/dispatch.hh"
 #include "cpu/cpu_profile.hh"
 #include "cpu/package_power.hh"
 #include "dataplane/bypass.hh"
@@ -33,19 +36,37 @@ ServerRig::validate(const ExperimentConfig &config)
     if (config.numCores < 1)
         fatal("a server requires at least one core (cores=" +
               std::to_string(config.numCores) + ")");
+    if (config.gov.samplePeriod <= 0)
+        fatal("gov.sample_period must be > 0");
 
+    // The anchors pull in every built-in TU that registers a policy or
+    // a params namespace.
     ensureBuiltinPolicies();
+    ensureBuiltinDataplanePolicies();
+    ensureBuiltinDispatchPolicies();
     FreqPolicyRegistry::instance().require(config.freqPolicy);
     IdlePolicyRegistry::instance().require(config.idlePolicy);
 
-    // The dataplane factory forks nothing and schedules nothing, so it
-    // is built once here: an unknown name or a bad factory parameter
-    // (metronome.min_sleep=0) fails now.
+    // Every key belongs to a registered namespace, and every namespace
+    // parses, whether or not this server's policies read it.
+    const ParamsRegistry &schemas = ParamsRegistry::instance();
+    const std::vector<std::string> namespaces = schemas.names();
+    for (const auto &[key, value] : config.params) {
+        const std::string ns = key.substr(0, key.find('.'));
+        if (!std::binary_search(namespaces.begin(), namespaces.end(), ns)) {
+            std::string known;
+            for (const std::string &name : namespaces)
+                known += (known.empty() ? "" : ", ") + name;
+            fatal("unknown config key '" + key + "': no component reads '" +
+                  ns + ".*' (known: " + known + ")");
+        }
+    }
+    for (const std::string &ns : namespaces)
+        schemas.make(ns, config.params);
+
     DataplanePlan dplan = DataplanePlan::fromParams(config.params);
     if (dplan.bypass()) {
-        ensureBuiltinDataplanePolicies();
-        (void)DataplanePolicyRegistry::instance().make(
-            dplan.policy, DataplaneContext{config.params});
+        DataplanePolicyRegistry::instance().require(dplan.policy);
         if (dplan.pollCores >= config.numCores)
             fatal("dataplane.poll_cores must leave at least one worker "
                   "core (poll_cores=" +

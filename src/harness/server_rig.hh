@@ -96,13 +96,14 @@ class ServerRig
   public:
     /**
      * Check that @p config describes a server that can be built: at
-     * least one core, registered frequency and sleep policies, and a
-     * bypass dataplane that builds (its factory runs once, so its
-     * parameter errors fail here) and leaves a worker core. fatal() on
-     * the first error; otherwise returns the parsed dataplane plan.
-     * Frequency and sleep policies are resolved but not instantiated
-     * (the NMAP factory would run a whole profiling simulation), so
-     * their factory errors still surface when the rig is built.
+     * least one core, a positive sampling period, registered
+     * frequency and sleep policies, params that every registered
+     * namespace's schema parses (a key of an unregistered namespace is
+     * fatal), and a bypass dataplane whose policy is registered and
+     * which leaves a worker core. fatal() on the first error;
+     * otherwise returns the parsed dataplane plan. No policy is
+     * instantiated (the NMAP factory would run a whole profiling
+     * simulation); the schemas raise their parameter errors instead.
      */
     static DataplanePlan validate(const ExperimentConfig &config);
 

@@ -162,30 +162,24 @@ linkAdaptiveNmapPolicy()
 
 namespace {
 
+AdaptiveConfig
+adaptiveParams(const PolicyParams &params)
+{
+    AdaptiveConfig config;
+    readParams(params, "adaptive", config);
+    if (config.timerInterval <= 0)
+        fatal("adaptive.timer_interval must be > 0");
+    if (config.reservoirSize < 1)
+        fatal("adaptive.reservoir_size must be >= 1");
+    return config;
+}
+
+REGISTER_PARAMS("adaptive", &adaptiveParams, "NMAP-adaptive tunables");
+
 FreqPolicyInstance
 makeAdaptiveNmap(PolicyContext &ctx)
 {
-    AdaptiveConfig config;
-    config.timerInterval = ctx.params.getTick("adaptive.timer_interval",
-                                              config.timerInterval);
-    config.niQuantile =
-        ctx.params.getDouble("adaptive.ni_quantile", config.niQuantile);
-    config.niMargin =
-        ctx.params.getDouble("adaptive.ni_margin", config.niMargin);
-    config.cuMargin =
-        ctx.params.getDouble("adaptive.cu_margin", config.cuMargin);
-    config.ratioAlpha =
-        ctx.params.getDouble("adaptive.ratio_alpha", config.ratioAlpha);
-    config.bootstrapNiTh = ctx.params.getDouble("adaptive.bootstrap_ni_th",
-                                                config.bootstrapNiTh);
-    config.bootstrapCuTh = ctx.params.getDouble("adaptive.bootstrap_cu_th",
-                                                config.bootstrapCuTh);
-    config.minSamples =
-        ctx.params.getInt("adaptive.min_samples", config.minSamples);
-    config.reservoirSize = static_cast<std::size_t>(ctx.params.getInt(
-        "adaptive.reservoir_size",
-        static_cast<int>(config.reservoirSize)));
-
+    const AdaptiveConfig config = adaptiveParams(ctx.params);
     auto adaptive = std::make_unique<AdaptiveNmapGovernor>(
         ctx.eq, ctx.cores, config, ctx.rng.fork(), ctx.gov);
     ctx.addObserver(adaptive.get());

@@ -52,6 +52,22 @@ struct AdaptiveConfig
     double bootstrapCuTh = 0.5;  //!< CU_TH before any NI windows
     int minSamples = 64;         //!< sessions before trusting NI_TH
     std::size_t reservoirSize = 256; //!< decayed session reservoir
+
+    /** The `adaptive.*` params schema (harness/policy_params.hh). */
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("adaptive.timer_interval", timerInterval);
+        key("adaptive.ni_quantile", niQuantile);
+        key("adaptive.ni_margin", niMargin);
+        key("adaptive.cu_margin", cuMargin);
+        key("adaptive.ratio_alpha", ratioAlpha);
+        key("adaptive.bootstrap_ni_th", bootstrapNiTh);
+        key("adaptive.bootstrap_cu_th", bootstrapCuTh);
+        key("adaptive.min_samples", minSamples);
+        key("adaptive.reservoir_size", reservoirSize);
+    }
 };
 
 /** Streaming estimator of (NI_TH, CU_TH) from NI-mode observations. */

@@ -39,6 +39,8 @@ struct NmapConfig
     /** CU_TH: polling/interrupt ratio below which the engine falls
      *  back to CPU Utilisation based Mode. <= 0 means "profile". */
     double cuThreshold = 0.0;
+    /** Profile when NI_TH is unset; false runs with the given values. */
+    bool autoProfile = true;
 
     /**
      * Chip-wide variant for processors without per-core DVFS
@@ -48,6 +50,17 @@ struct NmapConfig
      * default per-core mode (bench/ablation_chipwide quantifies it).
      */
     bool chipWide = false;
+
+    /** The `nmap.*` params schema (harness/policy_params.hh). */
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("nmap.timer_interval", timerInterval);
+        key("nmap.ni_th", niThreshold);
+        key("nmap.cu_th", cuThreshold);
+        key("nmap.auto_profile", autoProfile);
+    }
 };
 
 /** Chooses the power-management mode per core. */

@@ -105,22 +105,28 @@ linkNmapPolicies()
 
 namespace {
 
-/**
- * Shared NMAP wiring: read the thresholds from the params blob,
- * falling back to the Section 4.2 offline profiling pass when NI_TH is
- * unset and nmap.auto_profile (default true) allows it.
- */
+/** The `nmap.*` keys; NI_TH <= 0 asks for offline profiling. */
+NmapConfig
+nmapParams(const PolicyParams &params)
+{
+    NmapConfig config;
+    readParams(params, "nmap", config);
+    if (config.timerInterval <= 0)
+        fatal("nmap.timer_interval must be > 0");
+    return config;
+}
+
+REGISTER_PARAMS("nmap", &nmapParams, "NMAP and NMAP-chipwide tunables");
+
+/** Shared NMAP wiring: the thresholds from the params blob, or from
+ *  the Section 4.2 offline profiling pass when NI_TH is unset and
+ *  nmap.auto_profile (default true) allows it. */
 FreqPolicyInstance
 makeNmapVariant(PolicyContext &ctx, bool chip_wide)
 {
-    NmapConfig config;
-    config.timerInterval =
-        ctx.params.getTick("nmap.timer_interval", config.timerInterval);
-    config.niThreshold = ctx.params.getDouble("nmap.ni_th", 0.0);
-    config.cuThreshold = ctx.params.getDouble("nmap.cu_th", 0.0);
+    NmapConfig config = nmapParams(ctx.params);
     config.chipWide = chip_wide;
-    if (config.niThreshold <= 0.0 &&
-        ctx.params.getBool("nmap.auto_profile", true)) {
+    if (config.niThreshold <= 0.0 && config.autoProfile) {
         if (!ctx.profileThresholds)
             fatal("colocated NMAP needs explicit thresholds (there is "
                   "no single application to profile)");

@@ -6,25 +6,6 @@
 namespace nmapsim {
 namespace {
 
-constexpr const char *kKnownKeys[] = {
-    "resilience.admission",          "resilience.admit_target",
-    "resilience.admit_interval",     "resilience.admit_rate",
-    "resilience.admit_burst",        "resilience.retry_budget",
-    "resilience.retry_min",          "resilience.retry_cap",
-    "resilience.breaker_window",     "resilience.breaker_threshold",
-    "resilience.breaker_min_volume", "resilience.breaker_open",
-    "resilience.breaker_trials",     "resilience.deadline",
-};
-
-bool
-isKnownResilienceKey(const std::string &key)
-{
-    for (const char *known : kKnownKeys)
-        if (key == known)
-            return true;
-    return false;
-}
-
 void
 validate(const ResiliencePlan &plan)
 {
@@ -44,8 +25,6 @@ validate(const ResiliencePlan &plan)
         if (plan.admitBurst < 1.0)
             fatal("resilience.admit_burst must be >= 1");
     }
-    if (plan.admitTarget < 0 || plan.admitInterval < 0)
-        fatal("resilience.admit_target/admit_interval must be >= 0");
 
     if (plan.retryBudget < 0.0 || plan.retryBudget > 1.0)
         fatal("resilience.retry_budget must be in [0, 1]");
@@ -56,8 +35,6 @@ validate(const ResiliencePlan &plan)
             fatal("resilience.retry_cap must be >= 1");
     }
 
-    if (plan.breakerWindow < 0)
-        fatal("resilience.breaker_window must be >= 0");
     if (plan.wantsBreakers()) {
         if (plan.breakerThreshold <= 0.0 || plan.breakerThreshold > 1.0)
             fatal("resilience.breaker_threshold must be in (0, 1]");
@@ -68,9 +45,6 @@ validate(const ResiliencePlan &plan)
         if (plan.breakerTrials < 1)
             fatal("resilience.breaker_trials must be >= 1");
     }
-
-    if (plan.deadline < 0)
-        fatal("resilience.deadline must be >= 0");
 }
 
 } // namespace
@@ -85,54 +59,29 @@ ResiliencePlan::enabled() const
 ResiliencePlan
 ResiliencePlan::fromParams(const PolicyParams &params)
 {
-    for (const auto &[key, value] : params) {
-        if (key.rfind("resilience.", 0) == 0 &&
-            !isKnownResilienceKey(key))
-            fatal("unknown resilience key '" + key + "'");
-    }
-
     ResiliencePlan plan;
-    plan.admission = params.raw("resilience.admission");
-    plan.admitTarget =
-        params.getTick("resilience.admit_target", milliseconds(1));
-    plan.admitInterval =
-        params.getTick("resilience.admit_interval", milliseconds(10));
-    plan.admitRate = params.getDouble("resilience.admit_rate", 0.0);
-    plan.admitBurst = params.getDouble("resilience.admit_burst", 16.0);
-    plan.retryBudget = params.getDouble("resilience.retry_budget", 0.0);
-    plan.retryMin = params.getInt("resilience.retry_min", 10);
-    plan.retryCap = params.getDouble("resilience.retry_cap", 100.0);
-    plan.breakerWindow =
-        params.getTick("resilience.breaker_window", 0);
-    plan.breakerThreshold =
-        params.getDouble("resilience.breaker_threshold", 0.5);
-    plan.breakerMinVolume =
-        params.getInt("resilience.breaker_min_volume", 10);
-    plan.breakerOpen =
-        params.getTick("resilience.breaker_open", plan.breakerWindow);
-    plan.breakerTrials = params.getInt("resilience.breaker_trials", 3);
-    plan.deadline = params.getTick("resilience.deadline", 0);
+    readParams(params, "resilience", plan);
+    if (!params.has("resilience.breaker_open"))
+        plan.breakerOpen = plan.breakerWindow;
 
-    if (!plan.wantsAdmission() &&
-        (params.has("resilience.admit_target") ||
-         params.has("resilience.admit_interval") ||
-         params.has("resilience.admit_rate") ||
-         params.has("resilience.admit_burst")))
-        fatal("resilience.admit_* keys require resilience.admission");
-    if (!plan.wantsRetryBudget() &&
-        (params.has("resilience.retry_min") ||
-         params.has("resilience.retry_cap")))
-        fatal("resilience.retry_min/retry_cap require "
-              "resilience.retry_budget");
-    if (!plan.wantsBreakers() &&
-        (params.has("resilience.breaker_threshold") ||
-         params.has("resilience.breaker_min_volume") ||
-         params.has("resilience.breaker_open") ||
-         params.has("resilience.breaker_trials")))
-        fatal("resilience.breaker_* keys require "
-              "resilience.breaker_window");
+    // A mechanism's knobs without the key that arms it are a typo.
+    for (const auto &[key, value] : params) {
+        if (!plan.wantsAdmission() && key.rfind("resilience.admit_", 0) == 0)
+            fatal("resilience.admit_* keys require resilience.admission");
+        if (!plan.wantsRetryBudget() &&
+            (key == "resilience.retry_min" || key == "resilience.retry_cap"))
+            fatal("resilience.retry_min/retry_cap require "
+                  "resilience.retry_budget");
+        if (!plan.wantsBreakers() &&
+            key.rfind("resilience.breaker_", 0) == 0 &&
+            key != "resilience.breaker_window")
+            fatal("resilience.breaker_* keys require "
+                  "resilience.breaker_window");
+    }
     validate(plan);
     return plan;
 }
+
+REGISTER_PARAMS("resilience", &ResiliencePlan::fromParams, "overload control");
 
 } // namespace nmapsim

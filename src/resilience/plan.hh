@@ -34,31 +34,32 @@ struct ResiliencePlan {
     /** Admission policy name; empty = no admission control. */
     std::string admission;
     /** queue-deadline: sojourn above this sheds (CoDel target). */
-    Tick admitTarget = 0;
+    Tick admitTarget = milliseconds(1);
     /** queue-deadline: how long sojourn must stay high (CoDel interval). */
-    Tick admitInterval = 0;
+    Tick admitInterval = milliseconds(10);
     /** token-bucket: sustained admitted requests per second. */
     double admitRate = 0.0;
     /** token-bucket: bucket capacity in requests. */
-    double admitBurst = 0.0;
+    double admitBurst = 16.0;
 
     /** Retry tokens earned per success; 0 disables retry budgets. */
     double retryBudget = 0.0;
     /** Tokens each client group starts with (cold-start allowance). */
-    int retryMin = 0;
+    int retryMin = 10;
     /** Ceiling on banked retry tokens. */
-    double retryCap = 0.0;
+    double retryCap = 100.0;
 
     /** Breaker error-rate window; 0 disables circuit breakers. */
     Tick breakerWindow = 0;
     /** Failure fraction in the window that trips the breaker, (0, 1]. */
-    double breakerThreshold = 0.0;
+    double breakerThreshold = 0.5;
     /** Outcomes the window must hold before the breaker may trip. */
-    int breakerMinVolume = 0;
-    /** How long an open breaker blocks before probing half-open. */
+    int breakerMinVolume = 10;
+    /** How long an open breaker blocks before probing half-open;
+     *  unset, breakerWindow. */
     Tick breakerOpen = 0;
     /** Successful half-open probes required to close again. */
-    int breakerTrials = 0;
+    int breakerTrials = 3;
 
     /** End-to-end request budget carried across hops; 0 disables. */
     Tick deadline = 0;
@@ -71,13 +72,30 @@ struct ResiliencePlan {
     bool wantsBreakers() const { return breakerWindow > 0; }
     bool wantsDeadline() const { return deadline > 0; }
 
-    /**
-     * Build a plan from the `resilience.*` keys in @p params. Unknown
-     * `resilience.*` keys and out-of-range values are fatal (config
-     * errors); non-resilience keys are ignored. A params blob without
-     * resilience keys yields a disabled plan.
-     */
+    /** Read and check the `resilience.*` keys of @p params
+     *  (readParams); without them the plan is disabled. */
     static ResiliencePlan fromParams(const PolicyParams &params);
+
+    /** The `resilience.*` params schema (harness/policy_params.hh). */
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("resilience.admission", admission);
+        key("resilience.admit_target", admitTarget);
+        key("resilience.admit_interval", admitInterval);
+        key("resilience.admit_rate", admitRate);
+        key("resilience.admit_burst", admitBurst);
+        key("resilience.retry_budget", retryBudget);
+        key("resilience.retry_min", retryMin);
+        key("resilience.retry_cap", retryCap);
+        key("resilience.breaker_window", breakerWindow);
+        key("resilience.breaker_threshold", breakerThreshold);
+        key("resilience.breaker_min_volume", breakerMinVolume);
+        key("resilience.breaker_open", breakerOpen);
+        key("resilience.breaker_trials", breakerTrials);
+        key("resilience.deadline", deadline);
+    }
 };
 
 } // namespace nmapsim

@@ -9,23 +9,10 @@ namespace nmapsim {
 ClientRetryPolicy
 ClientRetryPolicy::fromParams(const PolicyParams &params)
 {
-    for (const auto &[key, value] : params) {
-        (void)value;
-        if (key.rfind("client.", 0) == 0 && key != "client.timeout" &&
-            key != "client.retries" && key != "client.backoff_cap") {
-            fatal("unknown client key '" + key + "'");
-        }
-    }
     ClientRetryPolicy policy;
-    policy.timeout = params.getTick("client.timeout", 0);
-    policy.maxRetries = params.getInt("client.retries", 0);
-    policy.backoffCap = params.getTick("client.backoff_cap", 0);
-    if (policy.timeout < 0)
-        fatal("client.timeout must be >= 0");
+    readParams(params, "client", policy);
     if (policy.maxRetries < 0 || policy.maxRetries > 30)
         fatal("client.retries must be in [0, 30]");
-    if (policy.backoffCap < 0)
-        fatal("client.backoff_cap must be >= 0");
     if (!policy.enabled() &&
         (policy.maxRetries > 0 || policy.backoffCap > 0)) {
         fatal("client.retries/client.backoff_cap require "
@@ -35,6 +22,8 @@ ClientRetryPolicy::fromParams(const PolicyParams &params)
         fatal("client.backoff_cap must be >= client.timeout");
     return policy;
 }
+
+REGISTER_PARAMS("client", &ClientRetryPolicy::fromParams, "client retries");
 
 Client::Client(EventQueue &eq, Wire &to_server, const AppProfile &profile,
                int num_connections, std::uint32_t flow_base)

@@ -48,12 +48,19 @@ struct ClientRetryPolicy {
 
     bool enabled() const { return timeout > 0; }
 
-    /**
-     * Read `client.timeout` / `client.retries` /
-     * `client.backoff_cap` from @p params; unknown `client.*` keys
-     * and nonsensical values are fatal.
-     */
+    /** Read and check the `client.*` keys of @p params
+     *  (readParams). */
     static ClientRetryPolicy fromParams(const PolicyParams &params);
+
+    /** The `client.*` params schema (harness/policy_params.hh). */
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("client.timeout", timeout);
+        key("client.retries", maxRetries);
+        key("client.backoff_cap", backoffCap);
+    }
 };
 
 /**

@@ -164,6 +164,16 @@ TEST(ClusterTest, PowerPackLeavesTheSpareHostUntouched)
     EXPECT_LT(r.hosts[1].energyJoules, r.hosts[0].energyJoules);
 }
 
+TEST(ClusterTest, NegativeWindowsFailAtConstruction)
+{
+    ClusterConfig drain = smallCluster();
+    drain.drain = -milliseconds(10);
+    EXPECT_THROW(ClusterExperiment{drain}, FatalError);
+    ClusterConfig warmup = smallCluster();
+    warmup.base.warmup = -milliseconds(5);
+    EXPECT_THROW(ClusterExperiment{warmup}, FatalError);
+}
+
 TEST(ClusterTest, RejectsInvalidConfigs)
 {
     {

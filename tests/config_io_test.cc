@@ -128,6 +128,72 @@ TEST(ConfigIoTest, PolicyTunablesPassThrough)
                                        "custom.knob=whatever\n");
     EXPECT_DOUBLE_EQ(cfg.params.getDouble("nmap.ni_th", 0.0), 13.5);
     EXPECT_EQ(cfg.params.raw("custom.knob"), "whatever");
+    // The text parser keeps the key verbatim; building a harness
+    // rejects it, since no component registers the `custom.` namespace.
+    EXPECT_THROW(Experiment{cfg}, FatalError);
+}
+
+/** A params schema as a policy declares one; the visit order is not
+ *  the sorted order. */
+struct ProbeSchema
+{
+    double knob = 1.5;
+    Tick period = microseconds(5);
+
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("probe.period", period);
+        key("probe.knob", knob);
+    }
+};
+
+TEST(ConfigIoTest, ReadParamsKeepsTheDefaultOfAnAbsentKey)
+{
+    PolicyParams params;
+    params.set("probe.knob", 2.5);
+    ProbeSchema schema;
+    readParams(params, "probe", schema);
+    EXPECT_DOUBLE_EQ(schema.knob, 2.5);
+    EXPECT_EQ(schema.period, microseconds(5));
+}
+
+TEST(ConfigIoTest, ReadParamsNamesUnknownKeyAndSortedKnownKeys)
+{
+    PolicyParams params;
+    params.set("probe.typo", 3);
+    ProbeSchema schema;
+    try {
+        readParams(params, "probe", schema);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "unknown probe key 'probe.typo' (known: "
+                               "probe.knob, probe.period)");
+    }
+}
+
+TEST(ConfigIoTest, ReadParamsIgnoresOtherNamespaces)
+{
+    PolicyParams params;
+    params.set("prober.knob", "not a number");
+    params.set("nmap.typo", 3);
+    ProbeSchema schema;
+    readParams(params, "probe", schema);
+    EXPECT_DOUBLE_EQ(schema.knob, 1.5);
+    EXPECT_EQ(schema.period, microseconds(5));
+}
+
+TEST(ConfigIoTest, DurationsAreFiniteNonNegativeTicks)
+{
+    for (const char *text : {"duration=nan\n", "duration=inf\n",
+                             "duration=1e30s\n", "warmup=-5ms\n"}) {
+        SCOPED_TRACE(text);
+        EXPECT_THROW(parseConfig(text), FatalError);
+    }
+    EXPECT_EQ(parseConfig("duration=0\n").duration, 0);
+    EXPECT_EQ(parseConfig("duration=1500ns\n").duration, 1500);
+    EXPECT_EQ(parseConfig("duration=1.5us\n").duration, 1500);
 }
 
 TEST(ConfigIoTest, UnknownFlatKeyIsFatal)

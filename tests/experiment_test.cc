@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "harness/experiment.hh"
 #include "harness/policy_registry.hh"
@@ -282,7 +284,7 @@ TEST(ExperimentTest, InvalidConfigRejected)
     ExperimentConfig cfg4;
     cfg4.idlePolicy = "no-such-policy";
     EXPECT_THROW(Experiment{cfg4}, FatalError);
-    // So do the dataplane factory's own parameter errors.
+    // So do the dataplane policy's parameter errors, from its schema.
     ExperimentConfig cfg5;
     cfg5.params.set("dataplane.mode", "bypass");
     cfg5.params.set("dataplane.policy", "metronome");
@@ -303,6 +305,60 @@ TEST(ExperimentTest, InvalidConfigRejected)
     ExperimentConfig breakers;
     breakers.params.setTick("resilience.breaker_window", milliseconds(1));
     EXPECT_THROW(Experiment{breakers}, FatalError);
+}
+
+TEST(ExperimentTest, ZeroPeriodsFailAtConstruction)
+{
+    // A zero period re-arms its timer at the same tick forever, so
+    // run() would hang; construction must refuse it. run() is never
+    // called here.
+    for (const auto &[policy, key] :
+         {std::pair{"NMAP", "nmap.timer_interval"},
+          std::pair{"NMAP-adaptive", "adaptive.timer_interval"},
+          std::pair{"NCAP", "ncap.monitor_period"},
+          std::pair{"Parties", "parties.interval"}}) {
+        SCOPED_TRACE(key);
+        ExperimentConfig cfg;
+        cfg.freqPolicy = policy;
+        cfg.params.set("nmap.ni_th", 10.0);
+        cfg.params.set("nmap.cu_th", 0.5);
+        cfg.params.set(key, "0");
+        EXPECT_THROW(Experiment{cfg}, FatalError);
+    }
+    ExperimentConfig gov;
+    gov.gov.samplePeriod = 0;
+    EXPECT_THROW(Experiment{gov}, FatalError);
+}
+
+TEST(ExperimentTest, NegativeWarmupFailsAtConstruction)
+{
+    ExperimentConfig cfg;
+    cfg.warmup = -milliseconds(5);
+    EXPECT_THROW(Experiment{cfg}, FatalError);
+}
+
+TEST(ExperimentTest, EveryParamsNamespaceIsCheckedWhateverThePolicy)
+{
+    // ondemand reads no nmap.* key, yet a bad one still fails, before
+    // any run; so does a key of a namespace nothing registers.
+    ExperimentConfig typo;
+    typo.params.set("nmap.typo", 3);
+    EXPECT_THROW(Experiment{typo}, FatalError);
+    ExperimentConfig value;
+    value.params.set("nmap.ni_th", "abc");
+    EXPECT_THROW(Experiment{value}, FatalError);
+    ExperimentConfig stray;
+    stray.params.set("nmapp.ni_th", 3);
+    try {
+        Experiment{stray};
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unknown config key 'nmapp.ni_th': no component "
+                      "reads 'nmapp.*' (known: "),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ExperimentTest, EveryFamilyResolvesNamesCaseInsensitively)

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -136,6 +137,47 @@ TEST(NmapsimRunTest, UnknownNameInEveryFamilyFailsWithKnownList)
         EXPECT_NE(r.out.find("known: "), std::string::npos) << r.out;
         // Construction validates before the run banner prints.
         EXPECT_EQ(r.out.find("seed="), std::string::npos) << r.out;
+    }
+}
+
+TEST(NmapsimRunTest, EveryBadKeyOrValueFailsBeforeTheBanner)
+{
+    // One rule for every params namespace, whether or not the active
+    // policy reads it, and one codec for every duration.
+    const std::string window = " --cores=2 --warmup=1ms --duration=5ms";
+    const std::pair<const char *, const char *> cases[] = {
+        {"--policy=NMAP --set nmap.ni_th=10 --set nmap.cu_th=0.5 "
+         "--set nmap.typo=3",
+         "nmap.typo"},
+        {"--policy=Parties --set parties.bogus=1", "parties.bogus"},
+        {"--policy=NCAP --set ncap.bogus=1", "ncap.bogus"},
+        {"--policy=NMAP-adaptive --set adaptive.bogus=1",
+         "adaptive.bogus"},
+        {"--policy=userspace --set userspace.bogus=1", "userspace.bogus"},
+        {"--hosts=2 --dispatch=consistent-hash --set dispatch.bogus=1",
+         "dispatch.bogus"},
+        {"--dataplane=bypass --set dataplane.policy=metronome "
+         "--set metronome.bogus=1",
+         "metronome.bogus"},
+        {"--set foo.bar=1", "foo.bar"},
+        {"--set nmapp.ni_th=3", "nmapp.ni_th"},
+        {"--hosts=2 --set host1.nmap.typo=3", "nmap.typo"},
+        {"--hosts=2 --set host1.nmapp.ni_th=3", "nmapp.ni_th"},
+        {"--policy=ondemand --set nmap.ni_th=abc", "nmap.ni_th"},
+        {"--policy=NMAP --set nmap.ni_th=abc", "nmap.ni_th"},
+        {"--set gov.sample_period=0", "gov.sample_period"},
+        {"--warmup=-5ms", "warmup"},
+        {"--hosts=2 --set cluster.drain=-10ms", "cluster.drain"},
+        {"--set nic.dma_latency=-1us", "nic.dma_latency"},
+        {"--hosts=2 --set cluster.fabric_latency=-1us",
+         "cluster.fabric_latency"},
+    };
+    for (const auto &[flags, key] : cases) {
+        SCOPED_TRACE(flags);
+        const RunResult r = run(window + " " + flags, /*withStderr=*/true);
+        EXPECT_NE(r.exitCode, 0);
+        EXPECT_EQ(r.out.find("seed="), std::string::npos) << r.out;
+        EXPECT_NE(r.out.find(key), std::string::npos) << r.out;
     }
 }
 

@@ -4,10 +4,12 @@
  * policy crossed with every registered sleep policy gets a short run,
  * and each cell must satisfy packet conservation and answer traffic.
  *
- * The file also registers a governor of its own ("test-dummy") with no
- * harness edits whatsoever — the registry picks it up, the matrix
- * covers it, and the config pipeline accepts its name. That is the
- * extension contract the registry promises to out-of-tree policies.
+ * The file also registers a governor of its own ("test-dummy") and
+ * its tunable's schema (`dummy.pstate`) with no harness edits
+ * whatsoever — the registry picks it up, the matrix covers it, the
+ * config pipeline accepts its name, and every harness checks its key.
+ * That is the extension contract the registries promise to
+ * out-of-tree policies.
  *
  * The matrix doubles as a bench artefact: every cell's record goes
  * through the shared ResultWriter into BENCH_policy_matrix.json.
@@ -28,15 +30,16 @@ namespace nmapsim {
 namespace {
 
 /**
- * An out-of-tree governor: pins every core one P-state below P0. Lives
- * entirely in this test file; only the registrar below makes it
- * reachable, by name, from configs and the harness.
+ * An out-of-tree governor: pins every core at `dummy.pstate`, one
+ * P-state below P0 by default. Lives entirely in this test file; only
+ * the registrars below make it and its key reachable, by name, from
+ * configs and the harness.
  */
 class DummyGovernor : public FreqGovernor
 {
   public:
-    explicit DummyGovernor(std::vector<Core *> cores)
-        : cores_(std::move(cores))
+    DummyGovernor(std::vector<Core *> cores, int pstate)
+        : cores_(std::move(cores)), pstate_(pstate)
     {
     }
 
@@ -44,19 +47,46 @@ class DummyGovernor : public FreqGovernor
     start() override
     {
         for (Core *core : cores_)
-            core->dvfs().requestPState(1);
+            core->dvfs().requestPState(pstate_);
     }
 
     std::string name() const override { return "test-dummy"; }
 
   private:
     std::vector<Core *> cores_;
+    int pstate_;
 };
+
+/** The dummy's `dummy.*` params schema. */
+struct DummyConfig
+{
+    int pstate = 1;
+
+    template <typename Key>
+    void
+    visit(Key &&key)
+    {
+        key("dummy.pstate", pstate);
+    }
+};
+
+DummyConfig
+dummyParams(const PolicyParams &params)
+{
+    DummyConfig config;
+    readParams(params, "dummy", config);
+    return config;
+}
+
+REGISTER_PARAMS("dummy", &dummyParams,
+                "test-only governor's pinned P-state");
 
 FreqPolicyInstance
 makeDummy(PolicyContext &ctx)
 {
-    return {std::make_unique<DummyGovernor>(ctx.cores), nullptr};
+    return {std::make_unique<DummyGovernor>(
+                ctx.cores, dummyParams(ctx.params).pstate),
+            nullptr};
 }
 
 REGISTER_FREQ_POLICY("test-dummy", &makeDummy,
@@ -94,6 +124,15 @@ TEST(PolicyMatrixTest, DummyGovernorRunsThroughUnmodifiedHarness)
     EXPECT_GT(r.responsesReceived, 0u);
     // P1 for the whole run: exactly one transition per core at start.
     EXPECT_EQ(r.pstateTransitions, 8u);
+}
+
+TEST(PolicyMatrixTest, DummyGovernorKeysAreChecked)
+{
+    ExperimentConfig cfg = cellConfig("test-dummy", "menu");
+    cfg.params.set("dummy.pstate", 2);
+    EXPECT_NO_THROW(Experiment{cfg});
+    cfg.params.set("dummy.pstat", 2);
+    EXPECT_THROW(Experiment{cfg}, FatalError);
 }
 
 TEST(PolicyMatrixTest, EveryRegisteredPairRuns)

@@ -308,7 +308,7 @@ TEST_P(LossConservation, SentEqualsAnsweredPlusTimedOutPlusInFlight)
     cfg.warmup = milliseconds(30);
     cfg.duration = milliseconds(150);
     cfg.params.set("fault.wire_loss",
-                   PolicyParams::formatDouble(rng.uniform(0.01, 0.1)));
+                   formatConfigField(rng.uniform(0.01, 0.1)));
     cfg.params.setTick("client.timeout", milliseconds(2));
     cfg.params.set("client.retries", 3);
     ExperimentResult r = Experiment(cfg).run();

@@ -3,16 +3,17 @@
  * Project rule `config-doc-sync`: the config-key surface and the
  * README key-reference tables must agree, both directions.
  *
- * Code-side keys are harvested from three places:
+ * Code-side keys are harvested from four places:
  *
  *   1. the `key("...", field)` schema entries and `key == "..."`
  *      comparisons in src/harness/config_io.cc and
  *      src/harness/cluster_io.cc (plus cluster_io's `rest == "..."`
  *      per-host suffixes, documented as `host<i>.<suffix>`),
- *   2. PolicyParams getter calls anywhere under src/ —
- *      getDouble/getInt/getBool/getTick/has/raw — whose first
+ *   2. dotted `key("...", field)` entries anywhere under src/: the
+ *      params schemas, one per namespace (harness/policy_params.hh),
+ *   3. PolicyParams `has`/`raw` calls anywhere under src/ whose first
  *      argument is a dotted string literal, and
- *   3. template-form literals like "topology.tier<i>.name" anywhere
+ *   4. template-form literals like "topology.tier<i>.name" anywhere
  *      under src/ (key-grammar characters only, containing `<i>`),
  *      which is how families of numbered keys name themselves.
  *
@@ -290,10 +291,7 @@ class ConfigDocRule : public ProjectRule
             }
             if (file->path() == "src/harness/cluster_io.cc")
                 harvestComparisons(*file, "rest", "host<i>.", code);
-            harvestCalls(*file,
-                         {"getDouble", "getInt", "getBool", "getTick",
-                          "has", "raw"},
-                         true, code);
+            harvestCalls(*file, {"key", "has", "raw"}, true, code);
             harvestTemplates(*file, code);
         }
 
