@@ -104,6 +104,7 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
         fatal("ClusterExperiment duration must be positive");
     if (config_.base.warmup < 0 || config_.drain < 0)
         fatal("ClusterExperiment warmup and drain must be >= 0");
+    validateLoad(config_.base);
     if (!config_.base.loadSchedule.empty() ||
         !config_.base.extraObservers.empty())
         fatal("ClusterExperiment does not support load schedules or "

@@ -25,6 +25,21 @@ loadSpec(const AppProfile &app, LoadLevel level, double rps_override,
     return spec;
 }
 
+void
+validateLoad(const ExperimentConfig &config)
+{
+    if (config.burst.period <= 0)
+        fatal("burst.period must be > 0");
+    if (config.burst.onTime <= 0 || config.burst.onTime > config.burst.period)
+        fatal("burst.on_time must be in (0, burst.period]");
+    if (!(config.connectionSkew >= 0.0))
+        fatal("connection_skew must be >= 0");
+    if (config.dutyOverride > 1.0)
+        fatal("duty_override must be <= 1");
+    if (config.trainMeanOverride > 0.0 && config.trainMeanOverride < 1.0)
+        fatal("train_mean_override must be >= 1");
+}
+
 RunPlan
 RunPlan::fromParams(const PolicyParams &params)
 {
@@ -105,6 +120,15 @@ Experiment::Experiment(ExperimentConfig config)
         fatal("Experiment duration must be positive");
     if (config_.warmup < 0)
         fatal("Experiment warmup must be >= 0");
+    validateLoad(config_);
+    if (config_.collectTraces) {
+        if (config_.traceBucket <= 0)
+            fatal("trace_bucket must be > 0");
+        if (config_.watchCore < 0 || config_.watchCore >= config_.numCores)
+            fatal("watch_core must name a core (watch_core=" +
+                  std::to_string(config_.watchCore) +
+                  ", cores=" + std::to_string(config_.numCores) + ")");
+    }
 
     // Host-indexed faults, service topologies and circuit breakers only
     // exist behind the cluster switch.
@@ -176,6 +200,8 @@ Experiment::run()
     ServerApp app(rig.os(), rig.nic(), config_.app, rng.fork());
     Client client(eq, client_to_server, config_.app,
                   config_.numConnections);
+    if (config_.collectLatencyTrace)
+        client.latencies().keepTrace();
     // Overload control and client retry: a disabled plan arms nothing
     // and keeps the run byte-identical (neither forks a random stream).
     app.setResilience(plan_.resilience);

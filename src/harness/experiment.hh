@@ -122,6 +122,13 @@ struct ExperimentConfig
     bool operator==(const ExperimentConfig &) const = default;
 };
 
+/** fatal() unless @p config's load can drive a LoadGenerator: a burst
+ *  envelope with 0 < burst.on_time <= burst.period, a non-negative
+ *  connection_skew, and a duty_override of at most 1 and a
+ *  train_mean_override of at least 1 when set. Both harnesses call it
+ *  at construction. */
+void validateLoad(const ExperimentConfig &config);
+
 /** What a run wires around its servers: the run-scoped plans, parsed
  *  and cross-checked once, at harness construction. */
 struct RunPlan

@@ -169,6 +169,10 @@ adaptiveParams(const PolicyParams &params)
     readParams(params, "adaptive", config);
     if (config.timerInterval <= 0)
         fatal("adaptive.timer_interval must be > 0");
+    if (!(config.niQuantile >= 0.0 && config.niQuantile <= 1.0))
+        fatal("adaptive.ni_quantile must be in [0, 1]");
+    if (config.minSamples < 0)
+        fatal("adaptive.min_samples must be >= 0");
     if (config.reservoirSize < 1)
         fatal("adaptive.reservoir_size must be >= 1");
     return config;

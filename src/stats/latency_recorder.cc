@@ -2,38 +2,54 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <tuple>
+
+#include "sim/logging.hh"
 
 namespace nmapsim {
 
 namespace {
 
-bool
-byLatency(const LatencySample &a, const LatencySample &b)
+/** Append @p from to @p to, then release @p from's storage. */
+template <typename T>
+void
+moveAppend(std::vector<T> &to, std::vector<T> &from)
 {
-    return a.latency < b.latency;
+    if (to.empty())
+        to.swap(from);
+    else
+        to.insert(to.end(), from.begin(), from.end());
+    std::vector<T>().swap(from);
 }
 
 } // namespace
 
+void
+LatencyRecorder::keepTrace()
+{
+    if (!empty())
+        panic("LatencyRecorder::keepTrace() after " +
+              std::to_string(count()) + " samples");
+    keepTrace_ = true;
+}
+
 Tick
 LatencyRecorder::percentile(double p) const
 {
-    if (samples_.empty())
+    if (latencies_.empty())
         return 0;
-    double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
+    double rank = p / 100.0 * static_cast<double>(latencies_.size() - 1);
     std::size_t lo = static_cast<std::size_t>(rank);
-    std::size_t hi = std::min(lo + 1, samples_.size() - 1);
+    std::size_t hi = std::min(lo + 1, latencies_.size() - 1);
     double frac = rank - static_cast<double>(lo);
     // Order statistic lo by selection; lo + 1 is then the minimum of
     // the partition above it.
-    auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
-    std::nth_element(samples_.begin(), nth, samples_.end(), byLatency);
-    Tick lo_latency = samples_[lo].latency;
+    auto nth = latencies_.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(latencies_.begin(), nth, latencies_.end());
+    Tick lo_latency = *nth;
     Tick hi_latency =
-        hi == lo ? lo_latency
-                 : std::min_element(nth + 1, samples_.end(), byLatency)
-                       ->latency;
+        hi == lo ? lo_latency : *std::min_element(nth + 1, latencies_.end());
     double v = static_cast<double>(lo_latency) * (1.0 - frac) +
                static_cast<double>(hi_latency) * frac;
     return static_cast<Tick>(std::llround(v));
@@ -42,51 +58,52 @@ LatencyRecorder::percentile(double p) const
 double
 LatencyRecorder::mean() const
 {
-    if (samples_.empty())
+    if (latencies_.empty())
         return 0.0;
-    // Integer ns sum exactly, whatever order the samples are in.
+    // Integer ns sum exactly, whatever order the latencies are in.
     Tick sum = 0;
-    for (const auto &s : samples_)
-        sum += s.latency;
-    return static_cast<double>(sum) / static_cast<double>(samples_.size());
+    for (Tick latency : latencies_)
+        sum += latency;
+    return static_cast<double>(sum) /
+           static_cast<double>(latencies_.size());
 }
 
 Tick
 LatencyRecorder::max() const
 {
     Tick m = 0;
-    for (const auto &s : samples_)
-        m = std::max(m, s.latency);
+    for (Tick latency : latencies_)
+        m = std::max(m, latency);
     return m;
 }
 
 double
 LatencyRecorder::fractionAbove(Tick slo) const
 {
-    if (samples_.empty())
+    if (latencies_.empty())
         return 0.0;
     std::size_t n = 0;
-    for (const auto &s : samples_)
-        if (s.latency > slo)
+    for (Tick latency : latencies_)
+        if (latency > slo)
             ++n;
-    return static_cast<double>(n) / static_cast<double>(samples_.size());
+    return static_cast<double>(n) / static_cast<double>(latencies_.size());
 }
 
 std::vector<std::pair<Tick, double>>
 LatencyRecorder::cdf(std::size_t points) const
 {
     std::vector<std::pair<Tick, double>> out;
-    if (samples_.empty() || points == 0)
+    if (latencies_.empty() || points == 0)
         return out;
-    std::sort(samples_.begin(), samples_.end(), byLatency);
+    std::sort(latencies_.begin(), latencies_.end());
     out.reserve(points);
     for (std::size_t i = 0; i < points; ++i) {
         double q = static_cast<double>(i + 1) / static_cast<double>(points);
         std::size_t idx = std::min(
-            samples_.size() - 1,
-            static_cast<std::size_t>(q *
-                                     static_cast<double>(samples_.size())));
-        out.emplace_back(samples_[idx].latency, q);
+            latencies_.size() - 1,
+            static_cast<std::size_t>(
+                q * static_cast<double>(latencies_.size())));
+        out.emplace_back(latencies_[idx], q);
     }
     return out;
 }
@@ -94,7 +111,9 @@ LatencyRecorder::cdf(std::size_t points) const
 std::vector<LatencySample>
 LatencyRecorder::trace() const
 {
-    std::vector<LatencySample> t(samples_.begin(), samples_.end());
+    if (!keepTrace_)
+        panic("LatencyRecorder::trace() without keepTrace()");
+    std::vector<LatencySample> t = trace_;
     std::sort(t.begin(), t.end(),
               [](const LatencySample &a, const LatencySample &b) {
                   return std::tie(a.completionTime, a.latency) <
@@ -106,12 +125,11 @@ LatencyRecorder::trace() const
 void
 LatencyRecorder::merge(LatencyRecorder &&other)
 {
-    if (samples_.empty())
-        samples_.swap(other.samples_);
-    else
-        samples_.insert(samples_.end(), other.samples_.begin(),
-                        other.samples_.end());
-    std::vector<LatencySample>().swap(other.samples_);
+    if (keepTrace_ != other.keepTrace_)
+        panic("LatencyRecorder::merge() of an armed and an unarmed "
+              "recorder");
+    moveAppend(latencies_, other.latencies_);
+    moveAppend(trace_, other.trace_);
 }
 
 } // namespace nmapsim

@@ -2,11 +2,13 @@
  * @file
  * Per-request latency recording and percentile/CDF reporting.
  *
- * The recorder keeps every (completion tick, latency) pair so the
- * benchmarks can emit both the paper's latency-vs-time scatter plots
- * (Fig. 3/10/16) and the CDFs (Fig. 4/11), plus exact percentiles
- * (Fig. 12/14). Percentiles come from selection, not a sort, and no
- * statistic depends on the order samples are stored in.
+ * The recorder keeps every latency, 8 bytes per response: enough for
+ * exact percentiles (Fig. 12/14), the CDFs (Fig. 4/11) and the SLO
+ * fractions. Percentiles come from selection, not a sort, and no
+ * statistic depends on the order latencies are stored in. Only the
+ * latency-vs-time scatter plots (Fig. 3/10/16) need completion ticks;
+ * a recorder armed with keepTrace() also keeps every (completion tick,
+ * latency) pair for them, in storage no statistic reads.
  */
 
 #ifndef NMAPSIM_STATS_LATENCY_RECORDER_HH_
@@ -31,15 +33,22 @@ struct LatencySample
 class LatencyRecorder
 {
   public:
-    /** Record one completed request. */
+    /** Record one completed request. Only an armed recorder (see
+     *  keepTrace()) keeps @p completion_time. */
     void
     record(Tick completion_time, Tick latency)
     {
-        samples_.push_back({completion_time, latency});
+        latencies_.push_back(latency);
+        if (keepTrace_)
+            trace_.push_back({completion_time, latency});
     }
 
-    std::size_t count() const { return samples_.size(); }
-    bool empty() const { return samples_.empty(); }
+    /** Arm the recorder to keep every (completion, latency) pair for
+     *  trace(). Panics once a sample has been recorded. */
+    void keepTrace();
+
+    std::size_t count() const { return latencies_.size(); }
+    bool empty() const { return latencies_.empty(); }
 
     /**
      * Latency at percentile @p p in [0, 100]. p = 99 gives the paper's
@@ -62,19 +71,30 @@ class LatencyRecorder
      */
     std::vector<std::pair<Tick, double>> cdf(std::size_t points) const;
 
-    /** All raw samples ordered by (completion time, latency). */
+    /** Every recorded pair ordered by (completion time, latency).
+     *  Panics unless keepTrace() armed the recorder. */
     std::vector<LatencySample> trace() const;
 
     /** Append every sample of @p other and release its storage (e.g.
-     *  cluster-wide percentiles from per-host recorders). */
+     *  cluster-wide percentiles from per-host recorders). Panics unless
+     *  both recorders are armed alike. */
     void merge(LatencyRecorder &&other);
 
-    /** Remove every sample. */
-    void clear() { samples_.clear(); }
+    /** Remove every sample; an armed recorder stays armed. */
+    void
+    clear()
+    {
+        latencies_.clear();
+        trace_.clear();
+    }
 
   private:
-    /** Queries reorder the samples in place (selection, the CDF). */
-    mutable std::vector<LatencySample> samples_;
+    /** Queries reorder the latencies in place (selection, the CDF). */
+    mutable std::vector<Tick> latencies_;
+    /** The pairs of an armed recorder, in record order; no query
+     *  reorders them. */
+    std::vector<LatencySample> trace_;
+    bool keepTrace_ = false;
 };
 
 } // namespace nmapsim

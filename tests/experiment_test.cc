@@ -10,6 +10,7 @@
 #include <cmath>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "harness/experiment.hh"
 #include "harness/policy_registry.hh"
@@ -335,6 +336,35 @@ TEST(ExperimentTest, NegativeWarmupFailsAtConstruction)
     ExperimentConfig cfg;
     cfg.warmup = -milliseconds(5);
     EXPECT_THROW(Experiment{cfg}, FatalError);
+}
+
+TEST(ExperimentTest, LoadAndTraceSettingsFailAtConstruction)
+{
+    // Each of these used to die inside run(): the load generator and
+    // the trace buckets refused them, and a watch_core past the cores
+    // indexed past the rig. run() is never called here.
+    std::vector<ExperimentConfig> bad(9);
+    bad[0].burst.period = 0;
+    bad[1].burst.onTime = 0;
+    bad[2].burst.onTime = bad[2].burst.period + 1;
+    bad[3].connectionSkew = -1.0;
+    bad[4].dutyOverride = 2.0;
+    bad[5].trainMeanOverride = 0.5;
+    bad[6].traceBucket = 0;
+    bad[7].watchCore = 9;
+    bad[8].watchCore = -1;
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        SCOPED_TRACE(i);
+        bad[i].numCores = 2;
+        bad[i].collectTraces = true;
+        EXPECT_THROW(Experiment{bad[i]}, FatalError);
+    }
+    // Without collect_traces nothing reads the trace settings.
+    ExperimentConfig unread;
+    unread.numCores = 2;
+    unread.watchCore = 9;
+    unread.traceBucket = 0;
+    EXPECT_NO_THROW(Experiment{unread});
 }
 
 TEST(ExperimentTest, EveryParamsNamespaceIsCheckedWhateverThePolicy)

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/time.hh"
 #include "stats/latency_recorder.hh"
@@ -19,9 +20,11 @@ namespace nmapsim {
 namespace {
 
 LatencyRecorder
-makeUniformRecorder(int n)
+makeUniformRecorder(int n, bool keep_trace = false)
 {
     LatencyRecorder r;
+    if (keep_trace)
+        r.keepTrace();
     // Latencies 1..n us, completion times in reverse order to exercise
     // sorting.
     for (int i = n; i >= 1; --i)
@@ -72,9 +75,11 @@ lognormalLatencies(std::size_t n, std::uint64_t seed)
 
 /** Record @p lat with completion ticks 0, 1, 2, ... */
 LatencyRecorder
-recorderOf(const std::vector<Tick> &lat)
+recorderOf(const std::vector<Tick> &lat, bool keep_trace = false)
 {
     LatencyRecorder r;
+    if (keep_trace)
+        r.keepTrace();
     for (std::size_t i = 0; i < lat.size(); ++i)
         r.record(static_cast<Tick>(i), lat[i]);
     return r;
@@ -144,7 +149,7 @@ TEST(LatencyRecorderTest, CdfIsMonotone)
 
 TEST(LatencyRecorderTest, TraceSortedByCompletionTime)
 {
-    LatencyRecorder r = makeUniformRecorder(10);
+    LatencyRecorder r = makeUniformRecorder(10, /*keep_trace=*/true);
     auto trace = r.trace();
     ASSERT_EQ(trace.size(), 10u);
     for (std::size_t i = 1; i < trace.size(); ++i)
@@ -266,13 +271,16 @@ TEST(LatencyRecorderTest, MeanIndependentOfInsertionOrder)
 TEST(LatencyRecorderTest, MergeMovesAndConcatenates)
 {
     const std::vector<Tick> lat = lognormalLatencies(300, 15);
-    LatencyRecorder whole = recorderOf(lat);
+    LatencyRecorder whole = recorderOf(lat, /*keep_trace=*/true);
     LatencyRecorder a;
     LatencyRecorder b;
+    a.keepTrace();
+    b.keepTrace();
     for (std::size_t i = 0; i < lat.size(); ++i)
         (i < 100 ? a : b).record(static_cast<Tick>(i), lat[i]);
 
     LatencyRecorder merged;
+    merged.keepTrace();
     merged.merge(std::move(a)); // takes a's storage
     merged.merge(std::move(b)); // appends b's samples
     // merge() leaves each source empty.
@@ -291,6 +299,8 @@ TEST(LatencyRecorderTest, TraceOrderIsTotal)
     const Tick tick = milliseconds(5);
     LatencyRecorder ascending;
     LatencyRecorder descending;
+    ascending.keepTrace();
+    descending.keepTrace();
     for (int i = 1; i <= 100; ++i) {
         ascending.record(tick, microseconds(i));
         descending.record(tick, microseconds(101 - i));
@@ -306,6 +316,83 @@ TEST(LatencyRecorderTest, TraceOrderIsTotal)
               ascending.percentile(99.0));
     EXPECT_EQ(pairsOf(ascending.trace()), trace);
     EXPECT_EQ(pairsOf(descending.trace()), trace);
+}
+
+TEST(LatencyRecorderTest, ArmedAndUnarmedReportIdenticalStatistics)
+{
+    // Quantised to 5 us, so many latencies tie.
+    std::vector<Tick> lat = lognormalLatencies(10007, 16);
+    for (Tick &t : lat)
+        t = t / microseconds(5) * microseconds(5);
+    LatencyRecorder unarmed = recorderOf(lat);
+    LatencyRecorder armed = recorderOf(lat, /*keep_trace=*/true);
+    EXPECT_EQ(armed.count(), unarmed.count());
+    for (double p : kPercentiles)
+        EXPECT_EQ(armed.percentile(p), unarmed.percentile(p)) << "p" << p;
+    EXPECT_EQ(armed.mean(), unarmed.mean());
+    EXPECT_EQ(armed.max(), unarmed.max());
+    for (Tick slo : {Tick{0}, microseconds(60), microseconds(200)})
+        EXPECT_EQ(armed.fractionAbove(slo), unarmed.fractionAbove(slo))
+            << "slo " << slo;
+    EXPECT_EQ(armed.cdf(200), unarmed.cdf(200));
+}
+
+TEST(LatencyRecorderTest, TraceKeepsItsPairsThroughQueries)
+{
+    // Three completions per tick, recorded out of (completion,
+    // latency) order; the queries reorder the latencies in place.
+    const std::vector<Tick> lat = lognormalLatencies(3000, 17);
+    LatencyRecorder r;
+    r.keepTrace();
+    std::vector<std::pair<Tick, Tick>> expected;
+    for (std::size_t i = 0; i < lat.size(); ++i) {
+        const Tick completion = static_cast<Tick>((lat.size() - i) / 3);
+        r.record(completion, lat[i]);
+        expected.emplace_back(completion, lat[i]);
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(r.percentile(99.0), referencePercentile(lat, 99.0));
+    EXPECT_EQ(r.cdf(200), referenceCdf(lat, 200));
+    EXPECT_EQ(r.percentile(50.0), referencePercentile(lat, 50.0));
+    EXPECT_EQ(pairsOf(r.trace()), expected);
+}
+
+TEST(LatencyRecorderTest, TraceOfAnUnarmedRecorderPanics)
+{
+    LatencyRecorder empty;
+    EXPECT_THROW(empty.trace(), PanicError);
+    LatencyRecorder r = makeUniformRecorder(10);
+    EXPECT_THROW(r.trace(), PanicError);
+    // Arming after a sample would leave that sample out of the trace.
+    EXPECT_THROW(r.keepTrace(), PanicError);
+    // An armed recorder takes no samples without completion ticks, and
+    // an unarmed one keeps none.
+    LatencyRecorder armed = makeUniformRecorder(10, /*keep_trace=*/true);
+    EXPECT_THROW(armed.merge(std::move(r)), PanicError);
+    LatencyRecorder unarmed;
+    EXPECT_THROW(unarmed.merge(std::move(armed)), PanicError);
+}
+
+TEST(LatencyRecorderTest, MergeOfArmedRecordersConcatenatesTraces)
+{
+    // Interleaved completion ticks: the merged trace holds every pair
+    // of both, in (completion, latency) order.
+    const std::vector<Tick> lat = lognormalLatencies(200, 18);
+    LatencyRecorder even;
+    LatencyRecorder odd;
+    even.keepTrace();
+    odd.keepTrace();
+    std::vector<std::pair<Tick, Tick>> expected;
+    for (std::size_t i = 0; i < lat.size(); ++i) {
+        (i % 2 == 0 ? even : odd).record(static_cast<Tick>(i), lat[i]);
+        expected.emplace_back(static_cast<Tick>(i), lat[i]);
+    }
+    even.merge(std::move(odd));
+    EXPECT_EQ(pairsOf(even.trace()), expected);
+    EXPECT_EQ(even.count(), lat.size());
+    // The source stays armed and holds nothing.
+    EXPECT_TRUE(odd.empty());
+    EXPECT_TRUE(odd.trace().empty());
 }
 
 } // namespace

@@ -171,6 +171,18 @@ TEST(NmapsimRunTest, EveryBadKeyOrValueFailsBeforeTheBanner)
         {"--set nic.dma_latency=-1us", "nic.dma_latency"},
         {"--hosts=2 --set cluster.fabric_latency=-1us",
          "cluster.fabric_latency"},
+        {"--set burst.period=0", "burst.period"},
+        {"--set burst.on_time=0", "burst.on_time"},
+        {"--set connection_skew=-1", "connection_skew"},
+        {"--set duty_override=2", "duty_override"},
+        {"--set train_mean_override=0.5", "train_mean_override"},
+        {"--hosts=2 --set burst.period=0", "burst.period"},
+        {"--set collect_traces=true --set trace_bucket=0", "trace_bucket"},
+        {"--set collect_traces=true --set watch_core=9", "watch_core"},
+        {"--policy=NMAP-adaptive --set adaptive.ni_quantile=2",
+         "adaptive.ni_quantile"},
+        {"--policy=NMAP-adaptive --set adaptive.min_samples=-1",
+         "adaptive.min_samples"},
     };
     for (const auto &[flags, key] : cases) {
         SCOPED_TRACE(flags);

@@ -4,9 +4,10 @@
     python3 tools/check_perf.py
 
 Runs perfbench/run.py --trace 0 once on each gated workload and exits 1
-when a run fails, reports correct: false or failed > 0, or measures a
+when a run fails, reports correct: false or failed > 0, measures a
 sim_s_per_wall_s more than TOLERANCE below the workload's median in
-BENCH_perf.json. It takes no flags; CI's perf-smoke job runs it.
+BENCH_perf.json, or a peak_rss_mb more than RSS_TOLERANCE above it. It
+takes no flags; CI's perf-smoke job runs it.
 """
 
 import json
@@ -26,10 +27,14 @@ SECONDS = 5
 # Hosted runners are slower and noisier than the ledger's machine: only
 # a drop of more than 40% fails.
 TOLERANCE = 0.4
+# Peak RSS barely depends on the machine (allocators differ by a few
+# MiB), so it gets a tighter ceiling: 16-byte latency samples instead of
+# 8 would put every gated workload well past it.
+RSS_TOLERANCE = 0.3
 
 
 def measure(workload):
-    """sim_s_per_wall_s of one checked run; None if the run failed."""
+    """The metrics of one checked run; None if the run failed."""
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(SEED),
@@ -46,7 +51,7 @@ def measure(workload):
               % (workload, result["correct"], result["failed"],
                  result["attempted"]))
         return None
-    return result["metrics"]["sim_s_per_wall_s"]["value"]
+    return result["metrics"]
 
 
 def main():
@@ -54,15 +59,23 @@ def main():
         ledger = json.load(f)["workloads"]
     ok = True
     for workload in GATED:
-        measured = measure(workload)
-        if measured is None:
+        metrics = measure(workload)
+        if metrics is None:
             ok = False
             continue
+        speed = metrics["sim_s_per_wall_s"]["value"]
         base = ledger[workload]["sim_s_per_wall_s"]["median"]
         floor = base * (1.0 - TOLERANCE)
-        passed = measured >= floor
-        print("%s %.3f vs ledger %.3f (floor %.3f): %s"
-              % (workload, measured, base, floor, "ok" if passed else "FAIL"))
+        passed = speed >= floor
+        print("%s %.3f s/s vs ledger %.3f (floor %.3f): %s"
+              % (workload, speed, base, floor, "ok" if passed else "FAIL"))
+        ok = ok and passed
+        rss = metrics["peak_rss_mb"]["value"]
+        base = ledger[workload]["peak_rss_mb"]["median"]
+        ceiling = base * (1.0 + RSS_TOLERANCE)
+        passed = rss <= ceiling
+        print("%s %.1f MiB vs ledger %.1f (ceiling %.1f): %s"
+              % (workload, rss, base, ceiling, "ok" if passed else "FAIL"))
         ok = ok and passed
     return 0 if ok else 1
 
