@@ -115,6 +115,8 @@ ncapParams(const PolicyParams &params)
     readParams(params, "ncap", config);
     if (config.monitorPeriod <= 0)
         fatal("ncap.monitor_period must be > 0");
+    if (!(config.rpsThreshold >= 0.0))
+        fatal("ncap.rps_threshold must be >= 0");
     return config;
 }
 

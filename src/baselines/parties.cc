@@ -86,6 +86,8 @@ partiesParams(const PolicyParams &params)
     readParams(params, "parties", config);
     if (config.interval <= 0)
         fatal("parties.interval must be > 0");
+    if (!(config.downSlack >= 0.0))
+        fatal("parties.down_slack must be >= 0");
     return config;
 }
 

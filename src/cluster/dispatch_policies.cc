@@ -42,10 +42,11 @@ mix64(std::uint64_t x)
 }
 
 /**
- * Health guard shared by the queue policies: true when @p host may
+ * Health guard shared by the queue policies: decides which hosts may
  * take new work. With no detector (null feed) or a fully-ejected
  * cluster the guard passes everyone, so the pick degrades to the
- * health-blind decision instead of deadlocking.
+ * health-blind decision instead of deadlocking. Each pick calls
+ * beginPick() once, so asking about a candidate costs one feed call.
  */
 class HealthGuard
 {
@@ -55,12 +56,18 @@ class HealthGuard
     {
     }
 
+    /** Decide, once per pick, whether unhealthy hosts are skipped. */
+    void
+    beginPick()
+    {
+        filtering_ = healthy_ && anyHealthy();
+    }
+
+    /** True when @p host may take new work in the current pick. */
     bool
     usable(int host) const
     {
-        if (!healthy_ || !anyHealthy())
-            return true;
-        return healthy_(host);
+        return !filtering_ || healthy_(host);
     }
 
   private:
@@ -75,6 +82,7 @@ class HealthGuard
 
     std::function<bool(int)> healthy_;
     int numHosts_;
+    bool filtering_ = false;
 };
 
 std::vector<double>
@@ -236,6 +244,7 @@ class RoundRobinDispatch : public DispatchPolicy
         (void)pkt;
         // Every host accrues credit (so a readmitted host rejoins at
         // its fair share), but only usable hosts may win the pick.
+        guard_.beginPick();
         int best = -1;
         for (std::size_t i = 0; i < weights_.size(); ++i) {
             current_[i] += weights_[i];
@@ -279,6 +288,7 @@ class LeastOutstandingDispatch : public DispatchPolicy
     pickHost(const Packet &pkt) override
     {
         (void)pkt;
+        guard_.beginPick();
         int best = -1;
         double best_load = 0.0;
         for (int i = 0; i < static_cast<int>(weights_.size()); ++i) {
@@ -337,6 +347,7 @@ class PowerPackDispatch : public DispatchPolicy
     pickHost(const Packet &pkt) override
     {
         (void)pkt;
+        guard_.beginPick();
         int fallback = -1;
         double fallback_load = 0.0;
         for (int i = 0; i < static_cast<int>(weights_.size()); ++i) {

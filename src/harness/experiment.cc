@@ -32,6 +32,8 @@ validateLoad(const ExperimentConfig &config)
         fatal("burst.period must be > 0");
     if (config.burst.onTime <= 0 || config.burst.onTime > config.burst.period)
         fatal("burst.on_time must be in (0, burst.period]");
+    if (!(config.rpsOverride >= 0.0))
+        fatal("rps_override must be >= 0");
     if (!(config.connectionSkew >= 0.0))
         fatal("connection_skew must be >= 0");
     if (config.dutyOverride > 1.0)
@@ -283,7 +285,7 @@ Experiment::run()
         result.cc6Entries =
             rig.core(config_.watchCore).cstates().cc6Entries().marks();
     if (config_.collectLatencyTrace) {
-        result.latencyTrace = lat.trace();
+        result.latencyTrace = client.latencies().takeTrace();
         result.cdf = lat.cdf(200);
     }
 

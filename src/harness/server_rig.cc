@@ -38,6 +38,8 @@ ServerRig::validate(const ExperimentConfig &config)
               std::to_string(config.numCores) + ")");
     if (config.gov.samplePeriod <= 0)
         fatal("gov.sample_period must be > 0");
+    if (!(config.gov.upThreshold > 0.0 && config.gov.upThreshold <= 1.0))
+        fatal("gov.up_threshold must be in (0, 1]");
 
     // The anchors pull in every built-in TU that registers a policy or
     // a params namespace.

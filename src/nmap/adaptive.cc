@@ -171,6 +171,12 @@ adaptiveParams(const PolicyParams &params)
         fatal("adaptive.timer_interval must be > 0");
     if (!(config.niQuantile >= 0.0 && config.niQuantile <= 1.0))
         fatal("adaptive.ni_quantile must be in [0, 1]");
+    if (!(config.niMargin > 0.0))
+        fatal("adaptive.ni_margin must be > 0");
+    if (!(config.cuMargin > 0.0))
+        fatal("adaptive.cu_margin must be > 0");
+    if (!(config.ratioAlpha > 0.0 && config.ratioAlpha <= 1.0))
+        fatal("adaptive.ratio_alpha must be in (0, 1]");
     if (config.minSamples < 0)
         fatal("adaptive.min_samples must be >= 0");
     if (config.reservoirSize < 1)

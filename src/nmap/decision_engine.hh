@@ -33,11 +33,12 @@ struct NmapConfig
 {
     Tick timerInterval = milliseconds(10); //!< periodic check (6.1)
     /** NI_TH: polling packets per interrupt that trigger Network
-     *  Intensive Mode. <= 0 means "derive via offline profiling"
-     *  (Section 4.2), which the harness performs automatically. */
+     *  Intensive Mode. 0 means "derive via offline profiling"
+     *  (Section 4.2), which the harness performs automatically; the
+     *  `nmap.*` parse rejects a negative one. */
     double niThreshold = 0.0;
     /** CU_TH: polling/interrupt ratio below which the engine falls
-     *  back to CPU Utilisation based Mode. <= 0 means "profile". */
+     *  back to CPU Utilisation based Mode. 0 means "profile". */
     double cuThreshold = 0.0;
     /** Profile when NI_TH is unset; false runs with the given values. */
     bool autoProfile = true;

@@ -105,7 +105,7 @@ linkNmapPolicies()
 
 namespace {
 
-/** The `nmap.*` keys; NI_TH <= 0 asks for offline profiling. */
+/** The `nmap.*` keys; NI_TH = 0 asks for offline profiling. */
 NmapConfig
 nmapParams(const PolicyParams &params)
 {
@@ -113,6 +113,10 @@ nmapParams(const PolicyParams &params)
     readParams(params, "nmap", config);
     if (config.timerInterval <= 0)
         fatal("nmap.timer_interval must be > 0");
+    if (!(config.niThreshold >= 0.0))
+        fatal("nmap.ni_th must be >= 0 (0 asks for profiling)");
+    if (!(config.cuThreshold >= 0.0))
+        fatal("nmap.cu_th must be >= 0 (0 asks for profiling)");
     return config;
 }
 

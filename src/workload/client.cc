@@ -1,6 +1,7 @@
 #include "workload/client.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "sim/logging.hh"
 
@@ -117,16 +118,24 @@ Client::find(std::uint64_t id)
 }
 
 void
-Client::settle(std::uint64_t id, Outstanding &entry)
+Client::settle(Outstanding &entry)
 {
-    if (entry.attempts > 1)
-        retryDeadlines_.erase({entry.deadline, id});
     entry.attempts = 0;
     --inFlight_;
     while (!outstanding_.empty() && outstanding_.front().attempts == 0) {
         outstanding_.pop_front();
         ++frontId_;
     }
+}
+
+bool
+Client::liveRetry(const Deadline &d) const
+{
+    const auto [deadline, id] = d;
+    if (id < frontId_)
+        return false;
+    const Outstanding &entry = outstanding_.at(id - frontId_);
+    return entry.attempts > 1 && entry.deadline == deadline;
 }
 
 Client::Deadline
@@ -143,8 +152,15 @@ Client::nextDeadline()
     if (firstAttemptId_ < nextRequestId_)
         next = {outstanding_.at(firstAttemptId_ - frontId_).deadline,
                 firstAttemptId_};
-    if (!retryDeadlines_.empty() && *retryDeadlines_.begin() < next)
-        next = *retryDeadlines_.begin();
+    // Retransmissions: drop stale entries off the heap's top.
+    while (!retryDeadlines_.empty() &&
+           !liveRetry(retryDeadlines_.front())) {
+        std::pop_heap(retryDeadlines_.begin(), retryDeadlines_.end(),
+                      std::greater<>());
+        retryDeadlines_.pop_back();
+    }
+    if (!retryDeadlines_.empty() && retryDeadlines_.front() < next)
+        next = retryDeadlines_.front();
     return next;
 }
 
@@ -167,7 +183,7 @@ Client::onResponse(const Packet &pkt)
             return;
         }
         ++shed_;
-        settle(pkt.requestId, *entry);
+        settle(*entry);
         armTimeoutEvent();
         return;
     }
@@ -196,7 +212,7 @@ Client::onResponse(const Packet &pkt)
     if (budgetEnabled_)
         budgetTokens_ =
             std::min(budgetTokens_ + budgetRatio_, budgetCap_);
-    settle(pkt.requestId, *entry);
+    settle(*entry);
     armTimeoutEvent();
 }
 
@@ -213,7 +229,7 @@ Client::onTimeoutDeadline()
             // Retry ladder spent: surface the loss instead of letting
             // the request silently vanish (coordinated omission).
             ++timedOut_;
-            settle(id, entry);
+            settle(entry);
             continue;
         }
         if (budgetEnabled_ && budgetTokens_ < 1.0) {
@@ -222,18 +238,18 @@ Client::onTimeoutDeadline()
             // plus the dedicated exhaustion counter.
             ++budgetExhausted_;
             ++timedOut_;
-            settle(id, entry);
+            settle(entry);
             continue;
         }
         if (budgetEnabled_)
             budgetTokens_ -= 1.0;
-        if (entry.attempts > 1)
-            retryDeadlines_.erase(retryDeadlines_.begin());
         ++entry.attempts;
         ++retransmits_;
         transmit(id, entry.conn);
         entry.deadline = now + backoffFor(entry.attempts);
-        retryDeadlines_.emplace(entry.deadline, id);
+        retryDeadlines_.emplace_back(entry.deadline, id);
+        std::push_heap(retryDeadlines_.begin(), retryDeadlines_.end(),
+                       std::greater<>());
     }
     armTimeoutEvent();
 }

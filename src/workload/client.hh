@@ -15,8 +15,8 @@
 
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <utility>
+#include <vector>
 
 #include "harness/policy_params.hh"
 #include "net/packet.hh"
@@ -208,10 +208,13 @@ class Client
     /** The unsettled entry for request @p id, or nullptr. */
     Outstanding *find(std::uint64_t id);
     /**
-     * Answered, shed or given up: drop the request's pending deadline,
-     * mark it settled and trim settled entries off the ring's front.
+     * Answered, shed or given up: mark the request settled (which
+     * retires its pending deadline) and trim settled entries off the
+     * ring's front.
      */
-    void settle(std::uint64_t id, Outstanding &entry);
+    void settle(Outstanding &entry);
+    /** Whether @p d is still its request's pending retry deadline. */
+    bool liveRetry(const Deadline &d) const;
     /** The earliest pending deadline; first == kNoDeadline if none. */
     Deadline nextDeadline();
     void onTimeoutDeadline();
@@ -254,10 +257,13 @@ class Client
     /**
      * First attempts expire at send + timeout in id order, so a cursor
      * over the ring (the lowest id that may still await its first
-     * expiry) orders them; retransmissions' deadlines need the set.
+     * expiry) orders them. Retransmissions' deadlines sit in a min-heap
+     * on (deadline, id); an entry is live while its request is
+     * unsettled, retrying and still holds that deadline, and stale
+     * entries are dropped when they reach the top.
      */
     std::uint64_t firstAttemptId_ = 1;
-    std::set<Deadline> retryDeadlines_;
+    std::vector<Deadline> retryDeadlines_;
     std::uint64_t timedOut_ = 0;
     std::uint64_t retransmits_ = 0;
     std::uint64_t duplicates_ = 0;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/dispatch.hh"
@@ -210,6 +211,38 @@ TEST_F(DispatchTest, PowerPackRejectsNonPositiveKnee)
     EXPECT_THROW(
         DispatchRegistry::instance().make("power-pack", ctx),
         FatalError);
+}
+
+TEST_F(DispatchTest, QueuePoliciesAskTheHealthFeedAtMostTwicePerHost)
+{
+    // 16 hosts: all healthy, all but the last ejected, all ejected (the
+    // guard then passes everyone). Deciding "is anyone healthy" once
+    // per pick bounds a pick at 2N feed calls.
+    constexpr int kHosts = 16;
+    int healthy_from = 0; // hosts [healthy_from, kHosts) are healthy
+    std::size_t calls = 0;
+    for (const char *name :
+         {"round-robin", "least-outstanding", "power-pack"}) {
+        DispatchContext ctx = context(kHosts);
+        ctx.healthy = [&healthy_from, &calls](int host) {
+            ++calls;
+            return host >= healthy_from;
+        };
+        auto policy = DispatchRegistry::instance().make(name, ctx);
+        for (int from : {0, kHosts - 1, kHosts}) {
+            SCOPED_TRACE(std::string(name) + ", healthy from host " +
+                         std::to_string(from));
+            healthy_from = from;
+            for (int pick = 0; pick < 4; ++pick) {
+                calls = 0;
+                const int host = policy->pickHost(flowPacket(0));
+                EXPECT_LE(calls, std::size_t{2} * kHosts);
+                // Only a healthy host may win while there is one.
+                EXPECT_GE(host, from < kHosts ? from : 0);
+                EXPECT_LT(host, kHosts);
+            }
+        }
+    }
 }
 
 TEST_F(DispatchTest, ConsistentHashCoversAllHosts)

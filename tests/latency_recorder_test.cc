@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -95,7 +96,46 @@ pairsOf(const std::vector<LatencySample> &samples)
     return out;
 }
 
-const double kPercentiles[] = {0.0, 0.1, 50.0, 99.0, 99.9, 100.0};
+/** 2^32 ns, the smallest latency the recorder stores wide. */
+constexpr Tick kWide = Tick{1} << 32;
+
+/** The recorder's mean formula applied to the samples. */
+double
+referenceMean(const std::vector<Tick> &lat)
+{
+    Tick sum = 0;
+    for (Tick t : lat)
+        sum += t;
+    return static_cast<double>(sum) / static_cast<double>(lat.size());
+}
+
+/** The fraction of @p lat strictly above @p slo. */
+double
+referenceFractionAbove(const std::vector<Tick> &lat, Tick slo)
+{
+    const auto n = std::count_if(lat.begin(), lat.end(),
+                                 [slo](Tick t) { return t > slo; });
+    return static_cast<double>(n) / static_cast<double>(lat.size());
+}
+
+const double kPercentiles[] = {0.0,  0.1,  10.0, 50.0,
+                               90.0, 99.0, 99.9, 100.0};
+
+/** Every statistic of @p r against a sorted copy of @p lat. */
+void
+expectMatchesReference(const LatencyRecorder &r, const std::vector<Tick> &lat)
+{
+    ASSERT_EQ(r.count(), lat.size());
+    for (double p : kPercentiles)
+        EXPECT_EQ(r.percentile(p), referencePercentile(lat, p)) << "p" << p;
+    EXPECT_EQ(r.mean(), referenceMean(lat));
+    EXPECT_EQ(r.max(), *std::max_element(lat.begin(), lat.end()));
+    for (Tick slo : {Tick{0}, kWide - 1, kWide, kWide + 1, 3 * kWide,
+                     lat[lat.size() / 2]})
+        EXPECT_EQ(r.fractionAbove(slo), referenceFractionAbove(lat, slo))
+            << "slo " << slo;
+    EXPECT_EQ(r.cdf(200), referenceCdf(lat, 200));
+}
 
 TEST(LatencyRecorderTest, EmptyRecorder)
 {
@@ -150,7 +190,7 @@ TEST(LatencyRecorderTest, CdfIsMonotone)
 TEST(LatencyRecorderTest, TraceSortedByCompletionTime)
 {
     LatencyRecorder r = makeUniformRecorder(10, /*keep_trace=*/true);
-    auto trace = r.trace();
+    auto trace = r.takeTrace();
     ASSERT_EQ(trace.size(), 10u);
     for (std::size_t i = 1; i < trace.size(); ++i)
         EXPECT_LE(trace[i - 1].completionTime, trace[i].completionTime);
@@ -287,7 +327,7 @@ TEST(LatencyRecorderTest, MergeMovesAndConcatenates)
     EXPECT_TRUE(a.empty());
     EXPECT_TRUE(b.empty());
     EXPECT_EQ(merged.count(), lat.size());
-    EXPECT_EQ(pairsOf(merged.trace()), pairsOf(whole.trace()));
+    EXPECT_EQ(pairsOf(merged.takeTrace()), pairsOf(whole.takeTrace()));
     EXPECT_EQ(merged.percentile(99.0), whole.percentile(99.0));
     EXPECT_EQ(merged.mean(), whole.mean());
 }
@@ -305,17 +345,28 @@ TEST(LatencyRecorderTest, TraceOrderIsTotal)
         ascending.record(tick, microseconds(i));
         descending.record(tick, microseconds(101 - i));
     }
-    const auto trace = pairsOf(ascending.trace());
-    EXPECT_EQ(pairsOf(descending.trace()), trace);
+    EXPECT_EQ(descending.percentile(99.0),
+              ascending.percentile(99.0));
+    const auto trace = pairsOf(ascending.takeTrace());
+    EXPECT_EQ(pairsOf(descending.takeTrace()), trace);
     ASSERT_EQ(trace.size(), 100u);
     for (std::size_t i = 0; i < trace.size(); ++i)
         EXPECT_EQ(trace[i].second,
                   microseconds(static_cast<double>(i + 1)));
+}
 
-    EXPECT_EQ(descending.percentile(99.0),
-              ascending.percentile(99.0));
-    EXPECT_EQ(pairsOf(ascending.trace()), trace);
-    EXPECT_EQ(pairsOf(descending.trace()), trace);
+TEST(LatencyRecorderTest, TakeTraceMovesThePairsOut)
+{
+    LatencyRecorder r = makeUniformRecorder(10, /*keep_trace=*/true);
+    EXPECT_EQ(r.takeTrace().size(), 10u);
+    // The latencies stay; the pairs are gone until new ones arrive.
+    EXPECT_EQ(r.count(), 10u);
+    EXPECT_EQ(r.max(), microseconds(10));
+    EXPECT_TRUE(r.takeTrace().empty());
+    r.record(milliseconds(1), microseconds(3));
+    EXPECT_EQ(pairsOf(r.takeTrace()),
+              (std::vector<std::pair<Tick, Tick>>{
+                  {milliseconds(1), microseconds(3)}}));
 }
 
 TEST(LatencyRecorderTest, ArmedAndUnarmedReportIdenticalStatistics)
@@ -354,15 +405,15 @@ TEST(LatencyRecorderTest, TraceKeepsItsPairsThroughQueries)
     EXPECT_EQ(r.percentile(99.0), referencePercentile(lat, 99.0));
     EXPECT_EQ(r.cdf(200), referenceCdf(lat, 200));
     EXPECT_EQ(r.percentile(50.0), referencePercentile(lat, 50.0));
-    EXPECT_EQ(pairsOf(r.trace()), expected);
+    EXPECT_EQ(pairsOf(r.takeTrace()), expected);
 }
 
 TEST(LatencyRecorderTest, TraceOfAnUnarmedRecorderPanics)
 {
     LatencyRecorder empty;
-    EXPECT_THROW(empty.trace(), PanicError);
+    EXPECT_THROW(empty.takeTrace(), PanicError);
     LatencyRecorder r = makeUniformRecorder(10);
-    EXPECT_THROW(r.trace(), PanicError);
+    EXPECT_THROW(r.takeTrace(), PanicError);
     // Arming after a sample would leave that sample out of the trace.
     EXPECT_THROW(r.keepTrace(), PanicError);
     // An armed recorder takes no samples without completion ticks, and
@@ -388,11 +439,91 @@ TEST(LatencyRecorderTest, MergeOfArmedRecordersConcatenatesTraces)
         expected.emplace_back(static_cast<Tick>(i), lat[i]);
     }
     even.merge(std::move(odd));
-    EXPECT_EQ(pairsOf(even.trace()), expected);
+    EXPECT_EQ(pairsOf(even.takeTrace()), expected);
     EXPECT_EQ(even.count(), lat.size());
     // The source stays armed and holds nothing.
     EXPECT_TRUE(odd.empty());
-    EXPECT_TRUE(odd.trace().empty());
+    EXPECT_TRUE(odd.takeTrace().empty());
+}
+
+TEST(LatencyRecorderTest, WideSamplesMatchSortedReference)
+{
+    // Random mixes of 32-bit and wide latencies, from none wide to all
+    // wide, with 2^32 - 1 and 2^32 among them; checked half-way (so
+    // queries have reordered the samples) and again at the end.
+    Rng rng(19);
+    for (int trial = 0; trial < 300; ++trial) {
+        SCOPED_TRACE(trial);
+        const auto n = static_cast<std::size_t>(rng.uniformInt(1, 400));
+        const double wide_share = trial % 10 == 0 ? 0.0
+                                  : trial % 10 == 1 ? 1.0
+                                                    : rng.uniform();
+        std::vector<Tick> lat(n);
+        for (Tick &t : lat) {
+            const double u = rng.uniform();
+            if (u < 0.05)
+                t = kWide - 1;
+            else if (u < 0.1)
+                t = kWide;
+            else if (rng.bernoulli(wide_share))
+                t = rng.uniformInt(kWide, 4 * kWide);
+            else
+                t = rng.uniformInt(0, kWide - 1);
+        }
+        const std::vector<Tick> half(lat.begin(), lat.begin() + n / 2 + 1);
+        LatencyRecorder r = recorderOf(half);
+        expectMatchesReference(r, half);
+        for (std::size_t i = half.size(); i < n; ++i)
+            r.record(static_cast<Tick>(i), lat[i]);
+        expectMatchesReference(r, lat);
+    }
+}
+
+TEST(LatencyRecorderTest, PercentileInterpolatesAcrossTheWidthBoundary)
+{
+    // Sorted: 10 us, 20 us, 2^32 - 1, 2^32 + 100, 2^32 + 900. For p in
+    // [50, 75) the rank's lo is the last 32-bit sample and its hi the
+    // smallest wide one, recorded after a larger wide one.
+    const std::vector<Tick> lat = {kWide + 900, microseconds(20), kWide - 1,
+                                   kWide + 100, microseconds(10)};
+    LatencyRecorder r = recorderOf(lat);
+    EXPECT_EQ(r.percentile(62.5), kWide + 50);
+    for (double p : {50.0, 55.0, 62.5, 70.0, 74.9, 75.0})
+        EXPECT_EQ(r.percentile(p), referencePercentile(lat, p)) << "p" << p;
+    expectMatchesReference(r, lat);
+}
+
+TEST(LatencyRecorderTest, MergeAcrossTheWidthBoundary)
+{
+    // A recorder with only 32-bit samples merged into one with wide
+    // samples, and the other way round.
+    const std::vector<Tick> narrow = lognormalLatencies(500, 20);
+    const std::vector<Tick> mixed = {3 * kWide, microseconds(7), kWide,
+                                     kWide - 1, 2 * kWide + 5};
+    std::vector<Tick> all = mixed;
+    all.insert(all.end(), narrow.begin(), narrow.end());
+
+    LatencyRecorder wide_first = recorderOf(mixed);
+    wide_first.merge(recorderOf(narrow));
+    expectMatchesReference(wide_first, all);
+
+    LatencyRecorder narrow_first = recorderOf(narrow);
+    narrow_first.merge(recorderOf(mixed));
+    expectMatchesReference(narrow_first, all);
+}
+
+TEST(LatencyRecorderTest, NegativeLatencyPanics)
+{
+    LatencyRecorder r;
+    EXPECT_THROW(r.record(milliseconds(1), -1), PanicError);
+    EXPECT_THROW(r.record(milliseconds(1), std::numeric_limits<Tick>::min()),
+                 PanicError);
+    EXPECT_TRUE(r.empty());
+    LatencyRecorder armed;
+    armed.keepTrace();
+    EXPECT_THROW(armed.record(milliseconds(1), -microseconds(5)),
+                 PanicError);
+    EXPECT_TRUE(armed.takeTrace().empty());
 }
 
 } // namespace

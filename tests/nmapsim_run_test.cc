@@ -183,6 +183,20 @@ TEST(NmapsimRunTest, EveryBadKeyOrValueFailsBeforeTheBanner)
          "adaptive.ni_quantile"},
         {"--policy=NMAP-adaptive --set adaptive.min_samples=-1",
          "adaptive.min_samples"},
+        {"--policy=NMAP --set nmap.ni_th=-5", "nmap.ni_th"},
+        {"--policy=NMAP --set nmap.ni_th=10 --set nmap.cu_th=-1",
+         "nmap.cu_th"},
+        {"--policy=Parties --set parties.down_slack=-1",
+         "parties.down_slack"},
+        {"--policy=NCAP --set ncap.rps_threshold=-5", "ncap.rps_threshold"},
+        {"--policy=NMAP-adaptive --set adaptive.ratio_alpha=2",
+         "adaptive.ratio_alpha"},
+        {"--policy=NMAP-adaptive --set adaptive.ni_margin=-1",
+         "adaptive.ni_margin"},
+        {"--policy=NMAP-adaptive --set adaptive.cu_margin=-1",
+         "adaptive.cu_margin"},
+        {"--policy=ondemand --set gov.up_threshold=5", "gov.up_threshold"},
+        {"--set rps_override=-5", "rps_override"},
     };
     for (const auto &[flags, key] : cases) {
         SCOPED_TRACE(flags);

@@ -28,8 +28,11 @@ SECONDS = 5
 # a drop of more than 40% fails.
 TOLERANCE = 0.4
 # Peak RSS barely depends on the machine (allocators differ by a few
-# MiB), so it gets a tighter ceiling: 16-byte latency samples instead of
-# 8 would put every gated workload well past it.
+# MiB), so it gets a tighter ceiling: 8-byte latency samples instead of
+# 4 put chain_chaos and cluster_flowhash_high well past it.
+# host_nmap_high reads the floor run.py itself sets: ru_maxrss includes
+# the high-water mark of the Python process the benchmark is started
+# from (~18 MiB), so its ceiling only catches a larger regression.
 RSS_TOLERANCE = 0.3
 
 
