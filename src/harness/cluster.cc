@@ -255,6 +255,7 @@ ClusterExperiment::run()
 
     // Per-host hop-latency recorders, fed by the switch's hop tap
     // (dispatch to return, covering queueing + service on the host).
+    // A tier's statistics read its hosts' recorders as one set.
     std::vector<LatencyRecorder> hop_lat(
         static_cast<std::size_t>(config_.numHosts));
     if (topology.enabled()) {
@@ -408,14 +409,14 @@ ClusterExperiment::run()
     // --- Collect ------------------------------------------------------
     ClusterResult result;
     std::vector<const Client *> clients;
-    LatencyRecorder merged;
-    LatencyRecorder merged_attempts;
+    LatencySet latencies;
+    LatencySet attempts;
     for (Group &group : groups) {
         clients.push_back(group.client.get());
-        merged.merge(std::move(group.client->latencies()));
-        merged_attempts.merge(std::move(group.client->attemptLatencies()));
+        latencies.add(group.client->latencies());
+        attempts.add(group.client->attemptLatencies());
     }
-    result.collect(clients, merged, merged_attempts, config_.base.app.slo,
+    result.collect(clients, latencies, attempts, config_.base.app.slo,
                    injector.get(), plan_);
 
     result.requestsForwarded = sw.totalRequestsForwarded();
@@ -488,11 +489,11 @@ ClusterExperiment::run()
             tr.hosts = tier.hosts;
             tr.dispatch = sw.tier(t).dispatch;
             tr.slo = tierSlo(t);
-            LatencyRecorder tier_hops;
+            LatencySet tier_hops;
             for (int id = tr.firstHost; id < tr.firstHost + tr.hosts;
                  ++id) {
                 const auto h = static_cast<std::size_t>(id);
-                tier_hops.merge(std::move(hop_lat[h]));
+                tier_hops.add(hop_lat[h]);
                 tr.forwards += sw.forwardsReturned(id);
                 tr.energyJoules += result.hosts[h].energyJoules;
             }

@@ -81,8 +81,8 @@ RunPlan::configure(Client &client) const
 
 void
 RunCounters::collect(const std::vector<const Client *> &clients,
-                     const LatencyRecorder &latencies,
-                     const LatencyRecorder &attempts, Tick run_slo,
+                     const LatencySet &latencies,
+                     const LatencySet &attempts, Tick run_slo,
                      const FaultInjector *injector, const RunPlan &plan)
 {
     for (const Client *client : clients) {
@@ -273,7 +273,7 @@ Experiment::run()
     ExperimentResult result;
     rig.collect(end, result);
     const LatencyRecorder &lat = client.latencies();
-    result.collect({&client}, lat, client.attemptLatencies(),
+    result.collect({&client}, {&lat}, {&client.attemptLatencies()},
                    config_.app.slo, injector.get(), plan_);
     result.shedAdmission = app.shedAdmission();
     result.shedSojourn = app.shedSojourn();

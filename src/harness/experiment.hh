@@ -218,8 +218,8 @@ struct RunCounters
      * servers' shed counters and eventsProcessed are the harness's.
      */
     void collect(const std::vector<const Client *> &clients,
-                 const LatencyRecorder &latencies,
-                 const LatencyRecorder &attempts, Tick run_slo,
+                 const LatencySet &latencies,
+                 const LatencySet &attempts, Tick run_slo,
                  const FaultInjector *injector, const RunPlan &plan);
 };
 

@@ -1,6 +1,8 @@
 #include "stats/latency_recorder.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <string>
 #include <tuple>
@@ -11,34 +13,164 @@ namespace nmapsim {
 
 namespace {
 
-/** Append @p from to @p to, then release @p from's storage. */
-template <typename T>
-void
-moveAppend(std::vector<T> &to, std::vector<T> &from)
-{
-    if (to.empty())
-        to.swap(from);
-    else
-        to.insert(to.end(), from.begin(), from.end());
-    std::vector<T>().swap(from);
-}
-
-/** Order statistic @p k of @p v by selection, and the one above it:
- *  the minimum of the partition after @p k, or @p k's own when @p k is
- *  the last. */
-template <typename T>
-std::pair<Tick, Tick>
-selectWithNext(std::vector<T> &v, std::size_t k)
-{
-    auto nth = v.begin() + static_cast<std::ptrdiff_t>(k);
-    std::nth_element(v.begin(), nth, v.end());
-    const Tick at = *nth;
-    if (nth + 1 == v.end())
-        return {at, at};
-    return {at, *std::min_element(nth + 1, v.end())};
-}
+/** Width of one counting pass's digit: at most 2^11 counters. */
+constexpr int kDigitBits = 11;
 
 } // namespace
+
+std::size_t
+LatencySet::count() const
+{
+    std::size_t n = 0;
+    for (const LatencyRecorder *r : members_)
+        n += r->count();
+    return n;
+}
+
+std::pair<std::uint32_t, std::uint32_t>
+LatencySet::selectNarrow(std::size_t rank, bool next) const
+{
+    // The bits in play are those of the largest sample. Each pass
+    // counts the next digit down, of up to kDigitBits bits, over the
+    // samples that share every digit chosen so far (their prefix), and
+    // walks the counts to the digit that holds the rank.
+    std::uint32_t top = 0;
+    for (const LatencyRecorder *r : members_)
+        for (std::uint32_t v : r->narrow_)
+            top = std::max(top, v);
+    int shift = std::bit_width(top);
+    std::uint64_t prefix = 0; // the sample's bits above shift
+    std::size_t lo = rank;    // ranks among the samples with that prefix
+    std::size_t hi = rank + (next ? 1 : 0);
+    std::array<std::size_t, std::size_t{1} << kDigitBits> counts;
+    while (shift > 0) {
+        const int width = std::min(shift, kDigitBits);
+        const int low = shift - width;
+        const std::uint64_t mask = (std::uint64_t{1} << width) - 1;
+        counts.fill(0);
+        for (const LatencyRecorder *r : members_)
+            for (std::uint32_t v : r->narrow_)
+                if ((std::uint64_t{v} >> shift) == prefix)
+                    ++counts[(v >> low) & mask];
+        std::size_t below = 0;
+        std::size_t digit = 0;
+        while (below + counts[digit] <= lo)
+            below += counts[digit++];
+        if (hi >= below + counts[digit]) {
+            // The ranks part here: lo is the largest sample with this
+            // digit, hi the smallest with the next one in use.
+            std::size_t up = digit + 1;
+            while (counts[up] == 0)
+                ++up;
+            const std::uint64_t lo_prefix = prefix << width | digit;
+            const std::uint64_t hi_prefix = prefix << width | up;
+            if (low == 0)
+                return {static_cast<std::uint32_t>(lo_prefix),
+                        static_cast<std::uint32_t>(hi_prefix)};
+            std::uint32_t lo_value = 0;
+            std::uint32_t hi_value = std::numeric_limits<std::uint32_t>::max();
+            for (const LatencyRecorder *r : members_)
+                for (std::uint32_t v : r->narrow_) {
+                    if ((v >> low) == lo_prefix)
+                        lo_value = std::max(lo_value, v);
+                    else if ((v >> low) == hi_prefix)
+                        hi_value = std::min(hi_value, v);
+                }
+            return {lo_value, hi_value};
+        }
+        prefix = prefix << width | digit;
+        lo -= below;
+        hi -= below;
+        shift = low;
+    }
+    return {static_cast<std::uint32_t>(prefix),
+            static_cast<std::uint32_t>(prefix)};
+}
+
+Tick
+LatencySet::percentile(double p) const
+{
+    const std::size_t n = count();
+    if (n == 0)
+        return 0;
+    double rank = p / 100.0 * static_cast<double>(n - 1);
+    std::size_t lo = static_cast<std::size_t>(rank);
+    double frac = rank - static_cast<double>(lo);
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    std::size_t n32 = 0;
+    for (const LatencyRecorder *r : members_)
+        n32 += r->narrow_.size();
+    // Ranks below n32 are counted out of the 32-bit samples; the wide
+    // ones above them are few, so they are gathered and sorted.
+    Tick lo_latency = 0;
+    Tick hi_latency = 0;
+    if (lo < n32) {
+        const auto [a, b] = selectNarrow(lo, hi < n32 && hi > lo);
+        lo_latency = a;
+        hi_latency = b;
+    }
+    if (hi >= n32) {
+        std::vector<Tick> wide;
+        wide.reserve(n - n32);
+        for (const LatencyRecorder *r : members_)
+            wide.insert(wide.end(), r->wide_.begin(), r->wide_.end());
+        std::sort(wide.begin(), wide.end());
+        if (lo >= n32)
+            lo_latency = wide[lo - n32];
+        hi_latency = wide[hi - n32];
+    }
+    double v = static_cast<double>(lo_latency) * (1.0 - frac) +
+               static_cast<double>(hi_latency) * frac;
+    return static_cast<Tick>(std::llround(v));
+}
+
+double
+LatencySet::mean() const
+{
+    const std::size_t n = count();
+    if (n == 0)
+        return 0.0;
+    // Integer ns sum exactly, whatever order the latencies are in.
+    Tick sum = 0;
+    for (const LatencyRecorder *r : members_) {
+        for (std::uint32_t latency : r->narrow_)
+            sum += latency;
+        for (Tick latency : r->wide_)
+            sum += latency;
+    }
+    return static_cast<double>(sum) / static_cast<double>(n);
+}
+
+Tick
+LatencySet::max() const
+{
+    Tick top = 0;
+    for (const LatencyRecorder *r : members_) {
+        for (std::uint32_t latency : r->narrow_)
+            top = std::max<Tick>(top, latency);
+        for (Tick latency : r->wide_)
+            top = std::max(top, latency);
+    }
+    return top;
+}
+
+double
+LatencySet::fractionAbove(Tick slo) const
+{
+    const std::size_t n = count();
+    if (n == 0)
+        return 0.0;
+    std::size_t above = 0;
+    for (const LatencyRecorder *r : members_) {
+        for (std::uint32_t latency : r->narrow_)
+            if (latency > slo)
+                ++above;
+        for (Tick latency : r->wide_)
+            if (latency > slo)
+                ++above;
+    }
+    return static_cast<double>(above) / static_cast<double>(n);
+}
 
 void
 LatencyRecorder::recordWide(Tick latency)
@@ -57,68 +189,6 @@ LatencyRecorder::keepTrace()
         panic("LatencyRecorder::keepTrace() after " +
               std::to_string(count()) + " samples");
     keepTrace_ = true;
-}
-
-Tick
-LatencyRecorder::percentile(double p) const
-{
-    const std::size_t n = count();
-    if (n == 0)
-        return 0;
-    double rank = p / 100.0 * static_cast<double>(n - 1);
-    std::size_t lo = static_cast<std::size_t>(rank);
-    double frac = rank - static_cast<double>(lo);
-    // Order statistic lo by selection in the vector that holds it; lo
-    // + 1 is the minimum of what lies above it, which for the last
-    // 32-bit sample is the smallest wide one.
-    const std::size_t n32 = narrow_.size();
-    auto [lo_latency, hi_latency] = lo < n32
-                                        ? selectWithNext(narrow_, lo)
-                                        : selectWithNext(wide_, lo - n32);
-    if (lo + 1 == n32 && !wide_.empty())
-        hi_latency = *std::min_element(wide_.begin(), wide_.end());
-    double v = static_cast<double>(lo_latency) * (1.0 - frac) +
-               static_cast<double>(hi_latency) * frac;
-    return static_cast<Tick>(std::llround(v));
-}
-
-double
-LatencyRecorder::mean() const
-{
-    if (empty())
-        return 0.0;
-    // Integer ns sum exactly, whatever order the latencies are in.
-    Tick sum = 0;
-    for (std::uint32_t latency : narrow_)
-        sum += latency;
-    for (Tick latency : wide_)
-        sum += latency;
-    return static_cast<double>(sum) / static_cast<double>(count());
-}
-
-Tick
-LatencyRecorder::max() const
-{
-    if (!wide_.empty())
-        return *std::max_element(wide_.begin(), wide_.end());
-    if (!narrow_.empty())
-        return *std::max_element(narrow_.begin(), narrow_.end());
-    return 0;
-}
-
-double
-LatencyRecorder::fractionAbove(Tick slo) const
-{
-    if (empty())
-        return 0.0;
-    std::size_t n = 0;
-    for (std::uint32_t latency : narrow_)
-        if (latency > slo)
-            ++n;
-    for (Tick latency : wide_)
-        if (latency > slo)
-            ++n;
-    return static_cast<double>(n) / static_cast<double>(count());
 }
 
 std::vector<std::pair<Tick, double>>
@@ -153,17 +223,6 @@ LatencyRecorder::takeTrace()
                          std::tie(b.completionTime, b.latency);
               });
     return std::exchange(trace_, {});
-}
-
-void
-LatencyRecorder::merge(LatencyRecorder &&other)
-{
-    if (keepTrace_ != other.keepTrace_)
-        panic("LatencyRecorder::merge() of an armed and an unarmed "
-              "recorder");
-    moveAppend(narrow_, other.narrow_);
-    moveAppend(wide_, other.wide_);
-    moveAppend(trace_, other.trace_);
 }
 
 } // namespace nmapsim

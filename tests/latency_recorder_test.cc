@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the latency recorder (percentiles, CDF, traces).
+ * Unit tests for the latency recorder and recorder sets (percentiles,
+ * CDF, traces).
  */
 
 #include <gtest/gtest.h>
@@ -121,20 +122,56 @@ referenceFractionAbove(const std::vector<Tick> &lat, Tick slo)
 const double kPercentiles[] = {0.0,  0.1,  10.0, 50.0,
                                90.0, 99.0, 99.9, 100.0};
 
+/** Every statistic but the CDF of @p s (a recorder or a set) against
+ *  a sorted copy of @p lat. */
+template <typename Stats>
+void
+expectStatsMatchReference(const Stats &s, const std::vector<Tick> &lat)
+{
+    ASSERT_EQ(s.count(), lat.size());
+    if (lat.empty()) {
+        EXPECT_EQ(s.percentile(50.0), 0);
+        EXPECT_EQ(s.mean(), 0.0);
+        EXPECT_EQ(s.max(), 0);
+        EXPECT_EQ(s.fractionAbove(0), 0.0);
+        return;
+    }
+    for (double p : kPercentiles)
+        EXPECT_EQ(s.percentile(p), referencePercentile(lat, p)) << "p" << p;
+    EXPECT_EQ(s.mean(), referenceMean(lat));
+    EXPECT_EQ(s.max(), *std::max_element(lat.begin(), lat.end()));
+    for (Tick slo : {Tick{0}, kWide - 1, kWide, kWide + 1, 3 * kWide,
+                     lat[lat.size() / 2]})
+        EXPECT_EQ(s.fractionAbove(slo), referenceFractionAbove(lat, slo))
+            << "slo " << slo;
+}
+
 /** Every statistic of @p r against a sorted copy of @p lat. */
 void
 expectMatchesReference(const LatencyRecorder &r, const std::vector<Tick> &lat)
 {
-    ASSERT_EQ(r.count(), lat.size());
-    for (double p : kPercentiles)
-        EXPECT_EQ(r.percentile(p), referencePercentile(lat, p)) << "p" << p;
-    EXPECT_EQ(r.mean(), referenceMean(lat));
-    EXPECT_EQ(r.max(), *std::max_element(lat.begin(), lat.end()));
-    for (Tick slo : {Tick{0}, kWide - 1, kWide, kWide + 1, 3 * kWide,
-                     lat[lat.size() / 2]})
-        EXPECT_EQ(r.fractionAbove(slo), referenceFractionAbove(lat, slo))
-            << "slo " << slo;
+    expectStatsMatchReference(r, lat);
     EXPECT_EQ(r.cdf(200), referenceCdf(lat, 200));
+}
+
+/** The set of @p recs, in order. */
+LatencySet
+setOf(const std::vector<LatencyRecorder> &recs)
+{
+    LatencySet set;
+    for (const LatencyRecorder &r : recs)
+        set.add(r);
+    return set;
+}
+
+/** The samples of @p members, one after another. */
+std::vector<Tick>
+concatenation(const std::vector<std::vector<Tick>> &members)
+{
+    std::vector<Tick> all;
+    for (const std::vector<Tick> &lat : members)
+        all.insert(all.end(), lat.begin(), lat.end());
+    return all;
 }
 
 TEST(LatencyRecorderTest, EmptyRecorder)
@@ -264,7 +301,7 @@ TEST(LatencyRecorderTest, PercentilesMatchSortedReference)
         for (double p : kPercentiles)
             EXPECT_EQ(r.percentile(p), referencePercentile(lat, p))
                 << "p" << p;
-        // Again, now that selection has reordered the samples.
+        // Again: a query leaves the samples as they were.
         for (double p : kPercentiles)
             EXPECT_EQ(r.percentile(p), referencePercentile(lat, p))
                 << "p" << p;
@@ -302,13 +339,14 @@ TEST(LatencyRecorderTest, MeanIndependentOfInsertionOrder)
     std::reverse(lat.begin(), lat.end());
     LatencyRecorder backward = recorderOf(lat);
     EXPECT_EQ(forward.mean(), backward.mean());
-    // Selection reorders the samples; the mean must not notice.
+    // Neither a percentile nor the CDF's in-place sort may move it.
     Tick p99 = forward.percentile(99.0);
+    EXPECT_EQ(forward.cdf(10).size(), 10u);
     EXPECT_GT(p99, 0);
     EXPECT_EQ(forward.mean(), backward.mean());
 }
 
-TEST(LatencyRecorderTest, MergeMovesAndConcatenates)
+TEST(LatencySetTest, SetReadsItsMembersInPlace)
 {
     const std::vector<Tick> lat = lognormalLatencies(300, 15);
     LatencyRecorder whole = recorderOf(lat, /*keep_trace=*/true);
@@ -319,17 +357,15 @@ TEST(LatencyRecorderTest, MergeMovesAndConcatenates)
     for (std::size_t i = 0; i < lat.size(); ++i)
         (i < 100 ? a : b).record(static_cast<Tick>(i), lat[i]);
 
-    LatencyRecorder merged;
-    merged.keepTrace();
-    merged.merge(std::move(a)); // takes a's storage
-    merged.merge(std::move(b)); // appends b's samples
-    // merge() leaves each source empty.
-    EXPECT_TRUE(a.empty());
-    EXPECT_TRUE(b.empty());
-    EXPECT_EQ(merged.count(), lat.size());
-    EXPECT_EQ(pairsOf(merged.takeTrace()), pairsOf(whole.takeTrace()));
-    EXPECT_EQ(merged.percentile(99.0), whole.percentile(99.0));
-    EXPECT_EQ(merged.mean(), whole.mean());
+    const LatencySet set{&a, &b};
+    EXPECT_EQ(set.count(), lat.size());
+    EXPECT_EQ(set.percentile(99.0), whole.percentile(99.0));
+    EXPECT_EQ(set.mean(), whole.mean());
+    // The members keep their samples and their pairs.
+    EXPECT_EQ(a.count(), 100u);
+    EXPECT_EQ(b.count(), 200u);
+    EXPECT_EQ(a.takeTrace().size(), 100u);
+    EXPECT_EQ(b.takeTrace().size(), 200u);
 }
 
 TEST(LatencyRecorderTest, TraceOrderIsTotal)
@@ -391,7 +427,7 @@ TEST(LatencyRecorderTest, ArmedAndUnarmedReportIdenticalStatistics)
 TEST(LatencyRecorderTest, TraceKeepsItsPairsThroughQueries)
 {
     // Three completions per tick, recorded out of (completion,
-    // latency) order; the queries reorder the latencies in place.
+    // latency) order; the CDF sorts the latencies in place.
     const std::vector<Tick> lat = lognormalLatencies(3000, 17);
     LatencyRecorder r;
     r.keepTrace();
@@ -416,41 +452,13 @@ TEST(LatencyRecorderTest, TraceOfAnUnarmedRecorderPanics)
     EXPECT_THROW(r.takeTrace(), PanicError);
     // Arming after a sample would leave that sample out of the trace.
     EXPECT_THROW(r.keepTrace(), PanicError);
-    // An armed recorder takes no samples without completion ticks, and
-    // an unarmed one keeps none.
-    LatencyRecorder armed = makeUniformRecorder(10, /*keep_trace=*/true);
-    EXPECT_THROW(armed.merge(std::move(r)), PanicError);
-    LatencyRecorder unarmed;
-    EXPECT_THROW(unarmed.merge(std::move(armed)), PanicError);
-}
-
-TEST(LatencyRecorderTest, MergeOfArmedRecordersConcatenatesTraces)
-{
-    // Interleaved completion ticks: the merged trace holds every pair
-    // of both, in (completion, latency) order.
-    const std::vector<Tick> lat = lognormalLatencies(200, 18);
-    LatencyRecorder even;
-    LatencyRecorder odd;
-    even.keepTrace();
-    odd.keepTrace();
-    std::vector<std::pair<Tick, Tick>> expected;
-    for (std::size_t i = 0; i < lat.size(); ++i) {
-        (i % 2 == 0 ? even : odd).record(static_cast<Tick>(i), lat[i]);
-        expected.emplace_back(static_cast<Tick>(i), lat[i]);
-    }
-    even.merge(std::move(odd));
-    EXPECT_EQ(pairsOf(even.takeTrace()), expected);
-    EXPECT_EQ(even.count(), lat.size());
-    // The source stays armed and holds nothing.
-    EXPECT_TRUE(odd.empty());
-    EXPECT_TRUE(odd.takeTrace().empty());
 }
 
 TEST(LatencyRecorderTest, WideSamplesMatchSortedReference)
 {
     // Random mixes of 32-bit and wide latencies, from none wide to all
-    // wide, with 2^32 - 1 and 2^32 among them; checked half-way (so
-    // queries have reordered the samples) and again at the end.
+    // wide, with 2^32 - 1 and 2^32 among them; checked half-way (so the
+    // CDF has sorted the samples) and again at the end.
     Rng rng(19);
     for (int trial = 0; trial < 300; ++trial) {
         SCOPED_TRACE(trial);
@@ -493,23 +501,157 @@ TEST(LatencyRecorderTest, PercentileInterpolatesAcrossTheWidthBoundary)
     expectMatchesReference(r, lat);
 }
 
-TEST(LatencyRecorderTest, MergeAcrossTheWidthBoundary)
+TEST(LatencySetTest, SetAcrossTheWidthBoundary)
 {
-    // A recorder with only 32-bit samples merged into one with wide
-    // samples, and the other way round.
+    // A member with only 32-bit samples beside one with wide samples,
+    // in either order.
     const std::vector<Tick> narrow = lognormalLatencies(500, 20);
     const std::vector<Tick> mixed = {3 * kWide, microseconds(7), kWide,
                                      kWide - 1, 2 * kWide + 5};
-    std::vector<Tick> all = mixed;
-    all.insert(all.end(), narrow.begin(), narrow.end());
+    const LatencyRecorder n = recorderOf(narrow);
+    const LatencyRecorder m = recorderOf(mixed);
+    expectStatsMatchReference(LatencySet{&m, &n},
+                              concatenation({mixed, narrow}));
+    expectStatsMatchReference(LatencySet{&n, &m},
+                              concatenation({narrow, mixed}));
+}
 
-    LatencyRecorder wide_first = recorderOf(mixed);
-    wide_first.merge(recorderOf(narrow));
-    expectMatchesReference(wide_first, all);
+/** One latency of a random mix: lognormal draws quantised to 1 us (so
+ *  they tie), uniform 32-bit ones, 0 and 2^32 - 1, and with
+ *  @p wide_share a wide one. */
+Tick
+drawLatency(Rng &rng, double wide_share)
+{
+    const double u = rng.uniform();
+    if (u < 0.04)
+        return 0;
+    if (u < 0.08)
+        return kWide - 1;
+    if (rng.bernoulli(wide_share))
+        return rng.uniformInt(kWide, 4 * kWide);
+    if (u < 0.6)
+        return static_cast<Tick>(rng.lognormal(11.0, 0.6)) /
+               microseconds(1) * microseconds(1);
+    return rng.uniformInt(0, kWide - 1);
+}
 
-    LatencyRecorder narrow_first = recorderOf(narrow);
-    narrow_first.merge(recorderOf(mixed));
-    expectMatchesReference(narrow_first, all);
+TEST(LatencySetTest, SetMatchesSortedConcatenation)
+{
+    // Sets of 1-5 members. A member is empty, one sample, one value
+    // repeated, lognormal draws with ties, a random mix or wide
+    // samples only; the mixes hold 0, 2^32 - 1 and wide samples.
+    Rng rng(21);
+    for (int trial = 0; trial < 400; ++trial) {
+        SCOPED_TRACE(trial);
+        const auto size = static_cast<std::size_t>(1 + trial % 5);
+        std::vector<std::vector<Tick>> lat(size);
+        for (std::size_t m = 0; m < size; ++m) {
+            std::vector<Tick> &member = lat[m];
+            switch (rng.uniformInt(0, 5)) {
+            case 0:
+                break;
+            case 1:
+                member.push_back(drawLatency(rng, 0.2));
+                break;
+            case 2:
+                member.assign(
+                    static_cast<std::size_t>(rng.uniformInt(2, 300)),
+                    drawLatency(rng, 0.2));
+                break;
+            case 3:
+                member = lognormalLatencies(
+                    static_cast<std::size_t>(rng.uniformInt(2, 2000)),
+                    rng.next());
+                for (Tick &t : member)
+                    t = t / microseconds(2) * microseconds(2);
+                break;
+            case 4: {
+                const double wide_share = rng.uniform(0.0, 0.3);
+                member.resize(
+                    static_cast<std::size_t>(rng.uniformInt(2, 400)));
+                for (Tick &t : member)
+                    t = drawLatency(rng, wide_share);
+                break;
+            }
+            default:
+                member.resize(
+                    static_cast<std::size_t>(rng.uniformInt(1, 20)));
+                for (Tick &t : member)
+                    t = rng.uniformInt(kWide, 3 * kWide);
+                break;
+            }
+        }
+        std::vector<LatencyRecorder> recs;
+        for (const std::vector<Tick> &member : lat)
+            recs.push_back(recorderOf(member));
+        expectStatsMatchReference(setOf(recs), concatenation(lat));
+        for (std::size_t m = 0; m < size; ++m)
+            expectStatsMatchReference(recs[m], lat[m]);
+    }
+}
+
+TEST(LatencySetTest, RanksThatPartAcrossDigits)
+{
+    // The largest sample has 32 bits, so the first digit is a
+    // sample's top 11 bits and the second its next 11. Sorted: 5, 100,
+    // 2^21 - 1, 2^21 + 3, 2^21 + 7, 2^31, 2^31 + 2^10, 2^32 - 1. Ranks
+    // 2 and 3 (and 6 and 7) part at the first digit, ranks 1 and 2 (and
+    // 5 and 6) at the second, ranks 0 and 1 at the last.
+    const Tick d = Tick{1} << 21;
+    const LatencyRecorder a = recorderOf({d + 7, 5, Tick{1} << 31});
+    const LatencyRecorder b = recorderOf({});
+    const LatencyRecorder c =
+        recorderOf({kWide - 1, d - 1, (Tick{1} << 31) + 1024, 100, d + 3});
+    const std::vector<Tick> all = concatenation(
+        {{d + 7, 5, Tick{1} << 31},
+         {},
+         {kWide - 1, d - 1, (Tick{1} << 31) + 1024, 100, d + 3}});
+    const LatencySet set{&a, &b, &c};
+    EXPECT_EQ(set.percentile(100.0 * 2.5 / 7.0), d + 1);
+    for (int i = 0; i <= 1000; ++i) {
+        const double p = i / 10.0;
+        EXPECT_EQ(set.percentile(p), referencePercentile(all, p)) << "p" << p;
+    }
+    EXPECT_EQ(set.percentile(100.0), kWide - 1);
+    expectStatsMatchReference(set, all);
+}
+
+TEST(LatencySetTest, OwnQueriesAreThoseOfTheOneMemberSet)
+{
+    // Repeated queries agree with each other and with the recorder's
+    // one-member set, and an armed recorder's pairs come out sorted.
+    std::vector<Tick> lat = lognormalLatencies(5000, 22);
+    lat.push_back(kWide + 3);
+    lat.push_back(0);
+    LatencyRecorder r = recorderOf(lat, /*keep_trace=*/true);
+    const LatencySet one{&r};
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE(round);
+        for (double p : kPercentiles)
+            EXPECT_EQ(r.percentile(p), one.percentile(p)) << "p" << p;
+        EXPECT_EQ(r.mean(), one.mean());
+        EXPECT_EQ(r.max(), one.max());
+        EXPECT_EQ(r.fractionAbove(microseconds(60)),
+                  one.fractionAbove(microseconds(60)));
+        EXPECT_EQ(r.count(), one.count());
+        expectStatsMatchReference(r, lat);
+    }
+    std::vector<std::pair<Tick, Tick>> expected;
+    for (std::size_t i = 0; i < lat.size(); ++i)
+        expected.emplace_back(static_cast<Tick>(i), lat[i]);
+    EXPECT_EQ(pairsOf(r.takeTrace()), expected);
+}
+
+TEST(LatencySetTest, EmptySets)
+{
+    const LatencyRecorder empty;
+    expectStatsMatchReference(LatencySet{}, {});
+    expectStatsMatchReference(LatencySet{&empty, &empty}, {});
+    const LatencyRecorder one = recorderOf({microseconds(9)});
+    for (double p : kPercentiles)
+        EXPECT_EQ((LatencySet{&empty, &one, &empty}.percentile(p)),
+                  microseconds(9))
+            << "p" << p;
 }
 
 TEST(LatencyRecorderTest, NegativeLatencyPanics)
