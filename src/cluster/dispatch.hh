@@ -31,6 +31,7 @@
  *                     under host-count changes)
  *   round-robin       smooth weighted round robin (no affinity)
  *   least-outstanding join-the-shortest-queue on in-flight requests
+ *                     (power-pack with a zero knee)
  *   power-pack        fill hosts in id order up to a knee, keeping
  *                     high-id hosts idle for deep C-states
  */

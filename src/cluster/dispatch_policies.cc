@@ -11,12 +11,12 @@
  *    weight.
  *
  *  - Queue/packing policies (round-robin, least-outstanding,
- *    power-pack) decide per packet. least-outstanding is the classic
- *    tail-optimal join-the-shortest-queue; power-pack deliberately
+ *    power-pack) decide per packet. power-pack deliberately
  *    unbalances, filling hosts in id order up to a per-host knee
  *    ("dispatch.pack_limit") so the remaining hosts see no traffic and
  *    their packages can sit in deep idle — trading some tail headroom
- *    for cluster energy.
+ *    for cluster energy. least-outstanding, the classic tail-optimal
+ *    join-the-shortest-queue, is the same policy with a zero knee.
  */
 
 #include "cluster/dispatch.hh"
@@ -268,79 +268,30 @@ class RoundRobinDispatch : public DispatchPolicy
     HealthGuard guard_;
 };
 
-// --- least-outstanding -------------------------------------------------
-
-/** Join-the-shortest-queue on the switch's in-flight counts,
- *  normalised by host weight; ties break to the lowest id. */
-class LeastOutstandingDispatch : public DispatchPolicy
-{
-  public:
-    explicit LeastOutstandingDispatch(const DispatchContext &ctx)
-        : weights_(checkedWeights(ctx, "least-outstanding")),
-          outstanding_(ctx.outstanding), guard_(ctx)
-    {
-        if (!outstanding_)
-            fatal("least-outstanding dispatch needs the switch's "
-                  "outstanding-request feedback");
-    }
-
-    int
-    pickHost(const Packet &pkt) override
-    {
-        (void)pkt;
-        guard_.beginPick();
-        int best = -1;
-        double best_load = 0.0;
-        for (int i = 0; i < static_cast<int>(weights_.size()); ++i) {
-            if (!guard_.usable(i))
-                continue;
-            double l = load(i);
-            if (best < 0 || l < best_load) {
-                best = i;
-                best_load = l;
-            }
-        }
-        return best;
-    }
-
-    std::string name() const override { return "least-outstanding"; }
-
-  private:
-    double
-    load(int host) const
-    {
-        return static_cast<double>(outstanding_(host)) /
-               weights_[static_cast<std::size_t>(host)];
-    }
-
-    std::vector<double> weights_;
-    std::function<std::uint64_t(int)> outstanding_;
-    HealthGuard guard_;
-};
-
-// --- power-pack --------------------------------------------------------
+// --- power-pack and least-outstanding ---------------------------------
 
 /**
  * Power-aware packing: fill hosts in id order, spilling to the next
- * host only once a host's weighted in-flight count reaches
- * "dispatch.pack_limit" (default 16). High-id hosts see zero traffic
+ * host only once a host's weighted in-flight count reaches the knee
+ * ("dispatch.pack_limit", default 16). High-id hosts see zero traffic
  * until the cluster actually needs them, so their cores — and with
  * every core idle, the package — can sit in the deepest C-state; the
  * spill knee bounds how much queueing the packing may inflict.
- * Overload (every host at the knee) degrades to least-outstanding.
+ * Overload (every host at the knee) picks the least weighted in-flight
+ * count, ties to the lowest id. With a zero knee no host is below it,
+ * so every pick is that argmin: least-outstanding.
  */
-class PowerPackDispatch : public DispatchPolicy
+class PackDispatch : public DispatchPolicy
 {
   public:
-    explicit PowerPackDispatch(const DispatchContext &ctx)
-        : weights_(checkedWeights(ctx, "power-pack")),
-          outstanding_(ctx.outstanding),
-          packLimit_(dispatchParams(ctx.params).packLimit),
-          guard_(ctx)
+    PackDispatch(const DispatchContext &ctx, std::string name,
+                 double knee)
+        : name_(std::move(name)), weights_(checkedWeights(ctx, name_)),
+          outstanding_(ctx.outstanding), knee_(knee), guard_(ctx)
     {
         if (!outstanding_)
-            fatal("power-pack dispatch needs the switch's "
-                  "outstanding-request feedback");
+            fatal(name_ + " dispatch needs the switch's "
+                          "outstanding-request feedback");
     }
 
     int
@@ -353,8 +304,10 @@ class PowerPackDispatch : public DispatchPolicy
         for (int i = 0; i < static_cast<int>(weights_.size()); ++i) {
             if (!guard_.usable(i))
                 continue;
-            double l = load(i);
-            if (l < packLimit_)
+            const double l =
+                static_cast<double>(outstanding_(i)) /
+                weights_[static_cast<std::size_t>(i)];
+            if (l < knee_)
                 return i;
             if (fallback < 0 || l < fallback_load) {
                 fallback = i;
@@ -364,19 +317,13 @@ class PowerPackDispatch : public DispatchPolicy
         return fallback;
     }
 
-    std::string name() const override { return "power-pack"; }
+    std::string name() const override { return name_; }
 
   private:
-    double
-    load(int host) const
-    {
-        return static_cast<double>(outstanding_(host)) /
-               weights_[static_cast<std::size_t>(host)];
-    }
-
+    std::string name_;
     std::vector<double> weights_;
     std::function<std::uint64_t(int)> outstanding_;
-    double packLimit_;
+    double knee_;
     HealthGuard guard_;
 };
 
@@ -389,6 +336,19 @@ make(const DispatchContext &ctx)
     return std::make_unique<P>(ctx);
 }
 
+std::unique_ptr<DispatchPolicy>
+makeLeastOutstanding(const DispatchContext &ctx)
+{
+    return std::make_unique<PackDispatch>(ctx, "least-outstanding", 0.0);
+}
+
+std::unique_ptr<DispatchPolicy>
+makePowerPack(const DispatchContext &ctx)
+{
+    return std::make_unique<PackDispatch>(
+        ctx, "power-pack", dispatchParams(ctx.params).packLimit);
+}
+
 REGISTER_DISPATCH_POLICY(
     "flow-hash", &make<FlowHashDispatch>,
     "weighted flow-id hash; keeps each flow on one host");
@@ -399,10 +359,10 @@ REGISTER_DISPATCH_POLICY(
     "round-robin", &make<RoundRobinDispatch>,
     "smooth weighted round robin, per packet");
 REGISTER_DISPATCH_POLICY(
-    "least-outstanding", &make<LeastOutstandingDispatch>,
+    "least-outstanding", &makeLeastOutstanding,
     "join-the-shortest-queue on in-flight requests");
 REGISTER_DISPATCH_POLICY(
-    "power-pack", &make<PowerPackDispatch>,
+    "power-pack", &makePowerPack,
     "pack hosts in id order up to dispatch.pack_limit; spares idle "
     "deeply");
 

@@ -3,10 +3,38 @@
 #include "sim/logging.hh"
 
 namespace nmapsim {
+namespace {
+
+/**
+ * The first host after @p host, in tier-local id order wrapping round,
+ * that @p usable accepts; -1 when no tier-mate is usable. Failover
+ * stays tier-local: rerouting a cache request to an app host would
+ * violate the forward-vs-reply contract.
+ */
+template <typename Usable>
+int
+usableMateAfter(const SwitchTier &spec, int host, Usable usable)
+{
+    const int local = host - spec.firstHost;
+    for (int step = 1; step < spec.hosts; ++step) {
+        const int candidate =
+            spec.firstHost + (local + step) % spec.hosts;
+        if (usable(static_cast<std::size_t>(candidate)))
+            return candidate;
+    }
+    return -1;
+}
+
+} // namespace
 
 void
 SwitchConfig::validate() const
 {
+    // Negated so NaN fails too.
+    if (!(fabricBandwidthBps > 0.0))
+        fatal("cluster.fabric_bandwidth must be > 0 bits/s");
+    if (!(portBandwidthBps > 0.0))
+        fatal("cluster.port_bandwidth must be > 0 bits/s");
     if (healthInterval > 0 && (healthTimeout <= 0 || ejectDuration <= 0))
         fatal("switch failure detector needs cluster.health_timeout "
               "and cluster.eject_duration when cluster.health_interval "
@@ -42,28 +70,20 @@ ClusterSwitch::ClusterSwitch(EventQueue &eq, const SwitchConfig &config,
         [this](const Packet &pkt) { forwardResponse(pkt); });
     clientPort_.setQueueLimit(config_.portQueueLimit);
 
-    for (int id = 0; id < num_hosts; ++id) {
-        downlinks_.push_back(std::make_unique<Wire>(
-            eq, config_.portBandwidthBps, config_.portPropagation));
-        downlinks_.back()->setLabel("switch.port.host" +
-                                    std::to_string(id));
-        downlinks_.back()->setQueueLimit(config_.portQueueLimit);
+    hosts_.resize(static_cast<std::size_t>(num_hosts));
+    for (std::size_t id = 0; id < hosts_.size(); ++id) {
+        std::unique_ptr<Wire> &port = hosts_[id].downlink;
+        port = std::make_unique<Wire>(eq, config_.portBandwidthBps,
+                                      config_.portPropagation);
+        port->setLabel("switch.port.host" + std::to_string(id));
+        port->setQueueLimit(config_.portQueueLimit);
     }
-    requestsForwarded_.assign(static_cast<std::size_t>(num_hosts), 0);
-    responsesReturned_.assign(static_cast<std::size_t>(num_hosts), 0);
-    forwardsReturned_.assign(static_cast<std::size_t>(num_hosts), 0);
-    pendingSince_.assign(static_cast<std::size_t>(num_hosts), Ring<Tick>());
-    lastResponseAt_.assign(static_cast<std::size_t>(num_hosts), 0);
-    ejected_.assign(static_cast<std::size_t>(num_hosts), false);
-    readmitAt_.assign(static_cast<std::size_t>(num_hosts), 0);
-    ejections_.assign(static_cast<std::size_t>(num_hosts), 0);
 
     // No declared topology = the classic cluster: one tier over all
-    // hosts running the cluster-level dispatch policy.
+    // hosts. A tier naming no policy runs the cluster-level one.
     if (tiers.empty())
-        tiers.push_back(SwitchTier{"all", 0, num_hosts, dispatch});
+        tiers.push_back(SwitchTier{"all", 0, num_hosts, ""});
     tiers_ = std::move(tiers);
-    hostTier_.assign(static_cast<std::size_t>(num_hosts), -1);
     int expected_first = 0;
     for (int t = 0; t < numTiers(); ++t) {
         SwitchTier &spec = tiers_[static_cast<std::size_t>(t)];
@@ -72,9 +92,10 @@ ClusterSwitch::ClusterSwitch(EventQueue &eq, const SwitchConfig &config,
         if (spec.dispatch.empty())
             spec.dispatch = dispatch;
         expected_first += spec.hosts;
-        for (int h = spec.firstHost; h < spec.firstHost + spec.hosts;
-             ++h)
-            hostTier_[static_cast<std::size_t>(h)] = t;
+        if (expected_first > num_hosts)
+            break; // more tier hosts than weights: fatal below
+        for (int h = spec.firstHost; h < expected_first; ++h)
+            hosts_[static_cast<std::size_t>(h)].tier = t;
     }
     if (expected_first != num_hosts)
         fatal("switch tiers must cover every host exactly once");
@@ -146,8 +167,7 @@ void
 ClusterSwitch::rejectToClient(const Packet &pkt)
 {
     // Shed notice: response-shaped control traffic flagged rejected,
-    // sent straight out the client port — it never visits a host, so
-    // it takes no egress-fabric attribution slot.
+    // sent straight out the client port; it never visits a host.
     Packet resp;
     resp.requestId = pkt.requestId;
     resp.kind = Packet::Kind::kResponse;
@@ -189,67 +209,57 @@ ClusterSwitch::forwardRequest(const Packet &pkt)
               std::to_string(local) + " of " +
               std::to_string(spec.hosts) + " in tier '" + spec.name +
               "'");
+    const Tick now = eq_.now();
+    const auto healthy = [this](std::size_t h) {
+        return !hosts_[h].ejected;
+    };
     int host = spec.firstHost + local;
-    if (ejected_[static_cast<std::size_t>(host)]) {
+    if (!healthy(static_cast<std::size_t>(host))) {
         // Affinity policies keep hashing to the ejected host; steer
         // deterministically to the next healthy id so their flows come
-        // back unchanged after readmission.
-        const int alt = nextHealthyAfter(host);
+        // back unchanged after readmission. With the whole tier
+        // ejected, deliver to the pick and let client retries cope.
+        const int alt = usableMateAfter(spec, host, healthy);
         if (alt >= 0) {
             host = alt;
             ++rerouted_;
         }
     }
     if (!breakers_.empty() &&
-        !breakers_[static_cast<std::size_t>(host)].allow(eq_.now())) {
-        // Open breaker: steer to a tier-mate whose breaker admits
-        // traffic; with the whole tier dark, short-circuit to the
-        // client instead of feeding a known-bad backend.
-        const int local_pick = host - spec.firstHost;
-        int alt = -1;
-        for (int step = 1; step < spec.hosts; ++step) {
-            const int candidate =
-                spec.firstHost + (local_pick + step) % spec.hosts;
-            if (!ejected_[static_cast<std::size_t>(candidate)] &&
-                breakers_[static_cast<std::size_t>(candidate)]
-                    .wouldAllow(eq_.now())) {
-                alt = candidate;
-                break;
-            }
-        }
+        !breakers_[static_cast<std::size_t>(host)].allow(now)) {
+        // Open breaker: steer to a healthy tier-mate whose breaker
+        // admits traffic; with the whole tier dark, short-circuit to
+        // the client instead of feeding a known-bad backend.
+        const int alt = usableMateAfter(
+            spec, host, [this, &healthy, now](std::size_t h) {
+                return healthy(h) && breakers_[h].wouldAllow(now);
+            });
         if (alt < 0) {
             ++breakerShortCircuits_;
             rejectToClient(pkt);
             return;
         }
-        breakers_[static_cast<std::size_t>(alt)].allow(eq_.now());
+        breakers_[static_cast<std::size_t>(alt)].allow(now);
         host = alt;
         ++rerouted_;
     }
     Packet out = pkt;
-    out.hopStart = eq_.now(); // per-hop latency stamp
-    Wire &port = *downlinks_[static_cast<std::size_t>(host)];
-    const std::uint64_t lost_before = port.packetsDropped() +
-                                      port.packetsFaultLost() +
-                                      port.packetsLinkDownLost();
-    port.send(out);
-    // Only requests that actually made the port queue count as
-    // forwarded, so outstanding() tracks live work, not drops (queue
-    // overflow or injected faults).
-    if (port.packetsDropped() + port.packetsFaultLost() +
-            port.packetsLinkDownLost() ==
-        lost_before) {
-        ++requestsForwarded_[static_cast<std::size_t>(host)];
-        pendingSince_[static_cast<std::size_t>(host)].push_back(
-            eq_.now());
+    out.hopStart = now; // per-hop latency stamp
+    HostState &dest = hosts_[static_cast<std::size_t>(host)];
+    // Only requests the port accepts count as forwarded, so
+    // outstanding() tracks live work, not drops (queue overflow,
+    // injected loss or a downed link).
+    if (dest.downlink->send(out)) {
+        ++dest.forwarded;
+        dest.pendingSince.push_back(now);
     }
 }
 
 void
 ClusterSwitch::fromHost(int id, const Packet &pkt)
 {
-    const auto h = static_cast<std::size_t>(id);
-    const int t = hostTier_[h];
+    HostState &host = hosts_[static_cast<std::size_t>(id)];
+    const int t = host.tier;
     const bool last_tier = t == numTiers() - 1;
     const bool forwarded = pkt.kind == Packet::Kind::kRequest;
     if (forwarded && last_tier)
@@ -265,17 +275,16 @@ ClusterSwitch::fromHost(int id, const Packet &pkt)
     if (pkt.control)
         controlBytes_ += pkt.sizeBytes;
     if (forwarded)
-        ++forwardsReturned_[h];
+        ++host.forwards;
     else
-        ++responsesReturned_[h];
-    lastResponseAt_[h] = eq_.now();
-    Ring<Tick> &pending = pendingSince_[h];
-    if (pending.empty()) {
+        ++host.responses;
+    host.lastResponseAt = eq_.now();
+    if (host.pendingSince.empty()) {
         // The matching dispatch record was written off at ejection;
         // the completion is still real, so it flows onward.
         ++lateResponses_;
     } else {
-        pending.pop_front();
+        host.pendingSince.pop_front();
     }
     if (!breakers_.empty()) {
         // A response that took longer than the fabric's health timeout
@@ -288,7 +297,8 @@ ClusterSwitch::fromHost(int id, const Packet &pkt)
         const bool slow = config_.healthTimeout > 0 &&
                           eq_.now() - pkt.hopStart >
                               config_.healthTimeout;
-        breakers_[h].onOutcome(eq_.now(), pkt.rejected || slow);
+        breakers_[static_cast<std::size_t>(id)].onOutcome(
+            eq_.now(), pkt.rejected || slow);
     }
     // Sheds answer instantly; keeping them out of the hop-latency
     // feed stops them from masking a slow tier's real hop tail.
@@ -306,20 +316,14 @@ ClusterSwitch::fromHost(int id, const Packet &pkt)
         ingressFabric_.send(fwd);
         return;
     }
-    egressHosts_.push_back(id);
-    egressFabric_.send(pkt);
+    Packet resp = pkt;
+    resp.servingHost = id;
+    egressFabric_.send(resp);
 }
 
 void
 ClusterSwitch::forwardResponse(const Packet &pkt)
 {
-    // The fabric wire is FIFO and unbounded, so the ids queue stays in
-    // lockstep with its deliveries.
-    if (egressHosts_.empty())
-        panic("ClusterSwitch: egress fabric delivered a response "
-              "with no host attribution queued");
-    const int host = egressHosts_.front();
-    egressHosts_.pop_front();
     if (pkt.control)
         controlBytes_ += pkt.sizeBytes;
     else
@@ -327,59 +331,40 @@ ClusterSwitch::forwardResponse(const Packet &pkt)
     // Shed notices bypass the tap: per-host latency attribution is
     // for served responses only.
     if (tap_ && !pkt.rejected)
-        tap_(host, pkt);
+        tap_(pkt.servingHost, pkt);
     clientPort_.send(pkt);
-}
-
-int
-ClusterSwitch::nextHealthyAfter(int host) const
-{
-    // Failover stays tier-local: rerouting a cache request to an app
-    // host would violate the forward-vs-reply contract.
-    const SwitchTier &spec = tiers_[static_cast<std::size_t>(
-        hostTier_[static_cast<std::size_t>(host)])];
-    const int local = host - spec.firstHost;
-    for (int step = 1; step < spec.hosts; ++step) {
-        const int candidate =
-            spec.firstHost + (local + step) % spec.hosts;
-        if (!ejected_[static_cast<std::size_t>(candidate)])
-            return candidate;
-    }
-    // Whole tier ejected: no healthy alternative, deliver to the
-    // policy's pick and let the client's retry machinery cope.
-    return -1;
 }
 
 void
 ClusterSwitch::healthCheck()
 {
     const Tick now = eq_.now();
-    for (int host = 0; host < numHosts(); ++host) {
-        const auto h = static_cast<std::size_t>(host);
-        if (ejected_[h]) {
+    for (std::size_t h = 0; h < hosts_.size(); ++h) {
+        HostState &host = hosts_[h];
+        if (host.ejected) {
             // Optimistic, time-based readmission: the host gets
             // traffic again and must re-earn an ejection if it is
             // still down.
-            if (now >= readmitAt_[h])
-                ejected_[h] = false;
+            if (now >= host.readmitAt)
+                host.ejected = false;
             continue;
         }
-        if (pendingSince_[h].empty())
+        if (host.pendingSince.empty())
             continue; // idle hosts are unjudgeable, never ejected
-        const Tick oldest = pendingSince_[h].front();
+        const Tick oldest = host.pendingSince.front();
         const bool work_overdue =
             now - oldest > config_.healthTimeout;
         const bool silent =
-            now - std::max(lastResponseAt_[h], oldest) >
+            now - std::max(host.lastResponseAt, oldest) >
             config_.healthTimeout;
         if (work_overdue && silent) {
-            ejected_[h] = true;
-            readmitAt_[h] = now + config_.ejectDuration;
-            ++ejections_[h];
+            host.ejected = true;
+            host.readmitAt = now + config_.ejectDuration;
+            ++host.ejections;
             // Write the pending work off: the client side will
             // surface it as timeouts; keeping it would freeze
             // queue-feedback policies on a stale backlog forever.
-            pendingSince_[h].clear();
+            host.pendingSince.clear();
             // Silence is a failure signal the outcome stream never
             // sees; force the breaker open so readmission probes the
             // host instead of flooding it.
@@ -394,8 +379,8 @@ std::uint64_t
 ClusterSwitch::portDrops() const
 {
     std::uint64_t drops = clientPort_.packetsDropped();
-    for (const std::unique_ptr<Wire> &port : downlinks_)
-        drops += port->packetsDropped();
+    for (const HostState &host : hosts_)
+        drops += host.downlink->packetsDropped();
     return drops;
 }
 

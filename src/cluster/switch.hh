@@ -11,20 +11,27 @@
  * are accounted on the port wire, mirroring real shallow-buffer ToR
  * switches.
  *
- * Requests are steered by a pluggable DispatchPolicy resolved by name
- * through the DispatchRegistry; the switch feeds the policy its live
- * per-host in-flight request counts (incremented at dispatch,
- * decremented when the host's response re-enters the switch). The
- * response path needs no policy: responses are forwarded to the client
- * port, and a per-host tap lets the harness attribute each served
- * response to the host that produced it (per-host latency feeds).
+ * Everything the switch knows about one host lives in one record: its
+ * egress port, its tier, its forward/response counters, the dispatch
+ * times of its unanswered requests, its last response and its
+ * ejection state. Requests are steered by a pluggable DispatchPolicy
+ * resolved by name through the DispatchRegistry; the switch feeds the
+ * policy each host's in-flight count. A request counts as forwarded
+ * (and in flight) when its port's Wire::send() accepts it; a drop at
+ * the port (full queue, injected loss, downed link) leaves no trace on
+ * the host. The response path needs no policy: the switch stamps each
+ * response with the host that served it (Packet::servingHost) and
+ * forwards it to the client port, where a tap hands the harness each
+ * served response with that host (per-host latency feeds).
  *
  * Hosts may be composed into service tiers (SwitchTier): each tier
  * owns a contiguous host-id range and its own DispatchPolicy instance,
  * requests carry the destination tier in Packet::tier, and a mid-chain
  * host's completed request re-enters the ingress fabric east-west,
  * addressed to the next tier, instead of returning to the client. The
- * failure detector stays per-host but reroutes strictly within a tier.
+ * failure detector stays per-host, and both reroutes (around an
+ * ejected pick and around an open breaker) walk the pick's own tier
+ * for the next usable host.
  *
  * Deviations from real ToR switches are documented in DESIGN.md
  * ("Cluster model").
@@ -53,11 +60,13 @@ namespace nmapsim {
 /** Static switch/fabric configuration. */
 struct SwitchConfig
 {
-    /** Forwarding-fabric capacity (shared by all flows per direction). */
+    /** Forwarding-fabric capacity in bits/s (shared by all flows per
+     *  direction). */
     double fabricBandwidthBps = 40e9;
     /** Forwarding pipeline latency per traversal. */
     Tick fabricLatency = microseconds(2);
-    /** Egress-port link rate toward each host and the clients. */
+    /** Egress-port link rate in bits/s toward each host and the
+     *  clients. */
     double portBandwidthBps = 10e9;
     /** Egress-port propagation (cable + PHY). */
     Tick portPropagation = microseconds(5);
@@ -80,7 +89,8 @@ struct SwitchConfig
     Tick ejectDuration = 0;  //!< how long an ejection lasts
     /**@}*/
 
-    /** fatal() unless the failure detector is off or fully set. */
+    /** fatal() unless both bandwidths are positive and the failure
+     *  detector is off or fully set. */
     void validate() const;
 
     bool operator==(const SwitchConfig &) const = default;
@@ -89,14 +99,16 @@ struct SwitchConfig
 /**
  * One contiguous run of host ids forming a service tier behind the
  * switch. An empty tier list means the classic single-tier cluster:
- * one dispatch policy over every host, no east-west traffic.
+ * one tier named "all" over every host, no east-west traffic.
  */
 struct SwitchTier
 {
     std::string name;     //!< tier label for accounting
     int firstHost = 0;    //!< global id of the tier's first host
     int hosts = 0;        //!< host count (contiguous ids)
-    std::string dispatch; //!< DispatchRegistry policy for this tier
+    /** DispatchRegistry policy for this tier; empty runs the
+     *  switch's cluster-level policy. */
+    std::string dispatch;
 };
 
 /** The modeled switch: fabric, ports, dispatch, accounting. */
@@ -121,8 +133,8 @@ class ClusterSwitch
      * @param weights  per-host load weights (empty = uniform)
      * @param params   policy tunables ("dispatch.<knob>")
      * @param tiers    service tiers over the hosts; empty = one tier
-     *                 of all hosts running @p dispatch (the classic
-     *                 single-tier path, preserved bit for bit)
+     *                 "all" of every host. A tier naming no policy
+     *                 runs @p dispatch.
      */
     ClusterSwitch(EventQueue &eq, const SwitchConfig &config,
                   const std::string &dispatch,
@@ -135,13 +147,10 @@ class ClusterSwitch
     ClusterSwitch(const ClusterSwitch &) = delete;
     ClusterSwitch &operator=(const ClusterSwitch &) = delete;
 
-    int numHosts() const
-    {
-        return static_cast<int>(downlinks_.size());
-    }
+    int numHosts() const { return static_cast<int>(hosts_.size()); }
 
     /** Egress port toward host @p id; sink it into the host's NIC. */
-    Wire &downlink(int id) { return *downlinks_[id]; }
+    Wire &downlink(int id) { return *state(id).downlink; }
 
     /** Egress port toward the clients; sink it into the client pool. */
     Wire &clientPort() { return clientPort_; }
@@ -169,9 +178,6 @@ class ClusterSwitch
      */
     void enableResilience(const ResiliencePlan &plan);
 
-    /** Tier 0's steering policy (the only one in single-tier mode). */
-    const DispatchPolicy &dispatch() const { return *dispatchByTier_[0]; }
-
     /** @name Topology */
     /**@{*/
     int numTiers() const { return static_cast<int>(tiers_.size()); }
@@ -183,44 +189,32 @@ class ClusterSwitch
 
     /** @name Accounting */
     /**@{*/
-    /** Requests steered to @p host (post-fabric, pre-port-queue). */
-    std::uint64_t requestsForwarded(int host) const
+    /** Requests steered to @p id and accepted by its port. */
+    std::uint64_t requestsForwarded(int id) const
     {
-        return requestsForwarded_[host];
+        return state(id).forwarded;
     }
-    std::uint64_t
-    totalRequestsForwarded() const
+    std::uint64_t totalRequestsForwarded() const
     {
-        std::uint64_t sum = 0;
-        for (std::uint64_t v : requestsForwarded_)
-            sum += v;
-        return sum;
+        return total(&HostState::forwarded);
     }
-    /** Responses received back from @p host. */
-    std::uint64_t responsesReturned(int host) const
+    /** Responses received back from @p id. */
+    std::uint64_t responsesReturned(int id) const
     {
-        return responsesReturned_[host];
+        return state(id).responses;
     }
-    std::uint64_t
-    totalResponsesReturned() const
+    std::uint64_t totalResponsesReturned() const
     {
-        std::uint64_t sum = 0;
-        for (std::uint64_t v : responsesReturned_)
-            sum += v;
-        return sum;
+        return total(&HostState::responses);
     }
-    /** East-west forwards received back from mid-chain @p host. */
-    std::uint64_t forwardsReturned(int host) const
+    /** East-west forwards received back from mid-chain @p id. */
+    std::uint64_t forwardsReturned(int id) const
     {
-        return forwardsReturned_[static_cast<std::size_t>(host)];
+        return state(id).forwards;
     }
-    std::uint64_t
-    totalForwardsReturned() const
+    std::uint64_t totalForwardsReturned() const
     {
-        std::uint64_t sum = 0;
-        for (std::uint64_t v : forwardsReturned_)
-            sum += v;
-        return sum;
+        return total(&HostState::forwards);
     }
 
     /**
@@ -238,34 +232,24 @@ class ClusterSwitch
     std::uint64_t eastWestBytes() const { return eastWestBytes_; }
     std::uint64_t eastWestForwards() const { return eastWestForwards_; }
     /**@}*/
-    /** In-flight requests dispatched to @p host, not yet answered
+    /** In-flight requests dispatched to @p id, not yet answered
      *  (requests written off at ejection no longer count). */
-    std::uint64_t outstanding(int host) const
+    std::uint64_t outstanding(int id) const
     {
-        return pendingSince_[static_cast<std::size_t>(host)].size();
+        return state(id).pendingSince.size();
     }
     /** Egress-port queue overflow drops, all ports. */
     std::uint64_t portDrops() const;
 
     /** @name Failure-detector state and accounting */
     /**@{*/
-    /** True while the detector has @p host ejected. */
-    bool isEjected(int host) const
+    /** True while the detector has @p id ejected. */
+    bool isEjected(int id) const { return state(id).ejected; }
+    /** Times the detector ejected @p id. */
+    std::uint64_t ejections(int id) const { return state(id).ejections; }
+    std::uint64_t totalEjections() const
     {
-        return ejected_[static_cast<std::size_t>(host)];
-    }
-    /** Times the detector ejected @p host. */
-    std::uint64_t ejections(int host) const
-    {
-        return ejections_[static_cast<std::size_t>(host)];
-    }
-    std::uint64_t
-    totalEjections() const
-    {
-        std::uint64_t sum = 0;
-        for (std::uint64_t v : ejections_)
-            sum += v;
-        return sum;
+        return total(&HostState::ejections);
     }
     /** Requests steered away from their policy-picked (ejected) host. */
     std::uint64_t requestsRerouted() const { return rerouted_; }
@@ -275,13 +259,13 @@ class ClusterSwitch
 
     /** @name Resilience accounting (zero when resilience is off) */
     /**@{*/
-    /** Breaker state transitions for @p host's breaker. */
+    /** Breaker state transitions for @p id's breaker. */
     std::uint64_t
-    breakerTransitions(int host) const
+    breakerTransitions(int id) const
     {
         return breakers_.empty()
                    ? 0
-                   : breakers_[static_cast<std::size_t>(host)]
+                   : breakers_[static_cast<std::size_t>(id)]
                          .transitions();
     }
     std::uint64_t
@@ -303,11 +287,40 @@ class ClusterSwitch
     /**@}*/
 
   private:
+    /** Everything the switch tracks for one host. */
+    struct HostState
+    {
+        std::unique_ptr<Wire> downlink; //!< egress port toward the host
+        int tier = 0;                   //!< index into tiers_
+        std::uint64_t forwarded = 0;    //!< requests its port accepted
+        std::uint64_t responses = 0;    //!< responses returned
+        std::uint64_t forwards = 0;     //!< east-west forwards returned
+        /** Dispatch times of unanswered requests (count-FIFO: any
+         *  response pops the oldest entry; the front is the oldest
+         *  unmatched dispatch). */
+        Ring<Tick> pendingSince;
+        Tick lastResponseAt = 0; //!< last time it produced any response
+        bool ejected = false;
+        Tick readmitAt = 0;
+        std::uint64_t ejections = 0;
+    };
+
+    const HostState &state(int id) const
+    {
+        return hosts_[static_cast<std::size_t>(id)];
+    }
+    std::uint64_t total(std::uint64_t HostState::*counter) const
+    {
+        std::uint64_t sum = 0;
+        for (const HostState &h : hosts_)
+            sum += h.*counter;
+        return sum;
+    }
+
     void forwardRequest(const Packet &pkt);
     void forwardResponse(const Packet &pkt);
     void rejectToClient(const Packet &pkt);
     void healthCheck();
-    int nextHealthyAfter(int host) const;
 
     EventQueue &eq_;
     SwitchConfig config_;
@@ -315,39 +328,19 @@ class ClusterSwitch
     Wire ingressFabric_; //!< client->hosts direction of the fabric
     Wire egressFabric_;  //!< hosts->client direction of the fabric
     Wire clientPort_;    //!< egress port toward the clients
-    std::vector<std::unique_ptr<Wire>> downlinks_; //!< ports to hosts
+    std::vector<HostState> hosts_; //!< by global host id
 
     /** Tiers in request order; exactly one in single-tier mode. */
     std::vector<SwitchTier> tiers_;
-    /** Tier index per global host id. */
-    std::vector<int> hostTier_;
     /** One steering policy per tier, picking tier-local host ids. */
     std::vector<std::unique_ptr<DispatchPolicy>> dispatchByTier_;
     ResponseTap tap_;
     HopTap hopTap_;
 
-    /** Host attribution for responses inside the egress fabric; the
-     *  fabric wire is FIFO, so front() always names the host of the
-     *  next response to leave it. */
-    Ring<int> egressHosts_;
-
-    std::vector<std::uint64_t> requestsForwarded_;
-    std::vector<std::uint64_t> responsesReturned_;
-    std::vector<std::uint64_t> forwardsReturned_;
     std::uint64_t goodputBytes_ = 0;
     std::uint64_t controlBytes_ = 0;
     std::uint64_t eastWestBytes_ = 0;
     std::uint64_t eastWestForwards_ = 0;
-
-    /** Dispatch times of unanswered requests per host (count-FIFO:
-     *  any response pops the oldest entry; the front is the oldest
-     *  unmatched dispatch). */
-    std::vector<Ring<Tick>> pendingSince_;
-    /** Last time each host produced any response. */
-    std::vector<Tick> lastResponseAt_;
-    std::vector<bool> ejected_;
-    std::vector<Tick> readmitAt_;
-    std::vector<std::uint64_t> ejections_;
     std::uint64_t rerouted_ = 0;
     std::uint64_t lateResponses_ = 0;
 

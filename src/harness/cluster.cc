@@ -1,5 +1,6 @@
 #include "harness/cluster.hh"
 
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -91,9 +92,11 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
     if (!config_.hosts.empty() &&
         static_cast<int>(config_.hosts.size()) != config_.numHosts)
         fatal("ClusterConfig::hosts must be empty or name every host");
-    for (const HostSpec &spec : config_.hosts)
-        if (spec.weight <= 0.0)
-            fatal("host dispatch weights must be positive");
+    for (std::size_t id = 0; id < config_.hosts.size(); ++id)
+        if (!(config_.hosts[id].weight > 0.0 &&
+              std::isfinite(config_.hosts[id].weight)))
+            fatal("host" + std::to_string(id) +
+                  ".weight must be positive and finite");
     if (config_.clientGroups < 1)
         fatal("ClusterExperiment requires at least one client group");
     if (config_.base.numConnections < 1 ||
@@ -169,15 +172,13 @@ ClusterExperiment::hostWeights() const
 std::vector<SwitchTier>
 ClusterExperiment::switchTiers() const
 {
-    if (!plan_.topology.enabled())
-        return {SwitchTier{"all", 0, config_.numHosts, config_.dispatch}};
     std::vector<SwitchTier> tiers;
     for (int t = 0; t < plan_.topology.numTiers(); ++t) {
         const TierSpec &tier =
             plan_.topology.tiers[static_cast<std::size_t>(t)];
-        tiers.push_back(SwitchTier{
-            tier.name, plan_.topology.firstHostOf(t), tier.hosts,
-            tier.dispatch.empty() ? config_.dispatch : tier.dispatch});
+        tiers.push_back(SwitchTier{tier.name,
+                                   plan_.topology.firstHostOf(t),
+                                   tier.hosts, tier.dispatch});
     }
     return tiers;
 }

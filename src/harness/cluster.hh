@@ -246,8 +246,9 @@ class ClusterExperiment
 
   private:
     /** What the switch is built from: per-host dispatch weights and
-     *  one tier per declared topology tier (else one tier of all
-     *  hosts), each naming the dispatch policy it runs. */
+     *  one tier per declared topology tier (none without a topology),
+     *  each naming the dispatch policy it declares, if any; the switch
+     *  resolves the defaults. */
     std::vector<double> hostWeights() const;
     std::vector<SwitchTier> switchTiers() const;
 

@@ -15,7 +15,7 @@
  * value fails at construction whether or not a policy reads it.
  *
  * The codec reads and writes integers, bools (true/false/1/0),
- * doubles, durations (ns/us/ms/s suffix, bare numbers are ns; finite,
+ * doubles (never NaN), durations (ns/us/ms/s suffix, bare numbers are ns; finite,
  * >= 0 and within a Tick; printed as integer ns), strings and
  * comma-separated integer lists. Other types (LoadLevel, AppProfile,
  * DataplanePlan::Mode) overload parseConfigField, and formatConfigField
@@ -27,6 +27,7 @@
 #define NMAPSIM_HARNESS_POLICY_PARAMS_HH_
 
 #include <charconv>
+#include <cmath>
 #include <map>
 #include <set>
 #include <string>
@@ -48,7 +49,8 @@ badConfigValue(const std::string &key, const std::string &what,
     fatal("config key '" + key + "': " + what + ": '" + text + "'");
 }
 
-/** The whole of @p text as a number of type @p Number. */
+/** The whole of @p text as a number of type @p Number; never NaN,
+ *  which from_chars accepts and no tunable means. */
 template <typename Number>
 Number
 parseConfigNumber(const std::string &text, const std::string &key)
@@ -56,7 +58,10 @@ parseConfigNumber(const std::string &text, const std::string &key)
     Number v = 0;
     const char *e = text.data() + text.size();
     auto res = std::from_chars(text.data(), e, v);
-    if (res.ec != std::errc() || res.ptr != e)
+    bool nan = false;
+    if constexpr (std::is_floating_point_v<Number>)
+        nan = std::isnan(v);
+    if (res.ec != std::errc() || res.ptr != e || nan)
         badConfigValue(key,
                        std::is_integral_v<Number> ? "not an integer"
                                                   : "not a number",

@@ -40,6 +40,10 @@ ServerRig::validate(const ExperimentConfig &config)
         fatal("gov.sample_period must be > 0");
     if (!(config.gov.upThreshold > 0.0 && config.gov.upThreshold <= 1.0))
         fatal("gov.up_threshold must be in (0, 1]");
+    // A zero poll budget harvests nothing: every packet would sit in
+    // the ring until the NIC drops it.
+    if (config.os.napiWeight < 1)
+        fatal("os.napi_weight must be >= 1");
 
     // The anchors pull in every built-in TU that registers a policy or
     // a params namespace.

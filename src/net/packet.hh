@@ -33,10 +33,14 @@ struct Packet
     bool latencyCritical = true; //!< NCAP's packet classification bit
 
     // Service-topology addressing. Single-tier traffic leaves all of
-    // these at their defaults; the ClusterSwitch owns tier/hopStart
-    // stamping and ServerApp echoes them through service.
+    // these at their defaults; the ClusterSwitch owns tier/hopStart/
+    // servingHost stamping and ServerApp echoes them through service.
     std::uint8_t tier = 0;     //!< destination tier of a request
     std::uint8_t hops = 0;     //!< completed host traversals so far
+    /** Host that served a response, stamped by the switch as the
+     *  response arrives from it; fits the padding after `hops`, so a
+     *  Packet stays 72 bytes. */
+    std::int32_t servingHost = -1;
     Tick hopStart = 0;         //!< when the current hop was dispatched
     bool control = false;      //!< probe/health traffic, not goodput
 

@@ -56,7 +56,7 @@ Wire::serializationTicks(std::uint32_t size_bytes)
     return ser;
 }
 
-void
+bool
 Wire::send(const Packet &pkt)
 {
     if (!sink_) {
@@ -68,7 +68,7 @@ Wire::send(const Packet &pkt)
     }
     if (linkDown_) {
         ++linkDownLost_;
-        return;
+        return false;
     }
     bool corrupt = false;
     if (faultFilter_) {
@@ -77,7 +77,7 @@ Wire::send(const Packet &pkt)
             break;
           case WireFault::kDrop:
             ++faultLost_;
-            return;
+            return false;
           case WireFault::kCorrupt:
             corrupt = true;
             break;
@@ -86,7 +86,7 @@ Wire::send(const Packet &pkt)
     if (queueLimit_ != 0 && inFlight_.size() >= queueLimit_) {
         ++dropped_;
         bytesDropped_ += pkt.sizeBytes;
-        return;
+        return false;
     }
     Tick start = std::max(eq_.now(), lineIdleAt_);
     lineIdleAt_ = start + serializationTicks(pkt.sizeBytes);
@@ -96,6 +96,7 @@ Wire::send(const Packet &pkt)
         TxRec{pkt, lineIdleAt_ + propagation_, corrupt});
     if (!deliverEvent_.scheduled())
         eq_.schedule(&deliverEvent_, inFlight_.front().deliverAt);
+    return true;
 }
 
 void

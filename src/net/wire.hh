@@ -97,8 +97,13 @@ class Wire
     void setLinkDown(bool down);
     bool linkDown() const { return linkDown_; }
 
-    /** Enqueue a packet for transmission now. */
-    void send(const Packet &pkt);
+    /**
+     * Enqueue a packet for transmission now. Returns whether the wire
+     * accepted it: false for a downed link, an injected loss or a full
+     * queue (each counted on its own counter), true otherwise,
+     * including a corrupted packet, which still occupies the line.
+     */
+    bool send(const Packet &pkt);
 
     /** @name Accounting */
     /**@{*/

@@ -64,55 +64,36 @@ OnlineThresholdEstimator::cuThreshold() const
     return std::max(0.05, config_.cuMargin * ratioEwma_);
 }
 
+namespace {
+
+/** NMAP's tunables at the estimator's bootstrap thresholds. */
+NmapConfig
+bootstrapConfig(const AdaptiveConfig &config)
+{
+    NmapConfig nmap_config;
+    nmap_config.timerInterval = config.timerInterval;
+    nmap_config.niThreshold = config.bootstrapNiTh;
+    nmap_config.cuThreshold = config.bootstrapCuTh;
+    return nmap_config;
+}
+
+} // namespace
+
 AdaptiveNmapGovernor::AdaptiveNmapGovernor(
     EventQueue &eq, std::vector<Core *> cores,
     const AdaptiveConfig &config, Rng rng,
     const GovernorConfig &gov_config)
-    : cores_(std::move(cores)), config_(config),
-      est_(config, rng.fork()),
-      monitor_(static_cast<int>(cores_.size()), config.bootstrapNiTh),
-      sessionPoll_(cores_.size(), 0), sessionWasNi_(cores_.size(), false)
+    : NmapGovernor(eq, cores, bootstrapConfig(config), gov_config),
+      cores_(std::move(cores)), est_(config, rng.fork()),
+      sessionWasNi_(cores_.size(), false)
 {
-    fallback_ =
-        std::make_unique<OndemandGovernor>(eq, cores_, gov_config);
-    NmapConfig nmap_config;
-    nmap_config.timerInterval = config_.timerInterval;
-    nmap_config.niThreshold = config_.bootstrapNiTh;
-    nmap_config.cuThreshold = config_.bootstrapCuTh;
-    engine_ = std::make_unique<DecisionEngine>(
-        eq, cores_, *fallback_, monitor_, nmap_config);
-    monitor_.setNotify(
-        [this](int core) { engine_->onNotification(core); });
     // Learn CU_TH from the ratios of NI-mode windows; refresh the live
     // thresholds at the same cadence.
-    engine_->setRatioHook([this](int core, double ratio, bool ni) {
-        (void)core;
+    engine_->setRatioHook([this](double ratio, bool ni) {
         if (ni)
             est_.recordNiWindowRatio(ratio);
         refreshThresholds();
     });
-}
-
-void
-AdaptiveNmapGovernor::start()
-{
-    fallback_->start();
-    engine_->start();
-}
-
-void
-AdaptiveNmapGovernor::closeSession(int core)
-{
-    std::size_t i = static_cast<std::size_t>(core);
-    // A session is a valid NI_TH sample when it ran under profiling
-    // conditions: the core spent it in NI mode, i.e. at the maximum
-    // V/F (the offline procedure's environment).
-    if (sessionPoll_[i] > 0 && sessionWasNi_[i] &&
-        cores_[i]->pstateIndex() == 0) {
-        est_.recordNiSession(sessionPoll_[i]);
-    }
-    sessionPoll_[i] = 0;
-    sessionWasNi_[i] = engine_->networkIntensive(core);
 }
 
 void
@@ -125,8 +106,17 @@ AdaptiveNmapGovernor::refreshThresholds()
 void
 AdaptiveNmapGovernor::onHardIrq(int core)
 {
-    closeSession(core);
-    monitor_.onHardIrq(core);
+    // The hardirq closes the core's poll session, so read its polling
+    // count before the monitor resets it. A session is a valid NI_TH
+    // sample when it ran under profiling conditions: the core spent it
+    // in NI mode, i.e. at the maximum V/F (the offline procedure's
+    // environment).
+    const std::size_t i = static_cast<std::size_t>(core);
+    const std::uint64_t polled = monitor_.sessionPollCount(core);
+    if (polled > 0 && sessionWasNi_[i] && cores_[i]->pstateIndex() == 0)
+        est_.recordNiSession(polled);
+    sessionWasNi_[i] = networkIntensive(core);
+    NmapGovernor::onHardIrq(core);
 }
 
 void
@@ -134,16 +124,8 @@ AdaptiveNmapGovernor::onPollProcessed(int core, std::uint32_t intr_pkts,
                                       std::uint32_t poll_pkts)
 {
     std::size_t i = static_cast<std::size_t>(core);
-    sessionPoll_[i] += poll_pkts;
-    sessionWasNi_[i] =
-        sessionWasNi_[i] || engine_->networkIntensive(core);
-    monitor_.onPollProcessed(core, intr_pkts, poll_pkts);
-}
-
-bool
-AdaptiveNmapGovernor::networkIntensive(int core) const
-{
-    return engine_->networkIntensive(core);
+    sessionWasNi_[i] = sessionWasNi_[i] || networkIntensive(core);
+    NmapGovernor::onPollProcessed(core, intr_pkts, poll_pkts);
 }
 
 } // namespace nmapsim

@@ -29,13 +29,9 @@
 #define NMAPSIM_NMAP_ADAPTIVE_HH_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "governors/freq_governor.hh"
-#include "nmap/decision_engine.hh"
-#include "nmap/monitor.hh"
-#include "os/hooks.hh"
+#include "nmap/nmap_governor.hh"
 #include "sim/rng.hh"
 
 namespace nmapsim {
@@ -101,19 +97,19 @@ class OnlineThresholdEstimator
 };
 
 /**
- * NMAP with online threshold adaptation: the Section 4 architecture
- * (Mode Transition Monitor + Decision Engine + ondemand fallback) with
- * thresholds refreshed from the estimator on every engine tick instead
- * of fixed by an offline profiling pass.
+ * NMAP with online threshold adaptation: NmapGovernor (the Section 4
+ * Mode Transition Monitor, Decision Engine and ondemand fallback),
+ * started from the bootstrap thresholds and refreshed from the
+ * estimator on every engine tick instead of fixed by an offline
+ * profiling pass.
  */
-class AdaptiveNmapGovernor : public FreqGovernor, public NapiObserver
+class AdaptiveNmapGovernor : public NmapGovernor
 {
   public:
     AdaptiveNmapGovernor(EventQueue &eq, std::vector<Core *> cores,
                          const AdaptiveConfig &config, Rng rng,
                          const GovernorConfig &gov_config = {});
 
-    void start() override;
     std::string name() const override { return "NMAP-adaptive"; }
 
     /** @name NapiObserver */
@@ -123,22 +119,16 @@ class AdaptiveNmapGovernor : public FreqGovernor, public NapiObserver
                          std::uint32_t poll_pkts) override;
     /**@}*/
 
-    bool networkIntensive(int core) const;
     double currentNiThreshold() const { return monitor_.niThreshold(); }
     double currentCuThreshold() const { return engine_->cuThreshold(); }
     const OnlineThresholdEstimator &estimator() const { return est_; }
 
   private:
-    void closeSession(int core);
     void refreshThresholds();
 
     std::vector<Core *> cores_;
-    AdaptiveConfig config_;
     OnlineThresholdEstimator est_;
-    ModeTransitionMonitor monitor_;
-    std::unique_ptr<OndemandGovernor> fallback_;
-    std::unique_ptr<DecisionEngine> engine_;
-    std::vector<std::uint64_t> sessionPoll_;
+    /** Per core: whether the open poll session saw NI mode. */
     std::vector<bool> sessionWasNi_;
 };
 

@@ -10,11 +10,14 @@ DecisionEngine::DecisionEngine(EventQueue &eq, std::vector<Core *> cores,
                                const NmapConfig &config)
     : eq_(eq), cores_(std::move(cores)), fallback_(fallback),
       monitor_(monitor), config_(config),
-      niMode_(cores_.size(), false),
+      domainCores_(config.chipWide ? static_cast<int>(cores_.size()) : 1),
       timerEvent_([this] { onTimer(); }, "nmap.timer")
 {
     if (cores_.empty())
         fatal("DecisionEngine requires at least one core");
+    for (int first = 0; first < static_cast<int>(cores_.size());
+         first += domainCores_)
+        domains_.push_back(Domain{first, first + domainCores_});
 }
 
 DecisionEngine::~DecisionEngine()
@@ -31,84 +34,56 @@ DecisionEngine::start()
 void
 DecisionEngine::onNotification(int core)
 {
-    std::size_t i = static_cast<std::size_t>(core);
-    if (niMode_[i])
+    Domain &domain =
+        domains_[static_cast<std::size_t>(core / domainCores_)];
+    if (domain.ni)
         return;
     // Algorithm 2 lines 3-5: Network Intensive Mode — disable the
-    // utilisation governor and maximise the current V/F.
-    niMode_[i] = true;
+    // utilisation governor and maximise the current V/F, for the
+    // notifying core first. Without per-core DVFS one overloaded core
+    // drags the whole chip to P0.
+    domain.ni = true;
     ++toNi_;
-    fallback_.setEnabled(core, false);
-    cores_[i]->dvfs().requestPState(0);
-
-    if (config_.chipWide) {
-        // No per-core DVFS: one overloaded core drags the whole chip
-        // to P0.
-        for (std::size_t j = 0; j < cores_.size(); ++j) {
-            if (niMode_[j])
-                continue;
-            niMode_[j] = true;
-            fallback_.setEnabled(static_cast<int>(j), false);
-            cores_[j]->dvfs().requestPState(0);
-        }
-    }
+    const auto maximise = [this](int c) {
+        fallback_.setEnabled(c, false);
+        cores_[static_cast<std::size_t>(c)]->dvfs().requestPState(0);
+    };
+    maximise(core);
+    for (int c = domain.first; c < domain.end; ++c)
+        if (c != core)
+            maximise(c);
 }
 
 bool
 DecisionEngine::networkIntensive(int core) const
 {
-    return niMode_[static_cast<std::size_t>(core)];
+    return domains_[static_cast<std::size_t>(core / domainCores_)].ni;
 }
 
 void
 DecisionEngine::onTimer()
 {
-    if (config_.chipWide) {
-        // Aggregate ratio across the package; all cores switch
-        // together.
+    for (Domain &domain : domains_) {
         std::uint64_t poll = 0;
         std::uint64_t intr = 0;
-        for (std::size_t i = 0; i < cores_.size(); ++i) {
-            int core = static_cast<int>(i);
-            poll += monitor_.windowPollCount(core);
-            intr += monitor_.windowIntrCount(core);
-            monitor_.resetWindow(core);
+        for (int c = domain.first; c < domain.end; ++c) {
+            poll += monitor_.windowPollCount(c);
+            intr += monitor_.windowIntrCount(c);
+            monitor_.resetWindow(c);
         }
-        double ratio = static_cast<double>(poll) /
-                       static_cast<double>(intr > 0 ? intr : 1);
+        const double ratio = static_cast<double>(poll) /
+                             static_cast<double>(intr > 0 ? intr : 1);
         if (ratioHook_)
-            ratioHook_(-1, ratio, niMode_[0]);
-        if (niMode_[0] && ratio < config_.cuThreshold) {
-            for (std::size_t i = 0; i < cores_.size(); ++i) {
-                int core = static_cast<int>(i);
-                niMode_[i] = false;
-                fallback_.enforceNow(core);
-                fallback_.setEnabled(core, true);
-            }
-            ++toCpu_;
-        }
-        eq_.scheduleIn(&timerEvent_, config_.timerInterval);
-        return;
-    }
-
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-        int core = static_cast<int>(i);
-        std::uint64_t poll = monitor_.windowPollCount(core);
-        std::uint64_t intr = monitor_.windowIntrCount(core);
-        monitor_.resetWindow(core);
-        double ratio = static_cast<double>(poll) /
-                       static_cast<double>(intr > 0 ? intr : 1);
-        if (ratioHook_)
-            ratioHook_(core, ratio, niMode_[i]);
-        if (!niMode_[i])
-            continue;
+            ratioHook_(ratio, domain.ni);
         // Algorithm 2 lines 7-12: fall back to CPU Utilisation based
         // Mode when the polling-to-interrupt ratio has dropped.
-        if (ratio < config_.cuThreshold) {
-            niMode_[i] = false;
-            ++toCpu_;
-            fallback_.enforceNow(core);
-            fallback_.setEnabled(core, true);
+        if (!domain.ni || !(ratio < config_.cuThreshold))
+            continue;
+        domain.ni = false;
+        ++toCpu_;
+        for (int c = domain.first; c < domain.end; ++c) {
+            fallback_.enforceNow(c);
+            fallback_.setEnabled(c, true);
         }
     }
     eq_.scheduleIn(&timerEvent_, config_.timerInterval);

@@ -2,15 +2,20 @@
  * @file
  * NMAP's Decision Engine (Algorithm 2 of the paper).
  *
- * Per core, the engine switches between two power-management modes:
+ * Per DVFS domain, the engine switches between two power-management
+ * modes:
  *
  *  - **Network Intensive Mode** — entered immediately when the monitor
- *    notifies: the CPU-utilisation governor is disabled for the core and
- *    its V/F is maximised (P0).
+ *    notifies for any core of the domain: the CPU-utilisation governor
+ *    is disabled for the domain's cores and their V/F is maximised
+ *    (P0).
  *  - **CPU Utilisation based Mode** — re-entered at a periodic check
- *    when the windowed polling-to-interrupt ratio drops below CU_TH:
- *    the utilisation-based P-state is enforced and the ondemand governor
- *    re-enabled.
+ *    when the domain's windowed polling-to-interrupt ratio drops below
+ *    CU_TH: the utilisation-based P-state is enforced and the ondemand
+ *    governor re-enabled.
+ *
+ * A domain is one core in the default per-core mode and every core in
+ * the chip-wide variant (Section 2.2).
  */
 
 #ifndef NMAPSIM_NMAP_DECISION_ENGINE_HH_
@@ -97,19 +102,27 @@ class DecisionEngine
     double cuThreshold() const { return config_.cuThreshold; }
 
     /**
-     * Observer of the periodic ratio evaluation: called once per core
-     * (or once with core = -1 in chip-wide mode) on every timer tick
-     * with the window's polling/interrupt ratio and whether the core
-     * was in Network Intensive Mode. Drives online threshold learning.
+     * Observer of the periodic ratio evaluation: called once per DVFS
+     * domain on every timer tick with the window's polling/interrupt
+     * ratio and whether the domain was in Network Intensive Mode.
+     * Drives online threshold learning.
      */
-    using RatioHook = std::function<void(int core, double ratio,
-                                         bool network_intensive)>;
+    using RatioHook =
+        std::function<void(double ratio, bool network_intensive)>;
     void setRatioHook(RatioHook hook) { ratioHook_ = std::move(hook); }
 
     std::uint64_t modeSwitchesToNi() const { return toNi_; }
     std::uint64_t modeSwitchesToCpu() const { return toCpu_; }
 
   private:
+    /** Cores [first, end) sharing one V/F, and their mode. */
+    struct Domain
+    {
+        int first = 0;
+        int end = 0;
+        bool ni = false; //!< in Network Intensive Mode
+    };
+
     void onTimer();
 
     EventQueue &eq_;
@@ -119,7 +132,8 @@ class DecisionEngine
     NmapConfig config_;
     RatioHook ratioHook_;
 
-    std::vector<bool> niMode_;
+    int domainCores_; //!< cores per domain: 1, or all when chip-wide
+    std::vector<Domain> domains_;
     std::uint64_t toNi_ = 0;
     std::uint64_t toCpu_ = 0;
 

@@ -49,7 +49,7 @@ class NmapGovernor : public FreqGovernor, public NapiObserver
     const DecisionEngine &engine() const { return *engine_; }
     OndemandGovernor &fallback() { return *fallback_; }
 
-  private:
+  protected:
     ModeTransitionMonitor monitor_;
     std::unique_ptr<OndemandGovernor> fallback_;
     std::unique_ptr<DecisionEngine> engine_;

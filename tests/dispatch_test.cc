@@ -20,6 +20,7 @@
 
 #include "cluster/dispatch.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace nmapsim {
 namespace {
@@ -241,6 +242,47 @@ TEST_F(DispatchTest, QueuePoliciesAskTheHealthFeedAtMostTwicePerHost)
                 EXPECT_GE(host, from < kHosts ? from : 0);
                 EXPECT_LT(host, kHosts);
             }
+        }
+    }
+}
+
+TEST_F(DispatchTest, LeastOutstandingIsPowerPackWithAKneeBelowEveryLoad)
+{
+    // With the knee at or below the smallest nonzero weighted load
+    // (one request on the heaviest host, 1 / 4), only idle hosts sit
+    // under it, and the first idle host is also the first argmin: the
+    // two policies must agree on every pick, with or without a health
+    // feed.
+    constexpr int kHosts = 6;
+    std::array<std::uint64_t, kHosts> outstanding{};
+    std::array<bool, kHosts> healthy{};
+    Rng rng(2024);
+    for (const bool with_feed : {false, true}) {
+        SCOPED_TRACE(with_feed ? "health feed" : "no health feed");
+        DispatchContext ctx =
+            context(kHosts, {1.0, 2.0, 0.5, 4.0, 1.0, 2.0});
+        ctx.outstanding = [&outstanding](int host) {
+            return outstanding[static_cast<std::size_t>(host)];
+        };
+        if (with_feed) {
+            ctx.healthy = [&healthy](int host) {
+                return healthy[static_cast<std::size_t>(host)];
+            };
+        }
+        auto least =
+            DispatchRegistry::instance().make("least-outstanding", ctx);
+        ctx.params.set("dispatch.pack_limit", 0.25);
+        auto pack = DispatchRegistry::instance().make("power-pack", ctx);
+        for (int step = 0; step < 1000; ++step) {
+            for (int h = 0; h < kHosts; ++h) {
+                const auto i = static_cast<std::size_t>(h);
+                outstanding[i] =
+                    static_cast<std::uint64_t>(rng.uniformInt(0, 6));
+                healthy[i] = rng.uniformInt(0, 3) != 0;
+            }
+            ASSERT_EQ(least->pickHost(flowPacket(0)),
+                      pack->pickHost(flowPacket(0)))
+                << "step " << step;
         }
     }
 }

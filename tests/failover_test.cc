@@ -3,7 +3,8 @@
  * Tests for the cluster switch's health-aware failover: the silence
  * detector ejects only truly unresponsive hosts, ejected hosts stop
  * receiving requests, recovery leads to readmission, and write-off /
- * late-response accounting stays consistent.
+ * late-response accounting stays consistent. Also the response tap's
+ * attribution of each response to the host that served it.
  *
  * The switch is driven directly with fake hosts (wire sinks calling
  * back into fromHost), so every test controls exactly which host is
@@ -12,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/switch.hh"
@@ -227,6 +230,60 @@ TEST_F(FailoverTest, AllHostsEjectedDegradesToHealthBlindDispatch)
         requestsSeen_[0] + requestsSeen_[1];
     eq_.runUntil(milliseconds(10));
     EXPECT_GT(requestsSeen_[0] + requestsSeen_[1], before);
+}
+
+TEST(SwitchResponseTapTest, NamesTheServingHostOfInterleavedResponses)
+{
+    // Three fake hosts answer after 3, 1 and 2 us, less than the
+    // fabric's 2 us latency apart, so responses to a round-robin burst
+    // share the egress fabric and leave it in another order than their
+    // requests entered the switch.
+    constexpr int kHosts = 3;
+    const Tick delay[kHosts] = {microseconds(3), microseconds(1),
+                                microseconds(2)};
+    EventQueue eq;
+    std::vector<std::unique_ptr<EventFunctionWrapper>> replies;
+    ClusterSwitch sw(eq, SwitchConfig{}, "round-robin",
+                     std::vector<double>(kHosts, 1.0), PolicyParams{});
+    sw.clientPort().setSink([](const Packet &) {});
+    std::map<std::uint64_t, int> served_by; // request id -> host
+    for (int id = 0; id < kHosts; ++id) {
+        sw.downlink(id).setSink([&, id](const Packet &pkt) {
+            served_by[pkt.requestId] = id;
+            Packet resp = pkt;
+            resp.kind = Packet::Kind::kResponse;
+            replies.push_back(std::make_unique<EventFunctionWrapper>(
+                [&sw, id, resp] { sw.fromHost(id, resp); },
+                "test.reply"));
+            eq.schedule(replies.back().get(), eq.now() + delay[id]);
+        });
+    }
+    std::vector<std::pair<std::uint64_t, int>> tapped; // (id, host)
+    sw.setResponseTap([&tapped](int host, const Packet &pkt) {
+        tapped.emplace_back(pkt.requestId, host);
+    });
+    constexpr std::uint64_t kRequests = 12;
+    for (std::uint64_t id = 1; id <= kRequests; ++id) {
+        Packet pkt;
+        pkt.requestId = id;
+        pkt.flowHash = static_cast<std::uint32_t>(id);
+        pkt.sizeBytes = 1500;
+        sw.fromClient(pkt);
+    }
+    eq.runAll();
+
+    ASSERT_EQ(tapped.size(), kRequests);
+    bool reordered = false;
+    for (std::size_t k = 0; k < tapped.size(); ++k) {
+        EXPECT_EQ(tapped[k].second, served_by.at(tapped[k].first))
+            << "request " << tapped[k].first;
+        reordered = reordered || tapped[k].first != k + 1;
+    }
+    EXPECT_TRUE(reordered);
+    for (int id = 0; id < kHosts; ++id)
+        EXPECT_EQ(sw.responsesReturned(id), kRequests / kHosts);
+    // The stamp fits in padding: a Packet stays 72 bytes.
+    EXPECT_EQ(sizeof(Packet), 72u);
 }
 
 } // namespace

@@ -197,6 +197,16 @@ TEST(NmapsimRunTest, EveryBadKeyOrValueFailsBeforeTheBanner)
          "adaptive.cu_margin"},
         {"--policy=ondemand --set gov.up_threshold=5", "gov.up_threshold"},
         {"--set rps_override=-5", "rps_override"},
+        {"--hosts=2 --set host0.weight=nan", "host0.weight"},
+        {"--hosts=2 --set host0.weight=inf", "host0.weight"},
+        {"--set fault.wire_loss=nan", "fault.wire_loss"},
+        {"--hosts=2 --set cluster.port_bandwidth=nan",
+         "cluster.port_bandwidth"},
+        {"--hosts=2 --set cluster.port_bandwidth=0",
+         "cluster.port_bandwidth"},
+        {"--hosts=2 --set cluster.fabric_bandwidth=-1",
+         "cluster.fabric_bandwidth"},
+        {"--set os.napi_weight=0", "os.napi_weight"},
     };
     for (const auto &[flags, key] : cases) {
         SCOPED_TRACE(flags);

@@ -275,6 +275,14 @@ TEST(TopologySwitchConfigTest, RejectsNonContiguousTiers)
                                std::vector<double>(2, 1.0),
                                PolicyParams{}, std::move(under)),
                  FatalError);
+    std::vector<SwitchTier> over{
+        SwitchTier{"a", 0, 1, "round-robin"},
+        SwitchTier{"b", 1, 2, "round-robin"},
+    };
+    EXPECT_THROW(ClusterSwitch(eq, SwitchConfig{}, "round-robin",
+                               std::vector<double>(2, 1.0),
+                               PolicyParams{}, std::move(over)),
+                 FatalError);
 }
 
 // --- Harness construction and attribution ---------------------------

@@ -217,6 +217,52 @@ TEST(WireTest, FaultFilterDropsAndCorrupts)
     EXPECT_EQ(delivered, 2u);
 }
 
+TEST(WireTest, SendReportsAcceptanceAndCountsEachLossOnItsOwn)
+{
+    EventQueue eq;
+    Wire wire(eq, 10e9, microseconds(5));
+    std::uint64_t delivered = 0;
+    wire.setSink([&](const Packet &) { ++delivered; });
+    wire.setQueueLimit(2);
+    // Drop id 3 at ingress and corrupt id 2; the rest pass the filter.
+    wire.setFaultFilter([](const Packet &p) {
+        if (p.requestId == 3)
+            return WireFault::kDrop;
+        if (p.requestId == 2)
+            return WireFault::kCorrupt;
+        return WireFault::kNone;
+    });
+    struct Counts
+    {
+        std::uint64_t dropped, faultLost, linkDownLost;
+        bool operator==(const Counts &) const = default;
+    };
+    const auto counts = [&wire] {
+        return Counts{wire.packetsDropped(), wire.packetsFaultLost(),
+                      wire.packetsLinkDownLost()};
+    };
+
+    EXPECT_TRUE(wire.send(makePacket(1, 200))); // delivered
+    EXPECT_TRUE(wire.send(makePacket(2, 200))); // corrupt: takes the line
+    EXPECT_EQ(counts(), (Counts{0, 0, 0}));
+    EXPECT_FALSE(wire.send(makePacket(3, 200))); // fault-filter loss
+    EXPECT_EQ(counts(), (Counts{0, 1, 0}));
+    EXPECT_FALSE(wire.send(makePacket(4, 200))); // queue holds 1 and 2
+    EXPECT_EQ(counts(), (Counts{1, 1, 0}));
+    eq.runAll();
+    EXPECT_EQ(delivered, 1u);
+    EXPECT_EQ(wire.packetsCorrupted(), 1u);
+
+    wire.setLinkDown(true);
+    EXPECT_FALSE(wire.send(makePacket(5, 200))); // downed link
+    EXPECT_EQ(counts(), (Counts{1, 1, 1}));
+    wire.setLinkDown(false);
+    EXPECT_TRUE(wire.send(makePacket(6, 200)));
+    eq.runAll();
+    EXPECT_EQ(delivered, 2u);
+    EXPECT_EQ(counts(), (Counts{1, 1, 1}));
+}
+
 TEST(WireTest, TinyPacketStillTakesTime)
 {
     EventQueue eq;
