@@ -17,17 +17,15 @@
  * problem that motivates partitioning controllers like Parties and
  * Heracles, beyond what any frequency policy can fix.
  *
- * Colocation runs are not plain Experiments, so this bench fans out
- * through the sweep subsystem's generic runParallel() engine.
+ * Each run is one Experiment whose config carries the second tenant in
+ * ExperimentConfig::colocated; every run fans out through SweepRunner.
  */
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <vector>
 
 #include "bench_util.hh"
-#include "harness/colocation.hh"
 #include "stats/table.hh"
 
 using namespace nmapsim;
@@ -36,38 +34,38 @@ namespace {
 
 using bench::Variant;
 
-ColocationConfig
-variantConfig(const TenantConfig &a, const TenantConfig &b,
-              const Variant &v)
+/** Tenant 0 (memcached at medium load) plus colocated tenant @p other,
+ *  under variant @p v. */
+ExperimentConfig
+variantConfig(const TenantConfig &other, const Variant &v)
 {
-    ColocationConfig cfg;
-    cfg.tenants = {a, b};
-    cfg.freqPolicy = v.policy;
-    cfg.duration = static_cast<Tick>(
-        static_cast<double>(seconds(1)) * bench::durationScale());
+    ExperimentConfig cfg =
+        bench::cellConfig(AppProfile::memcached(), LoadLevel::kMed, v.policy);
+    cfg.colocated = {other};
     v.pinThresholds(cfg.params);
     return cfg;
 }
 
 void
 printScenario(const char *title, const std::vector<Variant> &variants,
-              const std::vector<SweepSlot<ColocationResult>> &slots,
+              const std::vector<SweepOutcome> &outcomes,
               std::size_t offset)
 {
     std::printf("\n--- %s ---\n", title);
     Table table({"policy", "tenant0 P99 (us)", "xSLO",
                  "tenant1 P99 (us)", "xSLO", "energy (J)"});
     for (std::size_t vi = 0; vi < variants.size(); ++vi) {
-        const ColocationResult &r = slots[offset + vi].value();
+        const ExperimentResult &r = outcomes[offset + vi].value();
+        const RunCounters &other = r.colocated.front();
         table.addRow({
             variants[vi].name,
-            Table::num(toMicroseconds(r.tenants[0].p99), 0),
-            Table::num(static_cast<double>(r.tenants[0].p99) /
-                           static_cast<double>(r.tenants[0].slo),
+            Table::num(toMicroseconds(r.p99), 0),
+            Table::num(static_cast<double>(r.p99) /
+                           static_cast<double>(r.slo),
                        2),
-            Table::num(toMicroseconds(r.tenants[1].p99), 0),
-            Table::num(static_cast<double>(r.tenants[1].p99) /
-                           static_cast<double>(r.tenants[1].slo),
+            Table::num(toMicroseconds(other.p99), 0),
+            Table::num(static_cast<double>(other.p99) /
+                           static_cast<double>(other.slo),
                        2),
             Table::num(r.energyJoules, 1),
         });
@@ -97,10 +95,6 @@ main()
         {"NMAP-adaptive", "NMAP-adaptive", 0, 0},
     };
 
-    TenantConfig mc_med;
-    mc_med.app = AppProfile::memcached();
-    mc_med.load = LoadLevel::kMed;
-
     TenantConfig mc_low;
     mc_low.app = AppProfile::memcached();
     mc_low.load = LoadLevel::kLow;
@@ -109,29 +103,23 @@ main()
     ng_low.app = AppProfile::nginx();
     ng_low.load = LoadLevel::kLow;
 
-    // Both scenarios' variants fan out as one batch of colocation
-    // tasks on the generic parallel engine.
-    std::vector<ColocationConfig> configs;
+    // Both scenarios' variants fan out as one batch.
+    std::vector<ExperimentConfig> configs;
     for (const Variant &v : variants)
-        configs.push_back(variantConfig(mc_med, mc_low, v));
+        configs.push_back(variantConfig(mc_low, v));
     for (const Variant &v : variants)
-        configs.push_back(variantConfig(mc_med, ng_low, v));
+        configs.push_back(variantConfig(ng_low, v));
 
-    std::vector<std::function<ColocationResult()>> tasks;
-    for (const ColocationConfig &cfg : configs)
-        tasks.emplace_back(
-            [&cfg] { return ColocationExperiment(cfg).run(); });
     SweepOptions opts;
     opts.tag = "ext_colocation";
-    std::vector<SweepSlot<ColocationResult>> slots =
-        runParallel(tasks, opts);
+    const std::vector<SweepOutcome> outcomes = SweepRunner(opts).run(configs);
 
     printScenario("Scenario A: memcached(med) + memcached(low), "
                   "homogeneous",
-                  variants, slots, 0);
+                  variants, outcomes, 0);
     printScenario("Scenario B: memcached(med) + nginx(low), "
                   "heterogeneous",
-                  variants, slots, variants.size());
+                  variants, outcomes, variants.size());
 
     std::cout
         << "\nFindings: (A) with compatible tenants, colocated NMAP "

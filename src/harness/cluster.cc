@@ -99,19 +99,16 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
                   ".weight must be positive and finite");
     if (config_.clientGroups < 1)
         fatal("ClusterExperiment requires at least one client group");
-    if (config_.base.numConnections < 1 ||
-        config_.base.numConnections >=
-            static_cast<int>(kFlowSpaceStride))
-        fatal("client group connection count out of range");
     if (config_.base.duration <= 0)
         fatal("ClusterExperiment duration must be positive");
     if (config_.base.warmup < 0 || config_.drain < 0)
         fatal("ClusterExperiment warmup and drain must be >= 0");
     validateLoad(config_.base);
     if (!config_.base.loadSchedule.empty() ||
-        !config_.base.extraObservers.empty())
-        fatal("ClusterExperiment does not support load schedules or "
-              "extra observers");
+        !config_.base.extraObservers.empty() ||
+        !config_.base.colocated.empty())
+        fatal("ClusterExperiment does not support load schedules, "
+              "extra observers or colocated tenants");
     if (config_.base.collectTraces || config_.base.collectLatencyTrace)
         fatal("ClusterExperiment does not collect traces "
               "(collect_traces, collect_latency_trace)");

@@ -59,7 +59,8 @@ struct ClusterConfig
      *  client connection count, policies, warmup/duration/seed. The
      *  load (base.load / base.rpsOverride) describes the *cluster*
      *  offered load; it is split evenly over the client groups.
-     *  loadSchedule and extraObservers are not supported here. */
+     *  loadSchedule, extraObservers and colocated are not supported
+     *  here. */
     ExperimentConfig base;
 
     int numHosts = 2;

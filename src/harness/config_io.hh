@@ -18,7 +18,7 @@
  *   - values go through the codec in harness/policy_params.hh.
  *
  * Not serialised (in-memory-only, documented on ExperimentConfig):
- * loadSchedule and extraObservers.
+ * loadSchedule, colocated and extraObservers.
  */
 
 #ifndef NMAPSIM_HARNESS_CONFIG_IO_HH_

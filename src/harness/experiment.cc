@@ -1,5 +1,7 @@
 #include "harness/experiment.hh"
 
+#include <cmath>
+
 #include "fault/injector.hh"
 #include "net/wire.hh"
 #include "nmap/profiler.hh"
@@ -25,6 +27,23 @@ loadSpec(const AppProfile &app, LoadLevel level, double rps_override,
     return spec;
 }
 
+namespace {
+
+/** Every tenant of @p config: its own workload first, then each
+ *  colocated one. */
+std::vector<TenantConfig>
+tenantsOf(const ExperimentConfig &config)
+{
+    std::vector<TenantConfig> tenants{
+        {config.app, config.load, config.rpsOverride, config.dutyOverride,
+         config.trainMeanOverride, config.numConnections}};
+    tenants.insert(tenants.end(), config.colocated.begin(),
+                   config.colocated.end());
+    return tenants;
+}
+
+} // namespace
+
 void
 validateLoad(const ExperimentConfig &config)
 {
@@ -32,14 +51,31 @@ validateLoad(const ExperimentConfig &config)
         fatal("burst.period must be > 0");
     if (config.burst.onTime <= 0 || config.burst.onTime > config.burst.period)
         fatal("burst.on_time must be in (0, burst.period]");
-    if (!(config.rpsOverride >= 0.0))
-        fatal("rps_override must be >= 0");
-    if (!(config.connectionSkew >= 0.0))
-        fatal("connection_skew must be >= 0");
-    if (config.dutyOverride > 1.0)
-        fatal("duty_override must be <= 1");
-    if (config.trainMeanOverride > 0.0 && config.trainMeanOverride < 1.0)
-        fatal("train_mean_override must be >= 1");
+    if (!(config.connectionSkew >= 0.0 &&
+          std::isfinite(config.connectionSkew)))
+        fatal("connection_skew must be finite and >= 0");
+    if (config.colocated.size() > 7)
+        fatal("at most 7 colocated tenants (colocated=" +
+              std::to_string(config.colocated.size()) + ")");
+    const std::vector<TenantConfig> tenants = tenantsOf(config);
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+        const TenantConfig &t = tenants[i];
+        // Routing recovers a packet's tenant as flowHash /
+        // kFlowSpaceStride, so a client's flows must fit one space.
+        const std::string where =
+            i == 0 ? "" : " (tenant " + std::to_string(i) + ")";
+        if (t.numConnections < 1 ||
+            t.numConnections >= static_cast<int>(kFlowSpaceStride))
+            fatal("connections must be in [1, " +
+                  std::to_string(kFlowSpaceStride - 1) + "] (connections=" +
+                  std::to_string(t.numConnections) + ")" + where);
+        if (!(t.rpsOverride >= 0.0))
+            fatal("rps_override must be >= 0" + where);
+        if (t.dutyOverride > 1.0)
+            fatal("duty_override must be <= 1" + where);
+        if (t.trainMeanOverride > 0.0 && t.trainMeanOverride < 1.0)
+            fatal("train_mean_override must be >= 1" + where);
+    }
 }
 
 RunPlan
@@ -161,8 +197,10 @@ Experiment::profileThresholds(const ExperimentConfig &config)
     pcfg.duration = pcfg.burst.period; // one burst + its drain
     pcfg.collectTraces = false;
     pcfg.collectLatencyTrace = false;
-    // The caller's observers watch the caller's run, not this one.
+    // The caller's observers watch the caller's run, not this one, and
+    // the thresholds describe tenant 0's application alone.
     pcfg.extraObservers.clear();
+    pcfg.colocated.clear();
 
     // Thresholds describe a *healthy* system: profile without any
     // run-scoped plan (injected faults, client retries, overload
@@ -198,23 +236,53 @@ Experiment::run()
     client_to_server.setSink(
         [&nic = rig.nic()](const Packet &pkt) { nic.receive(pkt); });
 
-    // --- Application + client ------------------------------------------
-    ServerApp app(rig.os(), rig.nic(), config_.app, rng.fork());
-    Client client(eq, client_to_server, config_.app,
-                  config_.numConnections);
+    // --- Tenants: application, client, load generator -------------------
+    // Tenant i's client owns flow space i, so `flowHash /
+    // kFlowSpaceStride` routes every request to its application and
+    // every response to its client. Overload control and client retry
+    // arm every tenant; a disabled plan arms nothing and keeps the run
+    // byte-identical (neither forks a random stream).
+    struct Tenant
+    {
+        std::unique_ptr<ServerApp> app;
+        std::unique_ptr<Client> client;
+        std::unique_ptr<LoadGenerator> gen;
+    };
+    const std::vector<TenantConfig> specs = tenantsOf(config_);
+    std::vector<Tenant> tenants;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        Tenant t;
+        t.app = std::make_unique<ServerApp>(rig.os(), rig.nic(),
+                                            specs[i].app, rng.fork(),
+                                            /*attach_deliver=*/false);
+        t.client = std::make_unique<Client>(
+            eq, client_to_server, specs[i].app, specs[i].numConnections,
+            static_cast<std::uint32_t>(i) * kFlowSpaceStride);
+        t.app->setResilience(plan_.resilience);
+        plan_.configure(*t.client);
+        t.gen = std::make_unique<LoadGenerator>(eq, *t.client,
+                                                config_.burst, rng.fork());
+        tenants.push_back(std::move(t));
+    }
+    rig.os().setDeliver([&tenants](int core, const Packet &pkt) {
+        tenants[pkt.flowHash / kFlowSpaceStride].app->deliver(core, pkt);
+    });
+    server_to_client.setSink([&tenants](const Packet &pkt) {
+        tenants[pkt.flowHash / kFlowSpaceStride].client->onResponse(pkt);
+    });
+    Client &client = *tenants.front().client;
+    LoadGenerator &gen = *tenants.front().gen;
     if (config_.collectLatencyTrace)
         client.latencies().keepTrace();
-    // Overload control and client retry: a disabled plan arms nothing
-    // and keeps the run byte-identical (neither forks a random stream).
-    app.setResilience(plan_.resilience);
-    plan_.configure(client);
-    server_to_client.setSink(
-        [&client](const Packet &pkt) { client.onResponse(pkt); });
-    LoadGenerator gen(eq, client, config_.burst, rng.fork());
 
     // --- Policies, observers, energy, dataplane ------------------------
-    rig.attachPolicies(rng, dataplane_, &client,
-                       [this] { return profileThresholds(config_); });
+    // A colocated server has no single latency feed and no single
+    // application to profile: factories needing either fatal().
+    if (tenants.size() > 1)
+        rig.attachPolicies(rng, dataplane_, nullptr, nullptr);
+    else
+        rig.attachPolicies(rng, dataplane_, &client,
+                           [this] { return profileThresholds(config_); });
 
     std::shared_ptr<TraceCollector> traces;
     if (config_.collectTraces) {
@@ -254,30 +322,42 @@ Experiment::run()
     // --- Run -----------------------------------------------------------
     rig.start();
     gen.setConnectionSkew(config_.connectionSkew);
-    gen.setLoad(loadSpec(config_.app, config_.load, config_.rpsOverride,
-                         config_.trainMeanOverride, config_.dutyOverride));
-    gen.start();
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+        const TenantConfig &tc = specs[i];
+        tenants[i].gen->setLoad(loadSpec(tc.app, tc.load, tc.rpsOverride,
+                                         tc.trainMeanOverride,
+                                         tc.dutyOverride));
+        tenants[i].gen->start();
+    }
 
     eq.runUntil(config_.warmup);
     rig.beginMeasurement(eq.now());
-    client.latencies().clear();
-    client.attemptLatencies().clear();
+    for (Tenant &t : tenants) {
+        t.client->latencies().clear();
+        t.client->attemptLatencies().clear();
+    }
 
     Tick end = config_.warmup + config_.duration;
     eq.runUntil(end);
-    gen.stop();
+    for (Tenant &t : tenants)
+        t.gen->stop();
     for (auto &ev : load_events)
         eq.deschedule(ev.get());
 
     // --- Collect ---------------------------------------------------------
     ExperimentResult result;
     rig.collect(end, result);
-    const LatencyRecorder &lat = client.latencies();
-    result.collect({&client}, {&lat}, {&client.attemptLatencies()},
-                   config_.app.slo, injector.get(), plan_);
-    result.shedAdmission = app.shedAdmission();
-    result.shedSojourn = app.shedSojourn();
-    result.shedDeadline = app.shedDeadline();
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+        const Tenant &t = tenants[i];
+        RunCounters &counters =
+            i == 0 ? result : result.colocated.emplace_back();
+        counters.collect({t.client.get()}, {&t.client->latencies()},
+                         {&t.client->attemptLatencies()}, specs[i].app.slo,
+                         i == 0 ? injector.get() : nullptr, plan_);
+        counters.shedAdmission = t.app->shedAdmission();
+        counters.shedSojourn = t.app->shedSojourn();
+        counters.shedDeadline = t.app->shedDeadline();
+    }
     result.eventsProcessed = eq.numProcessed();
 
     result.traces = traces;
@@ -286,7 +366,7 @@ Experiment::run()
             rig.core(config_.watchCore).cstates().cc6Entries().marks();
     if (config_.collectLatencyTrace) {
         result.latencyTrace = client.latencies().takeTrace();
-        result.cdf = lat.cdf(200);
+        result.cdf = client.latencies().cdf(200);
     }
 
     return result;

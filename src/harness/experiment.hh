@@ -16,6 +16,14 @@
  * knows no concrete governor. Policy-specific tunables travel in
  * ExperimentConfig::params.
  *
+ * Several applications may share the one server: each entry of
+ * ExperimentConfig::colocated adds a tenant with its own app, client,
+ * load generator, SLO and latency accounting (the deployment Parties
+ * targets). The config's own app, load, overrides and connections are
+ * tenant 0. Tenants share the cores, the NIC (disjoint RSS flow
+ * spaces), the OS stack, the wires, the package power budget and every
+ * run-scoped plan.
+ *
  * Every bench binary and example is a thin wrapper over this class.
  *
  * RunPlan and RunCounters are what the single-host and cluster
@@ -68,6 +76,19 @@ LoadLevelSpec loadSpec(const AppProfile &app, LoadLevel level,
                        double rps_override, double train_mean_override,
                        double duty_override);
 
+/** One application's workload on a shared server. */
+struct TenantConfig
+{
+    AppProfile app = AppProfile::memcached();
+    LoadLevel load = LoadLevel::kMed;
+    double rpsOverride = 0.0;
+    double dutyOverride = 0.0;
+    double trainMeanOverride = 0.0;
+    int numConnections = 24;
+
+    bool operator==(const TenantConfig &) const = default;
+};
+
 /** Declarative description of one run. */
 struct ExperimentConfig
 {
@@ -97,10 +118,20 @@ struct ExperimentConfig
 
     OsConfig os{};
     NicConfig nic{};            //!< numQueues forced to numCores
-    /** Client threads / RSS flows. The paper uses 20 client threads
-     *  and reports that RSS distributes load evenly; 24 (divisible by
-     *  the 8 queues) gives that even split exactly. */
+    /** Client threads / RSS flows, in [1, kFlowSpaceStride). The
+     *  paper uses 20 client threads and reports that RSS distributes
+     *  load evenly; 24 (divisible by the 8 queues) gives that even
+     *  split exactly. */
     int numConnections = 24;
+
+    /** Further tenants on the same server (at most 7); the fields
+     *  above are tenant 0. burst.* and the run-scoped plans apply to
+     *  every tenant; connectionSkew, loadSchedule and the latency
+     *  trace are tenant 0's. A colocated server has no single client
+     *  latency feed and no single application to profile, so Parties
+     *  and NMAP without pinned thresholds fail in run(). Not
+     *  serialised. */
+    std::vector<TenantConfig> colocated;
 
     Tick warmup = milliseconds(200);
     Tick duration = seconds(1);
@@ -122,9 +153,11 @@ struct ExperimentConfig
     bool operator==(const ExperimentConfig &) const = default;
 };
 
-/** fatal() unless @p config's load can drive a LoadGenerator: a burst
- *  envelope with 0 < burst.on_time <= burst.period, a non-negative
- *  connection_skew, and a duty_override of at most 1 and a
+/** fatal() unless @p config's load can drive its LoadGenerators: a
+ *  burst envelope with 0 < burst.on_time <= burst.period, a finite
+ *  non-negative connection_skew, at most 7 colocated tenants, and for
+ *  every tenant connections in [1, kFlowSpaceStride), a non-negative
+ *  rps_override, a duty_override of at most 1 and a
  *  train_mean_override of at least 1 when set. Both harnesses call it
  *  at construction. */
 void validateLoad(const ExperimentConfig &config);
@@ -224,9 +257,14 @@ struct RunCounters
 };
 
 /** Everything a run produces: the server's counters (see ServerRig)
- *  plus what the clients measured (see RunCounters). */
+ *  plus what tenant 0's client measured and the run's fault and
+ *  engine counters (see RunCounters). */
 struct ExperimentResult : ServerCounters, RunCounters
 {
+    /** What each colocated tenant's client measured, in
+     *  ExperimentConfig::colocated order; fault and engine counters
+     *  stay zero here. */
+    std::vector<RunCounters> colocated;
     /** Time-series traces (only with collectTraces). */
     std::shared_ptr<TraceCollector> traces;
     /** CC6 entry times on the watched core (with collectTraces). */

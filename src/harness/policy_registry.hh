@@ -72,10 +72,10 @@ struct ServerCounters;
 
 /**
  * Everything a frequency-policy factory may wire against. Pointers are
- * null when the hosting harness cannot provide the facility (e.g. the
- * colocation harness has no single client latency feed and no single
- * application to profile); factories that need a missing facility
- * fatal() with a policy-specific message.
+ * null when the hosting harness cannot provide the facility (e.g. a
+ * server shared by colocated tenants has no single client latency feed
+ * and no single application to profile); factories that need a missing
+ * facility fatal() with a policy-specific message.
  */
 struct PolicyContext
 {
@@ -88,7 +88,7 @@ struct PolicyContext
     GovernorConfig gov;
     const PolicyParams &params;
 
-    /** Client latency feed (Parties); null in colocation. */
+    /** Client latency feed (Parties); null for colocated tenants. */
     Client *client = nullptr;
 
     /** Offline Section-4.2 threshold profiling (NI_TH, CU_TH); null

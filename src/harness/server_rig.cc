@@ -1,6 +1,7 @@
 #include "harness/server_rig.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "cluster/dispatch.hh"
 #include "cpu/cpu_profile.hh"
@@ -41,9 +42,28 @@ ServerRig::validate(const ExperimentConfig &config)
     if (!(config.gov.upThreshold > 0.0 && config.gov.upThreshold <= 1.0))
         fatal("gov.up_threshold must be in (0, 1]");
     // A zero poll budget harvests nothing: every packet would sit in
-    // the ring until the NIC drops it.
+    // the ring until the NIC drops it. A zero Tx budget reaps no
+    // completion, so no NAPI session ever completes, and a zero-slot
+    // ring drops every packet.
     if (config.os.napiWeight < 1)
         fatal("os.napi_weight must be >= 1");
+    if (config.os.txCleanBudget < 1)
+        fatal("os.tx_clean_budget must be >= 1");
+    if (config.nic.rxRingSize < 1)
+        fatal("nic.rx_ring_size must be >= 1");
+    // An idle core whose policy sets no C6 promotion delay re-checks
+    // it every jiffy; at zero it re-checks at the same tick forever.
+    if (config.os.jiffy <= 0)
+        fatal("os.jiffy must be > 0");
+    const std::pair<const char *, double> cycle_costs[] = {
+        {"os.irq_cycles", config.os.irqCycles},
+        {"os.poll_overhead_cycles", config.os.pollOverheadCycles},
+        {"os.rx_packet_cycles", config.os.rxPacketCycles},
+        {"os.tx_completion_cycles", config.os.txCompletionCycles},
+    };
+    for (const auto &[key, cycles] : cycle_costs)
+        if (!(cycles >= 0.0 && std::isfinite(cycles)))
+            fatal(std::string(key) + " must be finite and >= 0");
 
     // The anchors pull in every built-in TU that registers a policy or
     // a params namespace.

@@ -8,9 +8,9 @@
  * the cores, the NIC, ServerOs, the registry-resolved idle, switchable
  * and frequency policies, a ksoftirqd wake counter, package energy
  * metering and, for `dataplane.mode=bypass`, the BypassEngine — and
- * reports it through one ServerCounters struct. The single-host,
- * colocation and cluster harnesses differ only in what they wire
- * around it: wires, applications, clients, load generators, the fault
+ * reports it through one ServerCounters struct. The single-host and
+ * cluster harnesses differ only in what they wire around it: wires,
+ * applications (one per tenant), clients, load generators, the fault
  * injector and the switch.
  *
  * Assembly takes two steps so that each harness keeps its Rng fork
@@ -51,9 +51,9 @@ class Wire;
 struct ExperimentConfig;
 
 /**
- * Everything one server measured. ExperimentResult, ClusterHostResult
- * and ColocationResult derive from it, so a counter has one name in
- * every harness.
+ * Everything one server measured. ExperimentResult and
+ * ClusterHostResult derive from it, so a counter has one name in every
+ * harness.
  */
 struct ServerCounters
 {
@@ -96,11 +96,11 @@ class ServerRig
   public:
     /**
      * Check that @p config describes a server that can be built: at
-     * least one core, a positive sampling period, registered
-     * frequency and sleep policies, params that every registered
-     * namespace's schema parses (a key of an unregistered namespace is
-     * fatal), and a bypass dataplane whose policy is registered and
-     * which leaves a worker core. fatal() on the first error;
+     * least one core, a positive sampling period, `os.` and `nic.`
+     * knobs in range, registered frequency and sleep policies, params
+     * that every registered namespace's schema parses (a key of an
+     * unregistered namespace is fatal), and a bypass dataplane whose
+     * policy is registered and which leaves a worker core. fatal() on the first error;
      * otherwise returns the parsed dataplane plan. No policy is
      * instantiated (the NMAP factory would run a whole profiling
      * simulation); the schemas raise their parameter errors instead.
@@ -127,7 +127,7 @@ class ServerRig
      * attach the ksoftirqd counter and config.extraObservers, package
      * energy and, for a bypass @p dataplane, the BypassEngine.
      * @param feedback client latency feed (Parties); null when the
-     *                 harness has no single feed
+     *                 server has no single feed (colocated tenants)
      * @param profile  offline NMAP threshold profiling; empty when
      *                 there is no single application to profile
      */

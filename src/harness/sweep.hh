@@ -18,7 +18,7 @@
  *
  * SweepSpec builds the common grid shapes (policy list x idle list x
  * load/RPS list x seed list) declaratively. Harnesses that do not run
- * plain Experiments (e.g. colocation) use the generic runParallel()
+ * plain Experiments (e.g. clusters) use the generic runParallel()
  * engine underneath SweepRunner directly.
  */
 

@@ -65,7 +65,7 @@ struct ClientRetryPolicy {
 
 /**
  * Spacing between independent clients' flow spaces sharing one
- * wire/NIC (colocation tenants, cluster client groups): client i uses
+ * wire/NIC (colocated tenants, cluster client groups): client i uses
  * flow hashes [i * kFlowSpaceStride, i * kFlowSpaceStride +
  * connections), so `flowHash / kFlowSpaceStride` recovers the owner.
  */
@@ -80,7 +80,7 @@ class Client
      * @param num_connections client threads / RSS flows (paper: 20)
      * @param flow_base offset added to connection ids to form flow
      *        hashes; lets several tenants share one wire/NIC with
-     *        disjoint flow spaces (colocation)
+     *        disjoint flow spaces (colocated tenants)
      */
     Client(EventQueue &eq, Wire &to_server, const AppProfile &profile,
            int num_connections, std::uint32_t flow_base = 0);

@@ -33,8 +33,8 @@ class ServerApp
     /**
      * Wires itself into @p os: one application thread per core, and —
      * unless @p attach_deliver is false — the OS deliver callback.
-     * Pass false when several apps share the server (colocation); the
-     * caller then routes packets to deliver() itself.
+     * Pass false when the caller routes packets to deliver() itself,
+     * as the single-server harness does to serve colocated tenants.
      */
     ServerApp(ServerOs &os, Nic &nic, const AppProfile &profile,
               Rng rng, bool attach_deliver = true);

@@ -214,6 +214,11 @@ TEST(ClusterTest, RejectsInvalidConfigs)
             {milliseconds(1), cfg.base.app.level(LoadLevel::kLow)});
         EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
     }
+    {
+        ClusterConfig cfg = smallCluster();
+        cfg.base.colocated.resize(1);
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
     // The cluster run collects no traces, so asking for one must not
     // run as if unset.
     {

@@ -3,8 +3,8 @@
  * Round-trip and rejection tests for the declarative config format.
  *
  * The core property: `parseConfig(printConfig(c)) == c` for any config
- * whose members are serialisable (everything except loadSchedule and
- * extraObservers). Checked over randomized configs so the schema, the
+ * whose members are serialisable (everything except loadSchedule,
+ * colocated and extraObservers). Checked over randomized configs so the schema, the
  * printer and the parser cannot drift apart silently. The rejection
  * half pins down that unknown keys and malformed values are fatal
  * rather than silently ignored.

@@ -207,6 +207,16 @@ TEST(NmapsimRunTest, EveryBadKeyOrValueFailsBeforeTheBanner)
         {"--hosts=2 --set cluster.fabric_bandwidth=-1",
          "cluster.fabric_bandwidth"},
         {"--set os.napi_weight=0", "os.napi_weight"},
+        {"--set os.tx_clean_budget=0", "os.tx_clean_budget"},
+        {"--set nic.rx_ring_size=0", "nic.rx_ring_size"},
+        {"--set os.rx_packet_cycles=-5", "os.rx_packet_cycles"},
+        {"--set os.irq_cycles=inf", "os.irq_cycles"},
+        {"--idle=disable --set os.jiffy=0", "os.jiffy"},
+        {"--load=low --policy=NCAP --set os.jiffy=0", "os.jiffy"},
+        {"--set connection_skew=inf", "connection_skew"},
+        {"--set connections=0", "connections"},
+        {"--set connections=1024", "connections"},
+        {"--hosts=2 --set connections=1024", "connections"},
     };
     for (const auto &[flags, key] : cases) {
         SCOPED_TRACE(flags);
