@@ -247,8 +247,9 @@ ClusterExperiment::run()
         }
         host.app.setResilience(plan_.resilience);
     }
-    sw.setResponseTap([&hosts](int host, const Packet &pkt) {
-        hosts[static_cast<std::size_t>(host)]->feedback.onResponse(pkt);
+    sw.setResponseTap([&hosts, &eq](int host, const Packet &pkt) {
+        hosts[static_cast<std::size_t>(host)]->feedback.onResponse(
+            pkt, eq.now());
     });
 
     // Per-host hop-latency recorders, fed by the switch's hop tap
@@ -306,14 +307,18 @@ ClusterExperiment::run()
             addGroup(t);
     }
 
+    std::vector<const Client *> clients;
+    for (const Group &group : groups)
+        clients.push_back(group.client.get());
     std::uint64_t stray = 0;
-    sw.clientPort().setSink([&groups, &stray](const Packet &pkt) {
-        std::size_t idx = pkt.flowHash / kFlowSpaceStride;
-        if (idx < groups.size())
-            groups[idx].client->onResponse(pkt);
-        else
-            ++stray;
-    });
+    connectResponses(sw.clientPort(), eq, plan_, clients,
+                     [&groups, &stray](const Packet &pkt, Tick arrival) {
+                         std::size_t idx = pkt.flowHash / kFlowSpaceStride;
+                         if (idx < groups.size())
+                             groups[idx].client->onResponse(pkt, arrival);
+                         else
+                             ++stray;
+                     });
 
     // --- Load ---------------------------------------------------------
     const ExperimentConfig &base = config_.base;
@@ -384,6 +389,7 @@ ClusterExperiment::run()
     }
 
     eq.runUntil(config_.base.warmup);
+    sw.clientPort().drain();
     Tick measure_start = eq.now();
     for (std::unique_ptr<Host> &host : hosts) {
         host->rig.beginMeasurement(measure_start);
@@ -403,14 +409,13 @@ ClusterExperiment::run()
 
     Tick sim_end = end + config_.drain;
     eq.runUntil(sim_end);
+    sw.clientPort().drain();
 
     // --- Collect ------------------------------------------------------
     ClusterResult result;
-    std::vector<const Client *> clients;
     LatencySet latencies;
     LatencySet attempts;
     for (Group &group : groups) {
-        clients.push_back(group.client.get());
         latencies.add(group.client->latencies());
         attempts.add(group.client->attemptLatencies());
     }

@@ -267,9 +267,6 @@ Experiment::run()
     rig.os().setDeliver([&tenants](int core, const Packet &pkt) {
         tenants[pkt.flowHash / kFlowSpaceStride].app->deliver(core, pkt);
     });
-    server_to_client.setSink([&tenants](const Packet &pkt) {
-        tenants[pkt.flowHash / kFlowSpaceStride].client->onResponse(pkt);
-    });
     Client &client = *tenants.front().client;
     LoadGenerator &gen = *tenants.front().gen;
     if (config_.collectLatencyTrace)
@@ -283,6 +280,14 @@ Experiment::run()
     else
         rig.attachPolicies(rng, dataplane_, &client,
                            [this] { return profileThresholds(config_); });
+    std::vector<const Client *> clients;
+    for (const Tenant &t : tenants)
+        clients.push_back(t.client.get());
+    connectResponses(server_to_client, eq, plan_, clients,
+                     [&tenants](const Packet &pkt, Tick arrival) {
+                         tenants[pkt.flowHash / kFlowSpaceStride]
+                             .client->onResponse(pkt, arrival);
+                     });
 
     std::shared_ptr<TraceCollector> traces;
     if (config_.collectTraces) {
@@ -331,6 +336,7 @@ Experiment::run()
     }
 
     eq.runUntil(config_.warmup);
+    server_to_client.drain();
     rig.beginMeasurement(eq.now());
     for (Tenant &t : tenants) {
         t.client->latencies().clear();
@@ -339,6 +345,7 @@ Experiment::run()
 
     Tick end = config_.warmup + config_.duration;
     eq.runUntil(end);
+    server_to_client.drain();
     for (Tenant &t : tenants)
         t.gen->stop();
     for (auto &ev : load_events)

@@ -188,6 +188,32 @@ struct RunPlan
 };
 
 /**
+ * Connect a run's response wire @p wire to its @p clients through
+ * @p route, a callable (const Packet &, Tick arrival). When every
+ * client only records (Client::recordsOnly), @p plan flaps no link and
+ * the wire is unbounded, @p route becomes the wire's recording sink,
+ * which fires no event per response, and the harness must drain() the
+ * wire before it clears or reads the clients. Otherwise the wire calls
+ * @p route at each arrival. Call it once the policies are attached:
+ * Parties watches its client's window.
+ */
+template <typename Route>
+void
+connectResponses(Wire &wire, const EventQueue &eq, const RunPlan &plan,
+                 const std::vector<const Client *> &clients, Route route)
+{
+    bool record = !plan.fault.wantsFlap() && wire.queueLimit() == 0;
+    for (const Client *client : clients)
+        record = record && client->recordsOnly();
+    if (record)
+        wire.setRecordingSink(std::move(route));
+    else
+        wire.setSink([&eq, route = std::move(route)](const Packet &pkt) {
+            route(pkt, eq.now());
+        });
+}
+
+/**
  * Everything the clients of one run measured, plus its fault and
  * overload accounting. ExperimentResult and ClusterResult derive from
  * it, so a client-side counter has one name in every harness.

@@ -55,6 +55,13 @@ ServerRig::validate(const ExperimentConfig &config)
     // it every jiffy; at zero it re-checks at the same tick forever.
     if (config.os.jiffy <= 0)
         fatal("os.jiffy must be > 0");
+    // NAPI counts a softirq iteration before it compares the cap, so
+    // every cap below 1, like a zero time budget, hands every repoll
+    // to ksoftirqd exactly as a cap of 1 does.
+    if (config.os.maxSoftirqIters < 1)
+        fatal("os.max_softirq_iters must be >= 1");
+    if (config.os.maxSoftirqTime <= 0)
+        fatal("os.max_softirq_time must be > 0");
     const std::pair<const char *, double> cycle_costs[] = {
         {"os.irq_cycles", config.os.irqCycles},
         {"os.poll_overhead_cycles", config.os.pollOverheadCycles},

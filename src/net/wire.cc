@@ -17,11 +17,48 @@ Wire::~Wire()
     eq_.deschedule(&deliverEvent_);
 }
 
+namespace {
+
+std::string
+nameOf(const std::string &label)
+{
+    return label.empty() ? std::string("<unlabelled>") : label;
+}
+
+[[noreturn]] void
+recordingMisuse(const std::string &label, const char *what)
+{
+    panic("Wire '" + nameOf(label) + "': a recording wire cannot " + what);
+}
+
+} // namespace
+
+void
+Wire::setRecordingSink(RecordingSink sink)
+{
+    if (queueLimit_ != 0)
+        recordingMisuse(label_, "be bounded");
+    if (linkDown_)
+        recordingMisuse(label_, "be down");
+    recorder_ = std::move(sink);
+    sink_ = nullptr;
+}
+
+void
+Wire::setQueueLimit(std::size_t packets)
+{
+    if (recorder_ && packets != 0)
+        recordingMisuse(label_, "be bounded");
+    queueLimit_ = packets;
+}
+
 void
 Wire::setLinkDown(bool down)
 {
     if (down == linkDown_)
         return;
+    if (recorder_)
+        recordingMisuse(label_, "be down");
     linkDown_ = down;
     if (down) {
         // Everything on the line is lost: the signal stops, nothing
@@ -59,13 +96,10 @@ Wire::serializationTicks(std::uint32_t size_bytes)
 bool
 Wire::send(const Packet &pkt)
 {
-    if (!sink_) {
-        std::string which =
-            label_.empty() ? std::string("<unlabelled>") : label_;
-        fatal("Wire::send on wire '" + which +
+    if (!sink_ && !recorder_)
+        fatal("Wire::send on wire '" + nameOf(label_) +
               "' before setSink(): every wire must be connected to a "
               "receiver before traffic starts (mis-wired topology?)");
-    }
     if (linkDown_) {
         ++linkDownLost_;
         return false;
@@ -94,13 +128,30 @@ Wire::send(const Packet &pkt)
     // Packets are FIFO, so the head always has the earliest delivery.
     inFlight_.push_back(
         TxRec{pkt, lineIdleAt_ + propagation_, corrupt});
-    if (!deliverEvent_.scheduled())
+    if (recorder_)
+        handOverArrived(); // keeps the FIFO at the packets in flight
+    else if (!deliverEvent_.scheduled())
         eq_.schedule(&deliverEvent_, inFlight_.front().deliverAt);
     return true;
 }
 
 void
+Wire::drain()
+{
+    if (recorder_)
+        handOverArrived();
+}
+
+void
 Wire::deliverHead()
+{
+    handOverArrived();
+    if (!inFlight_.empty())
+        eq_.schedule(&deliverEvent_, inFlight_.front().deliverAt);
+}
+
+void
+Wire::handOverArrived()
 {
     while (!inFlight_.empty() &&
            inFlight_.front().deliverAt <= eq_.now()) {
@@ -114,10 +165,11 @@ Wire::deliverHead()
         }
         ++delivered_;
         bytesDelivered_ += rec.pkt.sizeBytes;
-        sink_(rec.pkt);
+        if (recorder_)
+            recorder_(rec.pkt, rec.deliverAt);
+        else
+            sink_(rec.pkt);
     }
-    if (!inFlight_.empty())
-        eq_.schedule(&deliverEvent_, inFlight_.front().deliverAt);
 }
 
 } // namespace nmapsim

@@ -21,6 +21,17 @@
  * packets in flight are lost and sends while down are counted drops,
  * never errors. All fault paths are separately accounted so
  * conservation checks can tell loss modes apart.
+ *
+ * A wire has one of two kinds of receiver. An event sink (setSink) is
+ * called at each packet's arrival tick, from a delivery event. A
+ * recording sink (setRecordingSink) is for a receiver that only counts
+ * and records, such as an open-loop client: the wire fires no event
+ * for it, keeps arrived packets in its FIFO and, on every send() and
+ * on drain(), hands each one whose arrival tick has passed to the
+ * sink, in order and with that tick. Nothing may read what such a
+ * receiver recorded before calling drain(). A recording wire is
+ * unbounded and never downed: either would make a packet that had
+ * arrived but was not yet handed over count as queued or lost.
  */
 
 #ifndef NMAPSIM_NET_WIRE_HH_
@@ -49,6 +60,9 @@ class Wire
 {
   public:
     using Sink = std::function<void(const Packet &)>;
+    /** A receiver that only records, handed each packet with the tick
+     *  it arrived at. */
+    using RecordingSink = std::function<void(const Packet &, Tick arrival)>;
     using FaultFilter = std::function<WireFault(const Packet &)>;
 
     /**
@@ -65,7 +79,22 @@ class Wire
     Wire &operator=(const Wire &) = delete;
 
     /** Set the receiver; must be set before the first send. */
-    void setSink(Sink sink) { sink_ = std::move(sink); }
+    void setSink(Sink sink)
+    {
+        sink_ = std::move(sink);
+        recorder_ = nullptr;
+    }
+
+    /**
+     * Set a receiver that only records instead (see the file comment);
+     * must be set before the first send, on an unbounded wire that is
+     * up, and panics otherwise.
+     */
+    void setRecordingSink(RecordingSink sink);
+
+    /** Hand every packet that has arrived by now to the recording sink;
+     *  a no-op on a wire with an event sink. */
+    void drain();
 
     /** Name this wire for diagnostics ("switch->host3" etc.). */
     void setLabel(std::string label) { label_ = std::move(label); }
@@ -74,9 +103,11 @@ class Wire
     /**
      * Bound the transmit queue to @p packets; a send() finding the
      * queue full drops the packet (counted, not delivered). 0 (the
-     * default) leaves the queue unbounded.
+     * default) leaves the queue unbounded. A recording wire cannot be
+     * bounded.
      */
-    void setQueueLimit(std::size_t packets) { queueLimit_ = packets; }
+    void setQueueLimit(std::size_t packets);
+    std::size_t queueLimit() const { return queueLimit_; }
 
     /**
      * Install a per-packet fault filter consulted on every send()
@@ -92,7 +123,8 @@ class Wire
     /**
      * Administratively down (or restore) the link. Downing flushes
      * packets in flight into the link-down drop counters; sends while
-     * down are counted drops, not errors.
+     * down are counted drops, not errors. A recording wire cannot be
+     * downed.
      */
     void setLinkDown(bool down);
     bool linkDown() const { return linkDown_; }
@@ -117,7 +149,8 @@ class Wire
     std::uint64_t packetsCorrupted() const { return corrupted_; }
     /** Packets lost to a downed link (in flight or sent while down). */
     std::uint64_t packetsLinkDownLost() const { return linkDownLost_; }
-    /** Packets queued on the wire right now (sent, not yet delivered). */
+    /** Packets queued on the wire right now (sent, not yet delivered;
+     *  on a recording wire, not yet handed over). */
     std::size_t packetsInFlight() const { return inFlight_.size(); }
     /**@}*/
 
@@ -132,12 +165,15 @@ class Wire
     };
 
     void deliverHead();
+    /** Hand over, in order, every packet that has arrived by now. */
+    void handOverArrived();
     Tick serializationTicks(std::uint32_t size_bytes);
 
     EventQueue &eq_;
     double bandwidthBps_;
     Tick propagation_;
     Sink sink_;
+    RecordingSink recorder_;
     FaultFilter faultFilter_;
     std::string label_;
     std::size_t queueLimit_ = 0;

@@ -165,10 +165,13 @@ Client::nextDeadline()
 }
 
 void
-Client::onResponse(const Packet &pkt)
+Client::onResponse(const Packet &pkt, Tick arrival)
 {
     if (pkt.kind != Packet::Kind::kResponse)
         panic("Client received a non-response packet");
+    if (arrival != eq_.now() && !recordsOnly())
+        panic("a client that retries or watches its window must be "
+              "handed each response on arrival");
     if (pkt.rejected) {
         // A shed notice is terminal: the request is accounted as shed,
         // never retransmitted, and never enters the latency
@@ -189,10 +192,10 @@ Client::onResponse(const Packet &pkt)
     }
     if (!retry_.enabled()) {
         ++received_;
-        Tick latency = eq_.now() - pkt.sendTime;
-        latencies_.record(eq_.now(), latency);
+        Tick latency = arrival - pkt.sendTime;
+        latencies_.record(arrival, latency);
         if (watchWindow_)
-            window_.record(eq_.now(), latency);
+            window_.record(arrival, latency);
         return;
     }
     Outstanding *entry = find(pkt.requestId);

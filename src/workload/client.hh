@@ -129,8 +129,20 @@ class Client
     /** Send one request on connection @p conn right now. */
     void sendRequest(int conn);
 
-    /** Wire sink for server responses. */
-    void onResponse(const Packet &pkt);
+    /**
+     * Accept a server response that arrived at @p arrival. A client
+     * that only records (recordsOnly()) may be handed it later, by a
+     * recording wire; any other client must be handed it on arrival,
+     * and panics otherwise.
+     */
+    void onResponse(const Packet &pkt, Tick arrival);
+
+    /**
+     * True while a response does nothing but count and record: no
+     * retry tracking and no watched feedback window. Such a client may
+     * sit behind a recording wire (Wire::setRecordingSink).
+     */
+    bool recordsOnly() const { return !retry_.enabled() && !watchWindow_; }
 
     /** All completed-request latencies (first send to completion). */
     LatencyRecorder &latencies() { return latencies_; }

@@ -135,6 +135,15 @@ TEST(DeterminismTest, ResilientCascadeOutputByteIdenticalAcrossRuns)
     EXPECT_EQ(first, second);
 }
 
+TEST(DeterminismTest, BoundedPortOutputByteIdenticalAcrossRuns)
+{
+    const ClusterConfig cfg = golden::boundedPortCluster();
+    const std::string first = golden::renderCluster(cfg);
+    const std::string second = golden::renderCluster(cfg);
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, second);
+}
+
 TEST(GoldenOutputTest, SingleHostMatchesGolden)
 {
     const std::string expected = readFile(goldenPath("single_host"));
@@ -195,6 +204,14 @@ TEST(GoldenOutputTest, ResilientCascadeMatchesGolden)
         readFile(goldenPath("resilient_cascade"));
     ASSERT_FALSE(expected.empty());
     EXPECT_EQ(golden::renderCluster(golden::resilientCascade()),
+              expected);
+}
+
+TEST(GoldenOutputTest, BoundedPortMatchesGolden)
+{
+    const std::string expected = readFile(goldenPath("bounded_port"));
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(golden::renderCluster(golden::boundedPortCluster()),
               expected);
 }
 

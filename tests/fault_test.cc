@@ -338,7 +338,7 @@ class RetryHarness : public ::testing::Test
             }
         });
         toClient_.setSink(
-            [this](const Packet &pkt) { client_.onResponse(pkt); });
+            [this](const Packet &pkt) { client_.onResponse(pkt, eq_.now()); });
     }
 
     void
@@ -424,7 +424,7 @@ TEST_F(RetryHarness, LateDuplicateIsCountedNotRecorded)
     // The answer shows up after the client gave up.
     Packet resp = arrivals_[0].second;
     resp.kind = Packet::Kind::kResponse;
-    client_.onResponse(resp);
+    client_.onResponse(resp, eq_.now());
     EXPECT_EQ(client_.duplicateResponses(), 1u);
     EXPECT_EQ(client_.responsesReceived(), 0u);
     EXPECT_EQ(client_.latencies().count(), 0u);

@@ -188,6 +188,21 @@ resilientCascade()
     return cfg;
 }
 
+/** Bounded egress ports (8 packets) under 1% loss and no client
+ *  retry: a third of the traffic drops at the ports, the client port
+ *  included. Pins that a response counts against its port's queue
+ *  only while it is on the line. */
+inline ClusterConfig
+boundedPortCluster()
+{
+    ClusterConfig cfg = smallCluster();
+    cfg.numHosts = 4;
+    cfg.dispatch = "least-outstanding";
+    cfg.fabric.portQueueLimit = 8;
+    cfg.base.params.set("fault.wire_loss", "0.01");
+    return cfg;
+}
+
 /** Serialised (JSON + CSV) ResultWriter output for one fresh run. */
 inline std::string
 renderSingleHost(const ExperimentConfig &cfg)

@@ -61,7 +61,9 @@ main(int argc, char **argv)
                     golden::renderCluster(golden::nfvChain()));
     rc |= writeFile(dir + "/resilient_cascade.golden",
                     golden::renderCluster(golden::resilientCascade()));
+    rc |= writeFile(dir + "/bounded_port.golden",
+                    golden::renderCluster(golden::boundedPortCluster()));
     if (rc == 0)
-        std::printf("golden_gen: wrote 8 goldens to %s\n", dir.c_str());
+        std::printf("golden_gen: wrote 9 goldens to %s\n", dir.c_str());
     return rc;
 }

@@ -212,6 +212,10 @@ TEST(NmapsimRunTest, EveryBadKeyOrValueFailsBeforeTheBanner)
         {"--set os.rx_packet_cycles=-5", "os.rx_packet_cycles"},
         {"--set os.irq_cycles=inf", "os.irq_cycles"},
         {"--idle=disable --set os.jiffy=0", "os.jiffy"},
+        {"--load=low --set os.max_softirq_iters=0", "os.max_softirq_iters"},
+        {"--load=low --set os.max_softirq_iters=-7",
+         "os.max_softirq_iters"},
+        {"--load=low --set os.max_softirq_time=0", "os.max_softirq_time"},
         {"--load=low --policy=NCAP --set os.jiffy=0", "os.jiffy"},
         {"--set connection_skew=inf", "connection_skew"},
         {"--set connections=0", "connections"},

@@ -41,7 +41,7 @@ class PartiesTest : public ::testing::Test
         Packet p;
         p.kind = Packet::Kind::kResponse;
         p.sendTime = eq_.now() - latency;
-        client_.onResponse(p);
+        client_.onResponse(p, eq_.now());
     }
 
     EventQueue eq_;

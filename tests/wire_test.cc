@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/wire.hh"
@@ -272,6 +274,175 @@ TEST(WireTest, TinyPacketStillTakesTime)
     wire.send(makePacket(1, 1));
     eq.runAll();
     EXPECT_GE(arrival, 1);
+}
+
+/** (request id, arrival tick) as a receiver saw them. */
+using Arrivals = std::vector<std::pair<std::uint64_t, Tick>>;
+
+TEST(WireTest, RecordingSinkSeesWhatAnEventSinkSees)
+{
+    // Two identical wires fed identical traffic: trains that serialise
+    // back to back, gaps, and corrupted frames. The recording sink must
+    // see the event sink's (packet, arrival) sequence, late.
+    EventQueue eq;
+    Wire events(eq, 10e9, microseconds(5));
+    Wire recording(eq, 10e9, microseconds(5));
+    Arrivals seen_by_events;
+    Arrivals seen_by_recording;
+    events.setSink([&](const Packet &p) {
+        seen_by_events.emplace_back(p.requestId, eq.now());
+    });
+    recording.setRecordingSink([&](const Packet &p, Tick arrival) {
+        EXPECT_LE(arrival, eq.now());
+        seen_by_recording.emplace_back(p.requestId, arrival);
+    });
+    const auto corruptEveryFifth = [](const Packet &p) {
+        return p.requestId % 5 == 3 ? WireFault::kCorrupt
+                                    : WireFault::kNone;
+    };
+    events.setFaultFilter(corruptEveryFifth);
+    recording.setFaultFilter(corruptEveryFifth);
+
+    std::uint64_t next_id = 0;
+    std::vector<std::unique_ptr<EventFunctionWrapper>> senders;
+    const auto trainAt = [&](Tick at, int packets) {
+        senders.push_back(std::make_unique<EventFunctionWrapper>(
+            [&, packets] {
+                for (int i = 0; i < packets; ++i) {
+                    const Packet p = makePacket(next_id++, 1250);
+                    events.send(p);
+                    recording.send(p);
+                }
+            },
+            "train"));
+        eq.schedule(senders.back().get(), at);
+    };
+    trainAt(0, 4);                  // back to back: 6, 7, 8, 9 us
+    trainAt(microseconds(2), 3);    // queues behind the first train
+    trainAt(microseconds(40), 1);   // idle gap
+    trainAt(microseconds(46), 2);   // lands on the previous arrival
+    trainAt(milliseconds(1), 5);
+    eq.runAll();
+    recording.drain();
+
+    ASSERT_EQ(seen_by_events.size(), 12u); // 15 sent, ids 3, 8, 13 corrupt
+    EXPECT_EQ(seen_by_recording, seen_by_events);
+    for (const auto &[id, arrival] : seen_by_recording)
+        EXPECT_NE(id % 5, 3u) << "corrupt packet " << id << " handed over";
+    EXPECT_EQ(seen_by_events[1].second, microseconds(7));
+    EXPECT_EQ(recording.packetsCorrupted(), 3u);
+    EXPECT_EQ(recording.packetsDelivered(), events.packetsDelivered());
+    EXPECT_EQ(recording.bytesDelivered(), events.bytesDelivered());
+    EXPECT_EQ(recording.packetsInFlight(), 0u);
+}
+
+TEST(WireTest, RecordingWireFiresNoEventAndCountsCorruptionAtHandOver)
+{
+    EventQueue eq;
+    Wire wire(eq, 10e9, microseconds(5));
+    Arrivals seen;
+    wire.setRecordingSink([&](const Packet &p, Tick arrival) {
+        seen.emplace_back(p.requestId, arrival);
+    });
+    wire.setFaultFilter([](const Packet &p) {
+        return p.requestId == 2 ? WireFault::kCorrupt : WireFault::kNone;
+    });
+    for (std::uint64_t id = 1; id <= 3; ++id)
+        wire.send(makePacket(id, 1250)); // arrive at 6, 7, 8 us
+    eq.runAll();
+    EXPECT_EQ(eq.numProcessed(), 0u);
+    EXPECT_EQ(eq.now(), 0);
+    // Nothing has arrived by now, so nothing is handed over or counted.
+    wire.drain();
+    EXPECT_TRUE(seen.empty());
+    EXPECT_EQ(wire.packetsCorrupted(), 0u);
+    EXPECT_EQ(wire.packetsInFlight(), 3u);
+
+    eq.runUntil(microseconds(20));
+    wire.drain();
+    EXPECT_EQ(seen, (Arrivals{{1, microseconds(6)}, {3, microseconds(8)}}));
+    EXPECT_EQ(wire.packetsCorrupted(), 1u);
+    EXPECT_EQ(wire.packetsDelivered(), 2u);
+}
+
+TEST(WireTest, DrainHandsOverExactlyTheArrivalsUpToNow)
+{
+    EventQueue eq;
+    Wire wire(eq, 10e9, microseconds(5));
+    Arrivals seen;
+    wire.setRecordingSink([&](const Packet &p, Tick arrival) {
+        seen.emplace_back(p.requestId, arrival);
+    });
+    for (std::uint64_t id = 0; id < 4; ++id)
+        wire.send(makePacket(id, 1250)); // arrive at 6, 7, 8, 9 us
+
+    eq.runUntil(microseconds(7) - 1);
+    wire.drain();
+    EXPECT_EQ(seen, (Arrivals{{0, microseconds(6)}}));
+
+    eq.runUntil(microseconds(8)); // an arrival exactly at now counts
+    wire.drain();
+    EXPECT_EQ(seen, (Arrivals{{0, microseconds(6)},
+                              {1, microseconds(7)},
+                              {2, microseconds(8)}}));
+    EXPECT_EQ(wire.packetsInFlight(), 1u);
+
+    // A send hands over what has arrived, too.
+    eq.runUntil(microseconds(9));
+    wire.send(makePacket(4, 1250));
+    EXPECT_EQ(seen.size(), 4u);
+    EXPECT_EQ(seen.back(), (std::pair<std::uint64_t, Tick>{
+                               3, microseconds(9)}));
+    EXPECT_EQ(wire.packetsInFlight(), 1u);
+}
+
+/** The PanicError message @p action raises; empty if it raises none. */
+template <typename Action>
+std::string
+panicMessage(Action action)
+{
+    try {
+        action();
+    } catch (const PanicError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+TEST(WireTest, RecordingWireCannotBeBoundedOrDowned)
+{
+    EventQueue eq;
+    const auto record = [](const Packet &, Tick) {};
+    {
+        Wire wire(eq, 10e9, 0);
+        wire.setLabel("switch.port.clients");
+        wire.setRecordingSink(record);
+        wire.setQueueLimit(0); // unbounded stays legal
+        EXPECT_NE(panicMessage([&] { wire.setQueueLimit(8); })
+                      .find("switch.port.clients"),
+                  std::string::npos);
+        EXPECT_NE(panicMessage([&] { wire.setLinkDown(true); })
+                      .find("switch.port.clients"),
+                  std::string::npos);
+        EXPECT_EQ(wire.queueLimit(), 0u);
+        EXPECT_FALSE(wire.linkDown());
+    }
+    {
+        Wire wire(eq, 10e9, 0);
+        wire.setLabel("bounded");
+        wire.setQueueLimit(8);
+        EXPECT_NE(panicMessage([&] { wire.setRecordingSink(record); })
+                      .find("bounded"),
+                  std::string::npos);
+    }
+    {
+        Wire wire(eq, 10e9, 0);
+        wire.setLabel("downed");
+        wire.setLinkDown(true);
+        EXPECT_NE(panicMessage([&] { wire.setRecordingSink(record); })
+                      .find("downed"),
+                  std::string::npos);
+    }
 }
 
 } // namespace

@@ -121,7 +121,7 @@ TEST_F(ClientTest, ResponseLatencyMeasured)
     resp.kind = Packet::Kind::kResponse;
     resp.sendTime = 0;
     EventFunctionWrapper deliver(
-        [&] { client_.onResponse(resp); }, "deliver");
+        [&] { client_.onResponse(resp, eq_.now()); }, "deliver");
     eq_.schedule(&deliver, microseconds(123));
     eq_.runAll();
     EXPECT_EQ(client_.responsesReceived(), 1u);
@@ -135,7 +135,7 @@ TEST_F(ClientTest, WindowP99ResetsBetweenReads)
     resp.kind = Packet::Kind::kResponse;
     resp.sendTime = 0;
     EventFunctionWrapper deliver(
-        [&] { client_.onResponse(resp); }, "deliver");
+        [&] { client_.onResponse(resp, eq_.now()); }, "deliver");
     eq_.schedule(&deliver, microseconds(100));
     eq_.runAll();
     EXPECT_GT(client_.windowP99AndReset(), 0);
@@ -150,7 +150,7 @@ TEST_F(ClientTest, WindowStaysEmptyWithoutWatcher)
     resp.kind = Packet::Kind::kResponse;
     resp.sendTime = 0;
     EventFunctionWrapper deliver(
-        [&] { client_.onResponse(resp); }, "deliver");
+        [&] { client_.onResponse(resp, eq_.now()); }, "deliver");
     eq_.schedule(&deliver, microseconds(100));
     eq_.runAll();
     // No feedback consumer attached: only the global recorder keeps
@@ -163,7 +163,49 @@ TEST_F(ClientTest, RequestPacketIsRejectedAsResponse)
 {
     Packet req;
     req.kind = Packet::Kind::kRequest;
-    EXPECT_THROW(client_.onResponse(req), PanicError);
+    EXPECT_THROW(client_.onResponse(req, eq_.now()), PanicError);
+}
+
+TEST_F(ClientTest, RecordingClientMeasuresToTheArrivalTick)
+{
+    // A recording wire hands a response over after it arrived: the
+    // latency ends at the arrival, not at the hand-over.
+    EXPECT_TRUE(client_.recordsOnly());
+    eq_.runUntil(microseconds(500));
+    Packet resp;
+    resp.kind = Packet::Kind::kResponse;
+    resp.sendTime = microseconds(100);
+    client_.onResponse(resp, microseconds(223));
+    EXPECT_EQ(client_.responsesReceived(), 1u);
+    EXPECT_EQ(client_.latencies().percentile(50.0), microseconds(123));
+}
+
+TEST_F(ClientTest, RetryingClientMustBeHandedResponsesOnArrival)
+{
+    ClientRetryPolicy retry;
+    retry.timeout = milliseconds(1);
+    client_.setRetryPolicy(retry);
+    EXPECT_FALSE(client_.recordsOnly());
+    client_.sendRequest(0);
+    eq_.runUntil(microseconds(500));
+    ASSERT_EQ(sent_.size(), 1u);
+    Packet resp = sent_[0];
+    resp.kind = Packet::Kind::kResponse;
+    EXPECT_THROW(client_.onResponse(resp, microseconds(400)), PanicError);
+    EXPECT_EQ(client_.responsesReceived(), 0u);
+    client_.onResponse(resp, eq_.now());
+    EXPECT_EQ(client_.responsesReceived(), 1u);
+    EXPECT_EQ(client_.latencies().percentile(50.0), microseconds(500));
+}
+
+TEST_F(ClientTest, WatchedWindowMustBeFedOnArrival)
+{
+    client_.watchWindow();
+    EXPECT_FALSE(client_.recordsOnly());
+    eq_.runUntil(microseconds(500));
+    Packet resp;
+    resp.kind = Packet::Kind::kResponse;
+    EXPECT_THROW(client_.onResponse(resp, microseconds(100)), PanicError);
 }
 
 /**
@@ -301,7 +343,7 @@ class ClientTimeoutTest : public ::testing::Test
         Packet resp = pkt;
         resp.kind = Packet::Kind::kResponse;
         resp.rejected = shed;
-        client_.onResponse(resp);
+        client_.onResponse(resp, eq_.now());
         if (late) {
             // A late answer is a duplicate and enters no recorder.
             EXPECT_EQ(client_.duplicateResponses(), dups + 1);
