@@ -101,11 +101,6 @@ NcapGovernor::tick()
 
 namespace nmapsim {
 
-void
-linkNcapPolicies()
-{
-}
-
 namespace {
 
 NcapConfig

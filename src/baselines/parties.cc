@@ -72,11 +72,6 @@ PartiesGovernor::tick()
 
 namespace nmapsim {
 
-void
-linkPartiesPolicy()
-{
-}
-
 namespace {
 
 PartiesConfig

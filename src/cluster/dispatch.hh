@@ -106,12 +106,12 @@ using DispatchRegistry =
         NMAPSIM_REGISTRAR_CONCAT(nmapsimDispatchRegistrar_,            \
                                  __COUNTER__)(name, factory, help)
 
-/**
- * Force the built-in dispatch policies' registration TU out of the
- * static archive (same linker dance as ensureBuiltinPolicies()).
- * Idempotent; called by the cluster harness and the CLI.
- */
-void ensureBuiltinDispatchPolicies();
+/** No-op: the built-in policies register during static initialisation.
+ *  Kept only for callers in the benchmark package (perfbench/). */
+inline void
+ensureBuiltinDispatchPolicies()
+{
+}
 
 } // namespace nmapsim
 

@@ -368,11 +368,4 @@ REGISTER_DISPATCH_POLICY(
 
 } // namespace
 
-/** Link anchor: forces this TU (and its registrars) out of the
- *  static archive; see ensureBuiltinDispatchPolicies(). */
-void
-linkBuiltinDispatchPolicies()
-{
-}
-
 } // namespace nmapsim

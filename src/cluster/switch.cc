@@ -54,7 +54,6 @@ ClusterSwitch::ClusterSwitch(EventQueue &eq, const SwitchConfig &config,
       clientPort_(eq, config.portBandwidthBps, config.portPropagation),
       healthEvent_([this] { healthCheck(); }, "switch.health")
 {
-    ensureBuiltinDispatchPolicies();
     const int num_hosts = static_cast<int>(
         weights.empty() ? 0 : weights.size());
     if (num_hosts < 1)

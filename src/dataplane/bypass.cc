@@ -189,7 +189,6 @@ BypassEngine::BypassEngine(ServerOs &os, Nic &nic,
               "core (poll_cores=" + std::to_string(plan_.pollCores) +
               ", cores=" + std::to_string(os_.numCores()) + ")");
 
-    ensureBuiltinDataplanePolicies();
     DataplaneContext ctx{params};
     const int K = plan_.pollCores;
     for (int p = 0; p < K; ++p) {

@@ -147,11 +147,4 @@ REGISTER_DATAPLANE_POLICY(
 
 } // namespace
 
-// Anchor so ensureBuiltinDataplanePolicies() can force this TU (and its
-// static registrars) out of the archive; see policy.cc.
-void
-linkDataplanePolicies()
-{
-}
-
 } // namespace nmapsim

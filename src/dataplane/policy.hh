@@ -88,12 +88,6 @@ using DataplanePolicyRegistry =
         NMAPSIM_REGISTRAR_CONCAT(nmapsimDataplanePolicyRegistrar_,     \
                                  __COUNTER__)(name, factory, help)
 
-/**
- * Force the built-in dataplane-policy TUs out of their static archive
- * (see ensureBuiltinPolicies() for the idiom). Idempotent.
- */
-void ensureBuiltinDataplanePolicies();
-
 } // namespace nmapsim
 
 #endif // NMAPSIM_DATAPLANE_POLICY_HH_

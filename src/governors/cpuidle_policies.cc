@@ -107,11 +107,6 @@ TeoIdleGovernor::selectState(int core, Tick now)
 
 namespace nmapsim {
 
-void
-linkCpuidlePolicies()
-{
-}
-
 namespace {
 
 REGISTER_IDLE_POLICY(

@@ -139,11 +139,6 @@ IntelPowersaveGovernor::sampleUtil(int core)
 
 namespace nmapsim {
 
-void
-linkOndemandPolicies()
-{
-}
-
 namespace {
 
 FreqPolicyInstance

@@ -9,11 +9,6 @@
 
 namespace nmapsim {
 
-void
-linkStaticGovernorPolicies()
-{
-}
-
 namespace {
 
 FreqPolicyInstance

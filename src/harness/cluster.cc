@@ -73,8 +73,6 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
     : config_(std::move(config)),
       plan_(RunPlan::fromParams(config_.base.params))
 {
-    ensureBuiltinDispatchPolicies();
-
     // A declared topology owns the host count: tiers are contiguous
     // host-id ranges, so `hosts` (the count) is derived and per-host
     // override vectors must match the derived total.

@@ -89,7 +89,6 @@ RunPlan::fromParams(const PolicyParams &params)
         fatal("resilience.retry_budget requires client retry "
               "(client.timeout)");
     if (plan.resilience.wantsAdmission()) {
-        ensureBuiltinAdmissionPolicies();
         AdmissionPolicyRegistry::instance().require(
             plan.resilience.admission);
     }

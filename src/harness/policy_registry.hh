@@ -39,10 +39,9 @@
  * them.
  *
  * Both families are aliases of the one Registry template
- * (sim/registry.hh), header-only Meyers singletons, so policy libraries
- * can register without linking against the harness; the harness side
- * calls ensureBuiltinPolicies() (policy_registry.cc) to force the
- * registering translation units out of their static archives.
+ * (sim/registry.hh), header-only Meyers singletons filled during static
+ * initialisation: a policy file registers by being listed in
+ * src/CMakeLists.txt, with no call from the harness or the CLI.
  */
 
 #ifndef NMAPSIM_HARNESS_POLICY_REGISTRY_HH_
@@ -172,14 +171,6 @@ using IdlePolicyRegistry =
         NMAPSIM_REGISTRAR_CONCAT(nmapsimIdlePolicyRegistrar_,          \
                                  __COUNTER__)(name, factory, help)
 /**@}*/
-
-/**
- * Force the built-in policy modules' registration TUs out of their
- * static archives (an unreferenced object file with only registrar
- * statics would otherwise be dropped by the linker). Idempotent;
- * called by the harness constructors and the CLI.
- */
-void ensureBuiltinPolicies();
 
 } // namespace nmapsim
 

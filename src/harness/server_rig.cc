@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cluster/dispatch.hh"
 #include "cpu/cpu_profile.hh"
 #include "cpu/package_power.hh"
 #include "dataplane/bypass.hh"
@@ -72,16 +71,12 @@ ServerRig::validate(const ExperimentConfig &config)
         if (!(cycles >= 0.0 && std::isfinite(cycles)))
             fatal(std::string(key) + " must be finite and >= 0");
 
-    // The anchors pull in every built-in TU that registers a policy or
-    // a params namespace.
-    ensureBuiltinPolicies();
-    ensureBuiltinDataplanePolicies();
-    ensureBuiltinDispatchPolicies();
     FreqPolicyRegistry::instance().require(config.freqPolicy);
     IdlePolicyRegistry::instance().require(config.idlePolicy);
 
-    // Every key belongs to a registered namespace, and every namespace
-    // parses, whether or not this server's policies read it.
+    // Every key belongs to a registered namespace (each src/ file
+    // registers its own during static initialisation), and every
+    // namespace parses, whether or not this server's policies read it.
     const ParamsRegistry &schemas = ParamsRegistry::instance();
     const std::vector<std::string> namespaces = schemas.names();
     for (const auto &[key, value] : config.params) {

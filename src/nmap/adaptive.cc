@@ -137,11 +137,6 @@ AdaptiveNmapGovernor::onPollProcessed(int core, std::uint32_t intr_pkts,
 
 namespace nmapsim {
 
-void
-linkAdaptiveNmapPolicy()
-{
-}
-
 namespace {
 
 AdaptiveConfig

@@ -98,11 +98,6 @@ NmapSimplGovernor::networkIntensive(int core) const
 
 namespace nmapsim {
 
-void
-linkNmapPolicies()
-{
-}
-
 namespace {
 
 /** The `nmap.*` keys; NI_TH = 0 asks for offline profiling. */

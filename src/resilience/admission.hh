@@ -85,11 +85,12 @@ using AdmissionPolicyRegistry =
         NMAPSIM_REGISTRAR_CONCAT(nmapsimAdmissionPolicyRegistrar_,     \
                                  __COUNTER__)(name, factory, help)
 
-/**
- * Force the built-in admission-policy TUs out of their static archive
- * (see ensureBuiltinPolicies() for the idiom). Idempotent.
- */
-void ensureBuiltinAdmissionPolicies();
+/** No-op: the built-in policies register during static initialisation.
+ *  Kept only for callers in the benchmark package (perfbench/). */
+inline void
+ensureBuiltinAdmissionPolicies()
+{
+}
 
 } // namespace nmapsim
 

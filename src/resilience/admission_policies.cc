@@ -178,11 +178,4 @@ REGISTER_ADMISSION_POLICY(
 
 } // namespace
 
-// Anchor so ensureBuiltinAdmissionPolicies() can force this TU (and
-// its static registrars) out of the archive; see admission.cc.
-void
-linkAdmissionPolicies()
-{
-}
-
 } // namespace nmapsim

@@ -8,11 +8,6 @@
 
 namespace nmapsim {
 
-Event::Event(int priority)
-    : priority_(priority)
-{
-}
-
 Event::~Event()
 {
     // Owning components must deschedule before destruction; firing a
@@ -25,9 +20,8 @@ Event::~Event()
 }
 
 EventFunctionWrapper::EventFunctionWrapper(std::function<void()> callback,
-                                           std::string name, int priority)
-    : Event(priority), callback_(std::move(callback)),
-      name_(std::move(name))
+                                           std::string name)
+    : callback_(std::move(callback)), name_(std::move(name))
 {
 }
 
@@ -107,10 +101,10 @@ EventQueue::insertWheel(const Entry &e, std::int64_t bucket)
     if (activeValid_) {
         if (bucket == activeBucket_) {
             // An event landing in the bucket currently being consumed
-            // must still fire in (when, priority, seq) order relative
-            // to the *unconsumed* tail — e.g. a same-tick
-            // higher-priority event scheduled from inside process()
-            // fires next, exactly as it would have popped from a heap.
+            // must still fire in (when, seq) order relative to the
+            // *unconsumed* tail — e.g. an earlier-tick event scheduled
+            // from inside process() fires before later ones already
+            // queued, exactly as it would have popped from a heap.
             active_.insert(
                 std::upper_bound(
                     active_.begin() +
@@ -245,7 +239,7 @@ EventQueue::advanceFar(int slot)
     // Caller guarantees the wheel is empty and the slot holds a fresh
     // entry. Re-base the window at the slot's window and spread its
     // fresh entries over the wheel's buckets; the bucket sort at
-    // activation restores (when, priority, seq) order.
+    // activation restores (when, seq) order.
     epochBase_ = farWindow(slot) << kWindowBits;
     for (std::uint32_t n = farHead_[static_cast<std::size_t>(slot)];
          n != kNoNode; n = farNodes_[n].next) {
@@ -317,7 +311,7 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->scheduled_ = true;
     if ((when >> kBucketShift) < epochBase_)
         panic("event queue window behind now");
-    place(Entry{when, ev->priority_, nextSeq_++, ev});
+    place(Entry{when, nextSeq_++, ev});
     ++numPending_;
 }
 

@@ -2,10 +2,11 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The EventQueue orders Event objects by (tick, priority, insertion
- * sequence) and processes them one at a time. Components own their events
- * (usually as data members) and schedule/deschedule them on the queue;
- * descheduling is O(1) via lazy invalidation tokens, which keeps the hot
+ * The EventQueue orders Event objects by (tick, insertion sequence) and
+ * processes them one at a time: events due at the same tick fire in the
+ * order they were scheduled. Components own their events (usually as
+ * data members) and schedule/deschedule them on the queue; descheduling
+ * is O(1) via lazy invalidation tokens, which keeps the hot
  * reschedule-heavy paths (CPU slice preemption, interrupt moderation)
  * cheap.
  *
@@ -51,15 +52,7 @@ class EventQueue;
 class Event
 {
   public:
-    /** Lower value runs first among events scheduled for the same tick. */
-    enum Priority
-    {
-        kHighPriority = 0,
-        kDefaultPriority = 50,
-        kLowPriority = 100,
-    };
-
-    explicit Event(int priority = kDefaultPriority);
+    Event() = default;
     virtual ~Event();
 
     Event(const Event &) = delete;
@@ -77,8 +70,6 @@ class Event
     /** Tick at which the event will fire; only valid when scheduled. */
     Tick when() const { return when_; }
 
-    int priority() const { return priority_; }
-
   private:
     friend class EventQueue;
 
@@ -86,7 +77,6 @@ class Event
     /** Sequence number of the live calendar entry; doubles as the
      *  stale-detection token (each schedule() gets a fresh one). */
     std::uint64_t seq_ = 0;
-    int priority_;
     bool scheduled_ = false;
 };
 
@@ -97,8 +87,7 @@ class Event
 class EventFunctionWrapper : public Event
 {
   public:
-    EventFunctionWrapper(std::function<void()> callback, std::string name,
-                         int priority = kDefaultPriority);
+    EventFunctionWrapper(std::function<void()> callback, std::string name);
 
     void process() override { callback_(); }
     std::string name() const override { return name_; }
@@ -119,11 +108,7 @@ template <typename T, void (T::*Method)()>
 class MemberEvent : public Event
 {
   public:
-    MemberEvent(T *obj, const char *name,
-                int priority = kDefaultPriority)
-        : Event(priority), obj_(obj), name_(name)
-    {
-    }
+    MemberEvent(T *obj, const char *name) : obj_(obj), name_(name) {}
 
     void process() override { (obj_->*Method)(); }
     std::string name() const override { return name_; }
@@ -138,9 +123,8 @@ template <typename T, void (T::*Method)(int)>
 class IndexedMemberEvent : public Event
 {
   public:
-    IndexedMemberEvent(T *obj, int arg, const char *name,
-                       int priority = kDefaultPriority)
-        : Event(priority), obj_(obj), arg_(arg), name_(name)
+    IndexedMemberEvent(T *obj, int arg, const char *name)
+        : obj_(obj), arg_(arg), name_(name)
     {
     }
 
@@ -215,7 +199,6 @@ class EventQueue
     struct Entry
     {
         Tick when;
-        int priority;
         std::uint64_t seq;
         Event *event;
 
@@ -224,8 +207,6 @@ class EventQueue
         {
             if (when != o.when)
                 return when < o.when;
-            if (priority != o.priority)
-                return priority < o.priority;
             return seq < o.seq;
         }
 
@@ -335,7 +316,7 @@ class EventQueue
     Occupancy farBits_;
     /** The far slot findNext() located when it returned kFar. */
     int farNext_ = -1;
-    /** Events beyond the ring; min-heap ordered by (when, prio, seq). */
+    /** Events beyond the ring; min-heap ordered by (when, seq). */
     std::vector<Entry> overflow_;
 
     /** The bucket being consumed, sorted; activePos_ is the read head. */

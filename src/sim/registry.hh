@@ -26,10 +26,10 @@
  *   - unknown names fatal() with the sorted known-name list:
  *     `unknown <label> policy '<name>' (known: a, b, c)`.
  *
- * Each alias is a Meyers singleton reachable without linking the
- * harness, so policy libraries register from their own translation
- * units; the ensureBuiltin*() anchors next to each family pull those
- * units out of their static archives.
+ * Each alias is a Meyers singleton, so a policy registers from its
+ * own translation unit, whatever the order of static initialisation.
+ * src/ builds as one object library whose every file links into every
+ * executable, so all registrations complete before main().
  */
 
 #ifndef NMAPSIM_SIM_REGISTRY_HH_

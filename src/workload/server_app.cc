@@ -34,7 +34,6 @@ ServerApp::setResilience(const ResiliencePlan &plan)
         fatal("ServerApp resilience must be set before traffic starts");
     deadlineSheds_ = plan.wantsDeadline();
     if (plan.wantsAdmission()) {
-        ensureBuiltinAdmissionPolicies();
         const AdmissionContext ctx{plan};
         for (int core = 0; core < os_.numCores(); ++core)
             admission_.push_back(

@@ -111,7 +111,6 @@ TEST(DataplanePlanTest, OutOfRangeValuesAreFatal)
 
 TEST(DataplanePolicyRegistryTest, BuiltinsRegisteredWithHelp)
 {
-    ensureBuiltinDataplanePolicies();
     DataplanePolicyRegistry &reg = DataplanePolicyRegistry::instance();
     EXPECT_TRUE(reg.has("spin"));
     EXPECT_TRUE(reg.has("metronome"));
@@ -121,7 +120,6 @@ TEST(DataplanePolicyRegistryTest, BuiltinsRegisteredWithHelp)
 
 TEST(DataplanePolicyRegistryTest, UnknownPolicyIsFatal)
 {
-    ensureBuiltinDataplanePolicies();
     PolicyParams params;
     DataplaneContext ctx{params};
     EXPECT_THROW(DataplanePolicyRegistry::instance().make("nave", ctx),
@@ -130,7 +128,6 @@ TEST(DataplanePolicyRegistryTest, UnknownPolicyIsFatal)
 
 TEST(DataplanePolicyRegistryTest, DuplicateRegistrationIsFatal)
 {
-    ensureBuiltinDataplanePolicies();
     EXPECT_THROW(DataplanePolicyRegistry::instance().add(
                      "spin",
                      [](const DataplaneContext &)
@@ -142,7 +139,6 @@ TEST(DataplanePolicyRegistryTest, DuplicateRegistrationIsFatal)
 
 TEST(SpinPolicyTest, NeverSleeps)
 {
-    ensureBuiltinDataplanePolicies();
     PolicyParams params;
     DataplaneContext ctx{params};
     auto spin = DataplanePolicyRegistry::instance().make("spin", ctx);
@@ -155,7 +151,6 @@ TEST(SpinPolicyTest, NeverSleeps)
 
 TEST(MetronomePolicyTest, ConvergesTowardSetpoint)
 {
-    ensureBuiltinDataplanePolicies();
     PolicyParams params;
     DataplaneContext ctx{params};
     auto policy =
@@ -187,7 +182,6 @@ TEST(MetronomePolicyTest, ConvergesTowardSetpoint)
 
 TEST(MetronomePolicyTest, TicketsDivideTheVisitGap)
 {
-    ensureBuiltinDataplanePolicies();
     PolicyParams params;
     params.set("metronome.tickets", 4);
     DataplaneContext ctx{params};
@@ -201,7 +195,6 @@ TEST(MetronomePolicyTest, TicketsDivideTheVisitGap)
 
 TEST(MetronomePolicyTest, BadParamsAreFatal)
 {
-    ensureBuiltinDataplanePolicies();
     auto makeWith = [](const std::string &key,
                        const std::string &value) {
         PolicyParams params;

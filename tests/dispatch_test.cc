@@ -44,13 +44,7 @@ context(int hosts, std::vector<double> weights = {})
     return ctx;
 }
 
-class DispatchTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override { ensureBuiltinDispatchPolicies(); }
-};
-
-TEST_F(DispatchTest, RegistryHasAllBuiltins)
+TEST(DispatchTest, RegistryHasAllBuiltins)
 {
     const DispatchRegistry &reg = DispatchRegistry::instance();
     for (const char *name :
@@ -61,7 +55,7 @@ TEST_F(DispatchTest, RegistryHasAllBuiltins)
     EXPECT_FALSE(reg.help("power-pack").empty());
 }
 
-TEST_F(DispatchTest, ResolvesCaseInsensitively)
+TEST(DispatchTest, ResolvesCaseInsensitively)
 {
     const DispatchRegistry &reg = DispatchRegistry::instance();
     EXPECT_TRUE(reg.has("Flow-Hash"));
@@ -69,14 +63,14 @@ TEST_F(DispatchTest, ResolvesCaseInsensitively)
     EXPECT_FALSE(reg.has("no-such-policy"));
 }
 
-TEST_F(DispatchTest, UnknownNameFatals)
+TEST(DispatchTest, UnknownNameFatals)
 {
     DispatchContext ctx = context(2);
     EXPECT_THROW(DispatchRegistry::instance().make("no-such", ctx),
                  FatalError);
 }
 
-TEST_F(DispatchTest, RejectsBadWeights)
+TEST(DispatchTest, RejectsBadWeights)
 {
     DispatchContext zero = context(2, {1.0, 0.0});
     EXPECT_THROW(
@@ -88,7 +82,7 @@ TEST_F(DispatchTest, RejectsBadWeights)
         FatalError);
 }
 
-TEST_F(DispatchTest, FlowHashIsDeterministicAffinity)
+TEST(DispatchTest, FlowHashIsDeterministicAffinity)
 {
     DispatchContext ctx = context(4);
     auto a = DispatchRegistry::instance().make("flow-hash", ctx);
@@ -104,7 +98,7 @@ TEST_F(DispatchTest, FlowHashIsDeterministicAffinity)
     }
 }
 
-TEST_F(DispatchTest, FlowHashHonoursWeights)
+TEST(DispatchTest, FlowHashHonoursWeights)
 {
     DispatchContext ctx = context(2, {3.0, 1.0});
     auto policy = DispatchRegistry::instance().make("flow-hash", ctx);
@@ -117,7 +111,7 @@ TEST_F(DispatchTest, FlowHashHonoursWeights)
     EXPECT_NEAR(share, 0.75, 0.02);
 }
 
-TEST_F(DispatchTest, RoundRobinSpreadsWeightedEvenly)
+TEST(DispatchTest, RoundRobinSpreadsWeightedEvenly)
 {
     DispatchContext ctx = context(2, {2.0, 1.0});
     auto policy =
@@ -130,7 +124,7 @@ TEST_F(DispatchTest, RoundRobinSpreadsWeightedEvenly)
     EXPECT_EQ(served[1], 100);
 }
 
-TEST_F(DispatchTest, RoundRobinNeverStarvesUnweighted)
+TEST(DispatchTest, RoundRobinNeverStarvesUnweighted)
 {
     DispatchContext ctx = context(3);
     auto policy =
@@ -144,7 +138,7 @@ TEST_F(DispatchTest, RoundRobinNeverStarvesUnweighted)
     EXPECT_EQ(served[2], 3);
 }
 
-TEST_F(DispatchTest, LeastOutstandingPicksWeightedArgmin)
+TEST(DispatchTest, LeastOutstandingPicksWeightedArgmin)
 {
     std::array<std::uint64_t, 3> outstanding = {4, 1, 9};
     DispatchContext ctx = context(3);
@@ -169,7 +163,7 @@ TEST_F(DispatchTest, LeastOutstandingPicksWeightedArgmin)
     EXPECT_EQ(weighted->pickHost(flowPacket(0)), 2);
 }
 
-TEST_F(DispatchTest, LeastOutstandingRequiresFeedback)
+TEST(DispatchTest, LeastOutstandingRequiresFeedback)
 {
     DispatchContext ctx = context(2);
     ctx.outstanding = nullptr;
@@ -181,7 +175,7 @@ TEST_F(DispatchTest, LeastOutstandingRequiresFeedback)
         FatalError);
 }
 
-TEST_F(DispatchTest, PowerPackFillsInIdOrderUpToTheKnee)
+TEST(DispatchTest, PowerPackFillsInIdOrderUpToTheKnee)
 {
     std::array<std::uint64_t, 3> outstanding = {0, 0, 0};
     DispatchContext ctx = context(3);
@@ -205,7 +199,7 @@ TEST_F(DispatchTest, PowerPackFillsInIdOrderUpToTheKnee)
     EXPECT_EQ(policy->pickHost(flowPacket(0)), 1);
 }
 
-TEST_F(DispatchTest, PowerPackRejectsNonPositiveKnee)
+TEST(DispatchTest, PowerPackRejectsNonPositiveKnee)
 {
     DispatchContext ctx = context(2);
     ctx.params.set("dispatch.pack_limit", 0.0);
@@ -214,7 +208,7 @@ TEST_F(DispatchTest, PowerPackRejectsNonPositiveKnee)
         FatalError);
 }
 
-TEST_F(DispatchTest, QueuePoliciesAskTheHealthFeedAtMostTwicePerHost)
+TEST(DispatchTest, QueuePoliciesAskTheHealthFeedAtMostTwicePerHost)
 {
     // 16 hosts: all healthy, all but the last ejected, all ejected (the
     // guard then passes everyone). Deciding "is anyone healthy" once
@@ -246,7 +240,7 @@ TEST_F(DispatchTest, QueuePoliciesAskTheHealthFeedAtMostTwicePerHost)
     }
 }
 
-TEST_F(DispatchTest, LeastOutstandingIsPowerPackWithAKneeBelowEveryLoad)
+TEST(DispatchTest, LeastOutstandingIsPowerPackWithAKneeBelowEveryLoad)
 {
     // With the knee at or below the smallest nonzero weighted load
     // (one request on the heaviest host, 1 / 4), only idle hosts sit
@@ -287,7 +281,7 @@ TEST_F(DispatchTest, LeastOutstandingIsPowerPackWithAKneeBelowEveryLoad)
     }
 }
 
-TEST_F(DispatchTest, ConsistentHashCoversAllHosts)
+TEST(DispatchTest, ConsistentHashCoversAllHosts)
 {
     DispatchContext ctx = context(4);
     auto policy =
@@ -305,7 +299,7 @@ TEST_F(DispatchTest, ConsistentHashCoversAllHosts)
         EXPECT_GT(served[host], flows / 20) << "host " << host;
 }
 
-TEST_F(DispatchTest, ConsistentHashIsStableUnderHostRemoval)
+TEST(DispatchTest, ConsistentHashIsStableUnderHostRemoval)
 {
     // The (N-1)-host ring is exactly the N-host ring minus the removed
     // host's vnodes, so flows not on the removed host must not move.
@@ -327,7 +321,7 @@ TEST_F(DispatchTest, ConsistentHashIsStableUnderHostRemoval)
     EXPECT_EQ(moved, 0);
 }
 
-TEST_F(DispatchTest, ConsistentHashRejectsBadVnodes)
+TEST(DispatchTest, ConsistentHashRejectsBadVnodes)
 {
     DispatchContext ctx = context(2);
     ctx.params.set("dispatch.vnodes", 0);

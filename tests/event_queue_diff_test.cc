@@ -3,20 +3,20 @@
  * Differential test pinning the calendar EventQueue to the reference
  * binary-heap implementation it replaced.
  *
- * ReferenceEventQueue below is the old production queue, preserved
- * verbatim (token-based lazy deschedule over a std::priority_queue)
- * with the same (tick, priority, insertion sequence) ordering contract.
- * Both queues are driven through identical seeded operation scripts —
- * schedules, deschedules, reschedules, steps, bounded runs, and events
- * that schedule other events from inside process() — and must produce
- * bit-identical firing order, now() progression and pending counts.
- * Any divergence in the trace log is a contract break in the calendar
- * queue, because the heap's semantics are definitionally correct.
+ * ReferenceEventQueue below is the old production queue (token-based
+ * lazy deschedule over a std::priority_queue) with the same (tick,
+ * insertion sequence) ordering contract. Both queues are driven through
+ * identical seeded operation scripts — schedules, deschedules,
+ * reschedules, steps, bounded runs, and events that schedule other
+ * events from inside process() — and must produce bit-identical firing
+ * order, now() progression and pending counts. Any divergence in the
+ * trace log is a contract break in the calendar queue, because the
+ * heap's semantics are definitionally correct.
  *
  * The scripts deliberately stress the calendar queue's corner cases:
- * same-tick priority ties and FIFO ties, stale entries from
- * deschedule/reschedule (including reschedule to the same tick),
- * schedules into the active bucket being consumed, bucket- and
+ * same-tick FIFO ties, stale entries from deschedule/reschedule
+ * (including reschedule to the same tick), schedules into the active
+ * bucket being consumed, bucket- and
  * window-boundary ticks, far-future events that wait in the far ring
  * and cascade into the wheel, events beyond the ring that ride the
  * overflow heap across epoch re-basing, a client-timeout-style re-arm
@@ -42,8 +42,8 @@ namespace nmapsim {
 namespace {
 
 /**
- * The pre-calendar EventQueue: a min-heap of (when, priority, seq)
- * entries with token-invalidation descheduling. Kept here, not in
+ * The pre-calendar EventQueue: a min-heap of (when, seq) entries with
+ * token-invalidation descheduling. Kept here, not in
  * src/, because its only remaining job is to define correct ordering
  * for this test. It manages its own event records (the production
  * Event bookkeeping fields are private to the production queue).
@@ -53,14 +53,10 @@ class ReferenceEventQueue
   public:
     using Callback = std::function<void(int)>;
 
-    /** @p priorities fixes each event id's priority for the run. */
-    ReferenceEventQueue(const std::vector<int> &priorities,
-                        Callback on_fire)
-        : onFire_(std::move(on_fire))
+    ReferenceEventQueue(int num_events, Callback on_fire)
+        : events_(static_cast<std::size_t>(num_events)),
+          onFire_(std::move(on_fire))
     {
-        events_.resize(priorities.size());
-        for (std::size_t i = 0; i < priorities.size(); ++i)
-            events_[i].priority = priorities[i];
     }
 
     Tick now() const { return now_; }
@@ -77,7 +73,7 @@ class ReferenceEventQueue
         ev.when = when;
         ev.token = nextToken_++;
         ev.scheduled = true;
-        heap_.push(Entry{when, ev.priority, nextSeq_++, ev.token, id});
+        heap_.push(Entry{when, nextSeq_++, ev.token, id});
         ++numPending_;
     }
 
@@ -144,14 +140,12 @@ class ReferenceEventQueue
     {
         Tick when = 0;
         std::uint64_t token = 0;
-        int priority = Event::kDefaultPriority;
         bool scheduled = false;
     };
 
     struct Entry
     {
         Tick when;
-        int priority;
         std::uint64_t seq;
         std::uint64_t token;
         int id;
@@ -161,8 +155,6 @@ class ReferenceEventQueue
         {
             if (when != o.when)
                 return when > o.when;
-            if (priority != o.priority)
-                return priority > o.priority;
             return seq > o.seq;
         }
     };
@@ -184,13 +176,12 @@ class CalendarRig
   public:
     using Callback = std::function<void(int)>;
 
-    CalendarRig(const std::vector<int> &priorities, Callback on_fire)
+    CalendarRig(int num_events, Callback on_fire)
         : onFire_(std::move(on_fire))
     {
-        events_.reserve(priorities.size());
-        for (std::size_t i = 0; i < priorities.size(); ++i)
-            events_.push_back(std::make_unique<DiffEvent>(
-                *this, static_cast<int>(i), priorities[i]));
+        events_.reserve(static_cast<std::size_t>(num_events));
+        for (int i = 0; i < num_events; ++i)
+            events_.push_back(std::make_unique<DiffEvent>(*this, i));
     }
 
     ~CalendarRig()
@@ -217,10 +208,7 @@ class CalendarRig
     class DiffEvent : public Event
     {
       public:
-        DiffEvent(CalendarRig &rig, int id, int priority)
-            : Event(priority), rig_(rig), id_(id)
-        {
-        }
+        DiffEvent(CalendarRig &rig, int id) : rig_(rig), id_(id) {}
 
         void process() override { rig_.onFire_(id_); }
         std::string name() const override { return "diff"; }
@@ -235,21 +223,6 @@ class CalendarRig
     Callback onFire_;
 };
 
-/** Priorities with deliberate duplicates so seq breaks most ties. */
-std::vector<int>
-makePriorities(int count, Rng &rng)
-{
-    static const int kChoices[] = {Event::kHighPriority,
-                                   Event::kDefaultPriority,
-                                   Event::kDefaultPriority,
-                                   Event::kDefaultPriority,
-                                   Event::kLowPriority};
-    std::vector<int> prios(count);
-    for (int &p : prios)
-        p = kChoices[rng.uniformInt(0, 4)];
-    return prios;
-}
-
 /**
  * Delay distribution shaped around the calendar geometry: same-tick,
  * same-bucket (< 512 ticks), in-window (< 2^17 ticks, ~131 us), the
@@ -261,7 +234,7 @@ drawDelay(Rng &rng)
 {
     switch (rng.uniformInt(0, 11)) {
       case 0:
-        return 0; // same tick: pure priority/FIFO tie-break
+        return 0; // same tick: pure FIFO tie-break
       case 1:
       case 2:
         return rng.uniformInt(1, (1 << 9) - 1); // inside one bucket
@@ -296,8 +269,6 @@ runScript(std::uint64_t seed, int num_events, int num_ops)
 {
     std::string log;
     Rng rng(seed);
-    Rng prio_rng(seed ^ 0xabcdef);
-    const std::vector<int> prios = makePriorities(num_events, prio_rng);
 
     Rig *rig_ptr = nullptr;
     Tick last_when = 0; // reuse to force exact same-tick collisions
@@ -318,7 +289,7 @@ runScript(std::uint64_t seed, int num_events, int num_ops)
         }
     };
 
-    Rig rig(prios, on_fire);
+    Rig rig(num_events, on_fire);
     rig_ptr = &rig;
 
     for (int op = 0; op < num_ops; ++op) {
@@ -408,7 +379,7 @@ TEST(EventQueueDiffTest, RandomScriptsMatchReferenceHeap)
 TEST(EventQueueDiffTest, DenseSameTickCollisions)
 {
     // Few events, tiny delays: almost every tick hosts a collision, so
-    // the (priority, seq) tie-break carries the whole ordering.
+    // the seq tie-break carries the whole ordering.
     for (std::uint64_t seed = 100; seed < 104; ++seed) {
         const std::string ref =
             runScript<ReferenceEventQueue>(seed, 6, 3000);
@@ -433,22 +404,14 @@ TEST(EventQueueDiffTest, ManyEventsFewOps)
 
 /**
  * Deterministic pin of the tie-break contract, independent of the
- * random scripts: same tick, mixed priorities, interleaved stale
- * entries — the firing order is priority first, then insertion order,
- * with descheduled/rescheduled entries taking their *new* sequence
- * position.
+ * random scripts: same tick, interleaved stale entries — the firing
+ * order is insertion order, with descheduled/rescheduled entries taking
+ * their *new* sequence position.
  */
-TEST(EventQueueDiffTest, SameTickPriorityAndStaleTokenOrder)
+TEST(EventQueueDiffTest, SameTickFifoAndStaleTokenOrder)
 {
     std::vector<int> fired;
-    const std::vector<int> prios = {
-        Event::kLowPriority,     // id 0
-        Event::kDefaultPriority, // id 1
-        Event::kDefaultPriority, // id 2
-        Event::kHighPriority,    // id 3
-        Event::kDefaultPriority, // id 4
-    };
-    CalendarRig rig(prios, [&](int id) { fired.push_back(id); });
+    CalendarRig rig(5, [&](int id) { fired.push_back(id); });
 
     const Tick t = 1000;
     rig.schedule(0, t);
@@ -458,16 +421,15 @@ TEST(EventQueueDiffTest, SameTickPriorityAndStaleTokenOrder)
     rig.schedule(4, t);
 
     // Stale churn: id 1 is rescheduled to the same tick (moves behind
-    // id 2 and 4 in insertion order); id 4 is descheduled entirely.
+    // ids 2, 3 and 4 in insertion order); id 4 is descheduled entirely.
     rig.reschedule(1, t);
     rig.deschedule(4);
     EXPECT_EQ(rig.numPending(), 4u);
 
     rig.runUntil(t);
     EXPECT_EQ(rig.now(), t);
-    // High priority first; then default-priority in insertion order
-    // (2 before the rescheduled 1); low priority last; 4 never fires.
-    EXPECT_EQ(fired, (std::vector<int>{3, 2, 1, 0}));
+    // Insertion order, the rescheduled 1 last; 4 never fires.
+    EXPECT_EQ(fired, (std::vector<int>{0, 2, 3, 1}));
 }
 
 /**
@@ -484,8 +446,6 @@ runRearmStorm(std::uint64_t seed, int num_events, int num_ops)
     constexpr Tick kTimeout = 2'000'000;
     std::string log;
     Rng rng(seed);
-    Rng prio_rng(seed ^ 0x5eed);
-    const std::vector<int> prios = makePriorities(num_events, prio_rng);
 
     Rig *rig_ptr = nullptr;
     Tick armed = kTimeout; // event 0's tick while it is scheduled
@@ -508,7 +468,7 @@ runRearmStorm(std::uint64_t seed, int num_events, int num_ops)
         }
     };
 
-    Rig rig(prios, on_fire);
+    Rig rig(num_events, on_fire);
     rig_ptr = &rig;
     rig.schedule(0, armed);
 
@@ -570,11 +530,10 @@ runTrap(int num_events, Script script)
 {
     std::string log;
     Rig *rig_ptr = nullptr;
-    Rig rig(std::vector<int>(num_events, Event::kDefaultPriority),
-            [&](int id) {
-                log += "F" + std::to_string(id) + "@" +
-                       std::to_string(rig_ptr->now()) + "\n";
-            });
+    Rig rig(num_events, [&](int id) {
+        log += "F" + std::to_string(id) + "@" +
+               std::to_string(rig_ptr->now()) + "\n";
+    });
     rig_ptr = &rig;
     script(rig, log);
     while (rig.step()) {
@@ -647,8 +606,7 @@ TEST(EventQueueDiffTest, RunUntilStoppingShortOfAFarEntryKeepsNowValid)
 TEST(EventQueueDiffTest, RunUntilAdvancesTimeWithEmptyWindow)
 {
     std::vector<int> fired;
-    CalendarRig rig({Event::kDefaultPriority},
-                    [&](int id) { fired.push_back(id); });
+    CalendarRig rig(1, [&](int id) { fired.push_back(id); });
     rig.runUntil(5'000'000);
     EXPECT_EQ(rig.now(), 5'000'000);
     // Scheduling after the jump still works (window re-based).

@@ -49,20 +49,6 @@ TEST(EventQueueTest, FifoWithinSameTick)
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(EventQueueTest, PriorityBreaksTies)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    EventFunctionWrapper low([&] { order.push_back(1); }, "low",
-                             Event::kLowPriority);
-    EventFunctionWrapper high([&] { order.push_back(2); }, "high",
-                              Event::kHighPriority);
-    eq.schedule(&low, 5);
-    eq.schedule(&high, 5);
-    eq.runAll();
-    EXPECT_EQ(order, (std::vector<int>{2, 1}));
-}
-
 TEST(EventQueueTest, DescheduleCancelsEvent)
 {
     EventQueue eq;

@@ -409,7 +409,6 @@ TEST(ExperimentTest, EveryFamilyResolvesNamesCaseInsensitively)
 
 TEST(ExperimentTest, BuiltinPolicyNamesRegistered)
 {
-    ensureBuiltinPolicies();
     for (const char *name :
          {"performance", "powersave", "userspace", "ondemand",
           "conservative", "intel_powersave", "NMAP", "NMAP-simpl",

@@ -111,7 +111,6 @@ cellConfig(const std::string &policy, const std::string &idle)
 
 TEST(PolicyMatrixTest, DummyGovernorIsRegistered)
 {
-    ensureBuiltinPolicies();
     const FreqPolicyRegistry &reg = FreqPolicyRegistry::instance();
     EXPECT_TRUE(reg.has("test-dummy"));
     EXPECT_EQ(reg.help("test-dummy"), "test-only governor pinning P1");
@@ -137,7 +136,6 @@ TEST(PolicyMatrixTest, DummyGovernorKeysAreChecked)
 
 TEST(PolicyMatrixTest, EveryRegisteredPairRuns)
 {
-    ensureBuiltinPolicies();
     const std::vector<std::string> policies =
         FreqPolicyRegistry::instance().names();
     const std::vector<std::string> idles =

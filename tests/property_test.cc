@@ -384,7 +384,6 @@ INSTANTIATE_TEST_SUITE_P(OverloadSeeds, BacklogConservation,
 std::vector<std::string>
 allDispatchNames()
 {
-    ensureBuiltinDispatchPolicies();
     return DispatchRegistry::instance().names();
 }
 

@@ -39,26 +39,22 @@ expectSortedAndUnique(const std::vector<std::string> &names)
 
 TEST(RegistryOrderTest, FreqAndIdleListingsAreSorted)
 {
-    ensureBuiltinPolicies();
     expectSortedAndUnique(FreqPolicyRegistry::instance().names());
     expectSortedAndUnique(IdlePolicyRegistry::instance().names());
 }
 
 TEST(RegistryOrderTest, DispatchListingIsSorted)
 {
-    ensureBuiltinDispatchPolicies();
     expectSortedAndUnique(DispatchRegistry::instance().names());
 }
 
 TEST(RegistryOrderTest, DataplaneListingIsSorted)
 {
-    ensureBuiltinDataplanePolicies();
     expectSortedAndUnique(DataplanePolicyRegistry::instance().names());
 }
 
 TEST(RegistryOrderTest, AdmissionListingIsSorted)
 {
-    ensureBuiltinAdmissionPolicies();
     expectSortedAndUnique(AdmissionPolicyRegistry::instance().names());
 }
 
@@ -99,7 +95,6 @@ TEST(RegistryOrderTest, UnknownFreqPolicyErrorListsSortedNames)
 
 TEST(RegistryOrderTest, UnknownIdlePolicyErrorListsSortedNames)
 {
-    ensureBuiltinPolicies();
     PolicyParams params;
     IdleContext ctx{CpuProfile::xeonGold6134(), 1, params};
     try {
@@ -113,7 +108,6 @@ TEST(RegistryOrderTest, UnknownIdlePolicyErrorListsSortedNames)
 
 TEST(RegistryOrderTest, UnknownDataplaneErrorListsSortedNames)
 {
-    ensureBuiltinDataplanePolicies();
     PolicyParams params;
     DataplaneContext ctx{params};
     try {
@@ -128,7 +122,6 @@ TEST(RegistryOrderTest, UnknownDataplaneErrorListsSortedNames)
 
 TEST(RegistryOrderTest, UnknownAdmissionErrorListsSortedNames)
 {
-    ensureBuiltinAdmissionPolicies();
     ResiliencePlan plan;
     AdmissionContext ctx{plan};
     try {
@@ -143,7 +136,6 @@ TEST(RegistryOrderTest, UnknownAdmissionErrorListsSortedNames)
 
 TEST(RegistryOrderTest, UnknownDispatchErrorListsSortedNames)
 {
-    ensureBuiltinDispatchPolicies();
     try {
         DispatchContext ctx;
         ctx.numHosts = 1;

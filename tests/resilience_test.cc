@@ -127,7 +127,6 @@ TEST(ResiliencePlanTest, BreakerThresholdAboveOneIsFatal)
 
 TEST(AdmissionRegistryTest, BuiltinsAreRegistered)
 {
-    ensureBuiltinAdmissionPolicies();
     AdmissionPolicyRegistry &reg = AdmissionPolicyRegistry::instance();
     EXPECT_TRUE(reg.has("none"));
     EXPECT_TRUE(reg.has("queue-deadline"));
@@ -138,7 +137,6 @@ TEST(AdmissionRegistryTest, BuiltinsAreRegistered)
 
 TEST(AdmissionRegistryTest, NamesAreSorted)
 {
-    ensureBuiltinAdmissionPolicies();
     const std::vector<std::string> names =
         AdmissionPolicyRegistry::instance().names();
     ASSERT_GE(names.size(), 3u);
@@ -148,7 +146,6 @@ TEST(AdmissionRegistryTest, NamesAreSorted)
 
 TEST(AdmissionRegistryTest, UnknownNameIsFatalAndListsKnown)
 {
-    ensureBuiltinAdmissionPolicies();
     ResiliencePlan plan;
     try {
         AdmissionPolicyRegistry::instance().make("nope",
@@ -167,7 +164,6 @@ TEST(AdmissionRegistryTest, UnknownNameIsFatalAndListsKnown)
 std::unique_ptr<AdmissionPolicy>
 makeGate(const ResiliencePlan &plan)
 {
-    ensureBuiltinAdmissionPolicies();
     return AdmissionPolicyRegistry::instance().make(
         plan.admission, AdmissionContext{plan});
 }

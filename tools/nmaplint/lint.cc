@@ -644,8 +644,6 @@ std::vector<Finding>
 lintPaths(const std::vector<std::string> &files, const std::string &root,
           const LintOptions &options)
 {
-    ensureBuiltinRules();
-
     std::string prefix = root;
     if (!prefix.empty() && prefix.back() != '/')
         prefix += '/';
@@ -701,35 +699,6 @@ lintPaths(const std::vector<std::string> &files, const std::string &root,
 
     std::sort(findings.begin(), findings.end());
     return findings;
-}
-
-// Defined in the registering rule TUs; calling them forces the
-// registrar statics out of a static archive (same linker dance as
-// ensureBuiltinPolicies() in src/harness/policy_registry.cc).
-void linkAssertRule();
-void linkNondetRule();
-void linkUnorderedIterRule();
-void linkRawOutputRule();
-void linkHeaderHygieneRule();
-void linkRegisterHygieneRule();
-void linkLayeringRule();
-void linkSharedStateRule();
-void linkConfigDocRule();
-void linkStaleWaiverRule();
-
-void
-ensureBuiltinRules()
-{
-    linkAssertRule();
-    linkNondetRule();
-    linkUnorderedIterRule();
-    linkRawOutputRule();
-    linkHeaderHygieneRule();
-    linkRegisterHygieneRule();
-    linkLayeringRule();
-    linkSharedStateRule();
-    linkConfigDocRule();
-    linkStaleWaiverRule();
 }
 
 std::string

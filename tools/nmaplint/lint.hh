@@ -416,12 +416,6 @@ struct ProjectRuleRegistrar
                                             help)
 
 /**
- * Force the rule TUs' registrar statics out of a static archive (same
- * linker dance as ensureBuiltinPolicies()). Idempotent.
- */
-void ensureBuiltinRules();
-
-/**
  * Lint one already-loaded file: run every applicable per-file rule,
  * apply same-line / preceding-comment-line / statement-first-line
  * waivers, and validate waiver comments themselves (`bad-waiver`).

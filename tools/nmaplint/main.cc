@@ -162,7 +162,6 @@ usage(const char *argv0)
 int
 listRules()
 {
-    nmaplint::ensureBuiltinRules();
     for (const auto &rule :
          nmaplint::LintRuleRegistry::instance().rules()) {
         std::printf("%-20s %s waive: // lint: %s(<reason>)\n    %s\n",
@@ -176,7 +175,6 @@ listRules()
 int
 printWaiver(const std::string &rule, const std::string &reason)
 {
-    nmaplint::ensureBuiltinRules();
     if (reason.empty()) {
         std::fprintf(stderr,
                      "nmaplint: --waive needs a reason: every waiver "

@@ -56,6 +56,4 @@ REGISTER_LINT_RULE(
 
 } // namespace
 
-void linkAssertRule() {}
-
 } // namespace nmaplint

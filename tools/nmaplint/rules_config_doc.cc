@@ -328,7 +328,4 @@ REGISTER_PROJECT_RULE(
 
 } // namespace
 
-// Anchor for ensureBuiltinRules().
-void linkConfigDocRule() {}
-
 } // namespace nmaplint

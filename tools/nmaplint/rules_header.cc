@@ -90,6 +90,4 @@ REGISTER_LINT_RULE(
 
 } // namespace
 
-void linkHeaderHygieneRule() {}
-
 } // namespace nmaplint

@@ -264,8 +264,4 @@ REGISTER_PROJECT_RULE(
 
 } // namespace
 
-// Anchor for ensureBuiltinRules(): forces this TU's registrar out of
-// the static archive.
-void linkLayeringRule() {}
-
 } // namespace nmaplint

@@ -101,6 +101,4 @@ REGISTER_LINT_RULE(
 
 } // namespace
 
-void linkNondetRule() {}
-
 } // namespace nmaplint

@@ -79,6 +79,4 @@ REGISTER_LINT_RULE(
 
 } // namespace
 
-void linkRawOutputRule() {}
-
 } // namespace nmaplint

@@ -179,6 +179,4 @@ REGISTER_LINT_RULE(
 
 } // namespace
 
-void linkRegisterHygieneRule() {}
-
 } // namespace nmaplint

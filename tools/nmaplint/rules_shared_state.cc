@@ -404,7 +404,4 @@ REGISTER_PROJECT_RULE(
 
 } // namespace
 
-// Anchor for ensureBuiltinRules().
-void linkSharedStateRule() {}
-
 } // namespace nmaplint

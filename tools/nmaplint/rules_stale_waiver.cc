@@ -69,7 +69,4 @@ REGISTER_PROJECT_RULE(
 
 } // namespace
 
-// Anchor for ensureBuiltinRules().
-void linkStaleWaiverRule() {}
-
 } // namespace nmaplint

@@ -178,6 +178,4 @@ REGISTER_LINT_RULE(
 
 } // namespace
 
-void linkUnorderedIterRule() {}
-
 } // namespace nmaplint

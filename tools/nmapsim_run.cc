@@ -293,11 +293,6 @@ runCluster(const ClusterConfig &ccfg, const std::string &json_path,
 int
 main(int argc, char **argv)
 {
-    ensureBuiltinPolicies();
-    ensureBuiltinDispatchPolicies();
-    ensureBuiltinDataplanePolicies();
-    ensureBuiltinAdmissionPolicies();
-
     ClusterConfig ccfg;
     ExperimentConfig &cfg = ccfg.base;
     bool cluster_mode = false;
