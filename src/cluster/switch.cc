@@ -6,19 +6,18 @@ namespace nmapsim {
 namespace {
 
 /**
- * The first host after @p host, in tier-local id order wrapping round,
- * that @p usable accepts; -1 when no tier-mate is usable. Failover
- * stays tier-local: rerouting a cache request to an app host would
- * violate the forward-vs-reply contract.
+ * The first host after @p host, in the id order of its tier (@p hosts
+ * ids from @p first) wrapping round, that @p usable accepts; -1 when
+ * no tier-mate is usable. Failover stays tier-local: rerouting a cache
+ * request to an app host would violate the forward-vs-reply contract.
  */
 template <typename Usable>
 int
-usableMateAfter(const SwitchTier &spec, int host, Usable usable)
+usableMateAfter(int first, int hosts, int host, Usable usable)
 {
-    const int local = host - spec.firstHost;
-    for (int step = 1; step < spec.hosts; ++step) {
-        const int candidate =
-            spec.firstHost + (local + step) % spec.hosts;
+    const int local = host - first;
+    for (int step = 1; step < hosts; ++step) {
+        const int candidate = first + (local + step) % hosts;
         if (usable(static_cast<std::size_t>(candidate)))
             return candidate;
     }
@@ -45,7 +44,7 @@ ClusterSwitch::ClusterSwitch(EventQueue &eq, const SwitchConfig &config,
                              const std::string &dispatch,
                              std::vector<double> weights,
                              const PolicyParams &params,
-                             std::vector<SwitchTier> tiers)
+                             const TopologyPlan &topology)
     : eq_(eq), config_(config),
       ingressFabric_(eq, config.fabricBandwidthBps,
                      config.fabricLatency),
@@ -54,10 +53,11 @@ ClusterSwitch::ClusterSwitch(EventQueue &eq, const SwitchConfig &config,
       clientPort_(eq, config.portBandwidthBps, config.portPropagation),
       healthEvent_([this] { healthCheck(); }, "switch.health")
 {
-    const int num_hosts = static_cast<int>(
-        weights.empty() ? 0 : weights.size());
+    const int num_hosts = static_cast<int>(weights.size());
     if (num_hosts < 1)
         fatal("ClusterSwitch requires at least one host weight");
+    if (topology.enabled() && topology.totalHosts() != num_hosts)
+        fatal("topology tiers must cover every host exactly once");
     config_.validate();
 
     ingressFabric_.setLabel("switch.fabric.ingress");
@@ -79,36 +79,30 @@ ClusterSwitch::ClusterSwitch(EventQueue &eq, const SwitchConfig &config,
     }
 
     // No declared topology = the classic cluster: one tier over all
-    // hosts. A tier naming no policy runs the cluster-level one.
-    if (tiers.empty())
-        tiers.push_back(SwitchTier{"all", 0, num_hosts, ""});
-    tiers_ = std::move(tiers);
-    int expected_first = 0;
-    for (int t = 0; t < numTiers(); ++t) {
-        SwitchTier &spec = tiers_[static_cast<std::size_t>(t)];
-        if (spec.firstHost != expected_first || spec.hosts < 1)
-            fatal("switch tiers must cover contiguous host ids");
-        if (spec.dispatch.empty())
-            spec.dispatch = dispatch;
-        expected_first += spec.hosts;
-        if (expected_first > num_hosts)
-            break; // more tier hosts than weights: fatal below
-        for (int h = spec.firstHost; h < expected_first; ++h)
-            hosts_[static_cast<std::size_t>(h)].tier = t;
+    // hosts. A tier naming no policy runs the cluster-level one, which
+    // sees tier-local host ids; the context closures translate to
+    // global ids for live feedback.
+    std::vector<TierSpec> specs = topology.tiers;
+    if (specs.empty()) {
+        TierSpec &all = specs.emplace_back();
+        all.name = "all";
+        all.hosts = num_hosts;
     }
-    if (expected_first != num_hosts)
-        fatal("switch tiers must cover every host exactly once");
-
-    // One policy instance per tier, seeing tier-local host ids; the
-    // context closures translate to global ids for live feedback.
-    for (int t = 0; t < numTiers(); ++t) {
-        const SwitchTier &spec = tiers_[static_cast<std::size_t>(t)];
-        const int base = spec.firstHost;
+    int base = 0;
+    for (const TierSpec &spec : specs) {
+        if (spec.hosts < 1 || base + spec.hosts > num_hosts)
+            fatal("topology tiers must cover every host exactly once");
+        Tier &tier = tiers_.emplace_back();
+        tier.name = spec.name;
+        tier.dispatch = spec.dispatch.empty() ? dispatch : spec.dispatch;
+        tier.firstHost = base;
+        tier.hosts = spec.hosts;
+        for (int h = base; h < base + spec.hosts; ++h)
+            hosts_[static_cast<std::size_t>(h)].tier = numTiers() - 1;
         DispatchContext ctx;
         ctx.numHosts = spec.hosts;
-        ctx.weights.assign(
-            weights.begin() + base,
-            weights.begin() + base + spec.hosts);
+        ctx.weights.assign(weights.begin() + base,
+                           weights.begin() + base + spec.hosts);
         ctx.params = params;
         ctx.outstanding = [this, base](int host) {
             return outstanding(base + host);
@@ -118,8 +112,8 @@ ClusterSwitch::ClusterSwitch(EventQueue &eq, const SwitchConfig &config,
                 return !isEjected(base + host);
             };
         }
-        dispatchByTier_.push_back(
-            DispatchRegistry::instance().make(spec.dispatch, ctx));
+        tier.policy = DispatchRegistry::instance().make(tier.dispatch, ctx);
+        base += spec.hosts;
     }
     if (config_.healthInterval > 0)
         eq_.schedule(&healthEvent_, eq_.now() + config_.healthInterval);
@@ -152,7 +146,7 @@ ClusterSwitch::fromClient(const Packet &pkt)
     if (pkt.kind != Packet::Kind::kRequest)
         panic("ClusterSwitch: non-request packet from the client side");
     if (pkt.control)
-        controlBytes_ += pkt.sizeBytes;
+        counts_.controlBytes += pkt.sizeBytes;
     // Mid-chain entry (topology.tier<i>.clients) makes any declared
     // tier a legal client-side destination.
     if (pkt.tier >= numTiers())
@@ -180,7 +174,7 @@ ClusterSwitch::rejectToClient(const Packet &pkt)
     resp.deadline = pkt.deadline;
     resp.control = true;
     resp.rejected = true;
-    controlBytes_ += resp.sizeBytes;
+    counts_.controlBytes += resp.sizeBytes;
     clientPort_.send(resp);
 }
 
@@ -191,37 +185,36 @@ ClusterSwitch::forwardRequest(const Packet &pkt)
     if (t >= numTiers())
         panic("ClusterSwitch: request addressed to tier " +
               std::to_string(t) + " of " + std::to_string(numTiers()));
-    const SwitchTier &spec = tiers_[static_cast<std::size_t>(t)];
+    const Tier &tier = tiers_[static_cast<std::size_t>(t)];
     if (deadlineShedsEnabled_ && pkt.deadline > 0 &&
         eq_.now() > pkt.deadline) {
         // Past-deadline work is dead on arrival at every hop: shed it
         // here instead of burning a host's cycles on it.
-        ++shedDeadline_;
+        ++counts_.switchDeadlineSheds;
         rejectToClient(pkt);
         return;
     }
-    DispatchPolicy &policy =
-        *dispatchByTier_[static_cast<std::size_t>(t)];
-    const int local = policy.pickHost(pkt);
-    if (local < 0 || local >= spec.hosts)
-        panic("dispatch policy '" + policy.name() + "' picked host " +
-              std::to_string(local) + " of " +
-              std::to_string(spec.hosts) + " in tier '" + spec.name +
+    const int local = tier.policy->pickHost(pkt);
+    if (local < 0 || local >= tier.hosts)
+        panic("dispatch policy '" + tier.policy->name() +
+              "' picked host " + std::to_string(local) + " of " +
+              std::to_string(tier.hosts) + " in tier '" + tier.name +
               "'");
     const Tick now = eq_.now();
     const auto healthy = [this](std::size_t h) {
         return !hosts_[h].ejected;
     };
-    int host = spec.firstHost + local;
+    int host = tier.firstHost + local;
     if (!healthy(static_cast<std::size_t>(host))) {
         // Affinity policies keep hashing to the ejected host; steer
         // deterministically to the next healthy id so their flows come
         // back unchanged after readmission. With the whole tier
         // ejected, deliver to the pick and let client retries cope.
-        const int alt = usableMateAfter(spec, host, healthy);
+        const int alt =
+            usableMateAfter(tier.firstHost, tier.hosts, host, healthy);
         if (alt >= 0) {
             host = alt;
-            ++rerouted_;
+            ++counts_.requestsRerouted;
         }
     }
     if (!breakers_.empty() &&
@@ -230,17 +223,18 @@ ClusterSwitch::forwardRequest(const Packet &pkt)
         // admits traffic; with the whole tier dark, short-circuit to
         // the client instead of feeding a known-bad backend.
         const int alt = usableMateAfter(
-            spec, host, [this, &healthy, now](std::size_t h) {
+            tier.firstHost, tier.hosts, host,
+            [this, &healthy, now](std::size_t h) {
                 return healthy(h) && breakers_[h].wouldAllow(now);
             });
         if (alt < 0) {
-            ++breakerShortCircuits_;
+            ++counts_.breakerShortCircuits;
             rejectToClient(pkt);
             return;
         }
         breakers_[static_cast<std::size_t>(alt)].allow(now);
         host = alt;
-        ++rerouted_;
+        ++counts_.requestsRerouted;
     }
     Packet out = pkt;
     out.hopStart = now; // per-hop latency stamp
@@ -272,7 +266,7 @@ ClusterSwitch::fromHost(int id, const Packet &pkt)
               tiers_[static_cast<std::size_t>(t)].name +
               "' replied instead of forwarding");
     if (pkt.control)
-        controlBytes_ += pkt.sizeBytes;
+        counts_.controlBytes += pkt.sizeBytes;
     if (forwarded)
         ++host.forwards;
     else
@@ -281,7 +275,7 @@ ClusterSwitch::fromHost(int id, const Packet &pkt)
     if (host.pendingSince.empty()) {
         // The matching dispatch record was written off at ejection;
         // the completion is still real, so it flows onward.
-        ++lateResponses_;
+        ++counts_.lateResponses;
     } else {
         host.pendingSince.pop_front();
     }
@@ -302,7 +296,7 @@ ClusterSwitch::fromHost(int id, const Packet &pkt)
     // Sheds answer instantly; keeping them out of the hop-latency
     // feed stops them from masking a slow tier's real hop tail.
     if (hopTap_ && !pkt.rejected)
-        hopTap_(id, t, eq_.now() - pkt.hopStart, forwarded);
+        hopTap_(id, eq_.now() - pkt.hopStart);
     if (forwarded) {
         // East-west: the completed request re-enters the shared
         // ingress fabric addressed to the next tier, contending with
@@ -310,8 +304,8 @@ ClusterSwitch::fromHost(int id, const Packet &pkt)
         Packet fwd = pkt;
         fwd.tier = static_cast<std::uint8_t>(t + 1);
         fwd.hops = static_cast<std::uint8_t>(pkt.hops + 1);
-        ++eastWestForwards_;
-        eastWestBytes_ += pkt.sizeBytes;
+        ++counts_.eastWestForwards;
+        counts_.eastWestBytes += pkt.sizeBytes;
         ingressFabric_.send(fwd);
         return;
     }
@@ -324,9 +318,9 @@ void
 ClusterSwitch::forwardResponse(const Packet &pkt)
 {
     if (pkt.control)
-        controlBytes_ += pkt.sizeBytes;
+        counts_.controlBytes += pkt.sizeBytes;
     else
-        goodputBytes_ += pkt.sizeBytes;
+        counts_.goodputBytes += pkt.sizeBytes;
     // Shed notices bypass the tap: per-host latency attribution is
     // for served responses only.
     if (tap_ && !pkt.rejected)
@@ -374,13 +368,20 @@ ClusterSwitch::healthCheck()
     eq_.schedule(&healthEvent_, now + config_.healthInterval);
 }
 
-std::uint64_t
-ClusterSwitch::portDrops() const
+SwitchCounters
+ClusterSwitch::counters() const
 {
-    std::uint64_t drops = clientPort_.packetsDropped();
-    for (const HostState &host : hosts_)
-        drops += host.downlink->packetsDropped();
-    return drops;
+    SwitchCounters c = counts_;
+    c.switchPortDrops = clientPort_.packetsDropped();
+    for (const HostState &host : hosts_) {
+        c.requestsForwarded += host.forwarded;
+        c.responsesReturned += host.responses;
+        c.ejections += host.ejections;
+        c.switchPortDrops += host.downlink->packetsDropped();
+    }
+    for (const CircuitBreaker &breaker : breakers_)
+        c.breakerTransitions += breaker.transitions();
+    return c;
 }
 
 } // namespace nmapsim

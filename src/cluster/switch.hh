@@ -24,14 +24,16 @@
  * forwards it to the client port, where a tap hands the harness each
  * served response with that host (per-host latency feeds).
  *
- * Hosts may be composed into service tiers (SwitchTier): each tier
- * owns a contiguous host-id range and its own DispatchPolicy instance,
- * requests carry the destination tier in Packet::tier, and a mid-chain
+ * Hosts may be composed into service tiers (a TopologyPlan): each
+ * tier owns a contiguous host-id range and its own DispatchPolicy
+ * instance, requests carry the destination tier in Packet::tier, and a
+ * mid-chain
  * host's completed request re-enters the ingress fabric east-west,
  * addressed to the next tier, instead of returning to the client. The
  * failure detector stays per-host, and both reroutes (around an
  * ejected pick and around an open breaker) walk the pick's own tier
- * for the next usable host.
+ * for the next usable host. Whole-switch totals come out as one
+ * SwitchCounters.
  *
  * Deviations from real ToR switches are documented in DESIGN.md
  * ("Cluster model").
@@ -47,6 +49,7 @@
 #include <vector>
 
 #include "cluster/dispatch.hh"
+#include "cluster/topology.hh"
 #include "net/packet.hh"
 #include "net/wire.hh"
 #include "resilience/breaker.hh"
@@ -97,18 +100,51 @@ struct SwitchConfig
 };
 
 /**
- * One contiguous run of host ids forming a service tier behind the
- * switch. An empty tier list means the classic single-tier cluster:
- * one tier named "all" over every host, no east-west traffic.
+ * The switch's whole-switch counts, under the names ClusterResult
+ * reports them (ClusterResult derives from this struct).
  */
-struct SwitchTier
+struct SwitchCounters
 {
-    std::string name;     //!< tier label for accounting
-    int firstHost = 0;    //!< global id of the tier's first host
-    int hosts = 0;        //!< host count (contiguous ids)
-    /** DispatchRegistry policy for this tier; empty runs the
-     *  switch's cluster-level policy. */
-    std::string dispatch;
+    /** @name Conservation accounting */
+    /**@{*/
+    std::uint64_t requestsForwarded = 0; //!< switch -> hosts
+    std::uint64_t responsesReturned = 0; //!< hosts -> switch
+    std::uint64_t switchPortDrops = 0;   //!< egress-port queue drops
+    /**@}*/
+
+    /** @name Failure detector (all zero without one) */
+    /**@{*/
+    std::uint64_t ejections = 0;     //!< failure-detector ejections
+    /** Requests steered away from their policy-picked host (ejected,
+     *  or behind an open breaker). */
+    std::uint64_t requestsRerouted = 0;
+    std::uint64_t lateResponses = 0; //!< from written-off hosts
+    /**@}*/
+
+    /** @name Resilience accounting (all zero without a
+     *  `resilience.*` plan) */
+    /**@{*/
+    /** Past-deadline sheds at the fabric, before dispatch. */
+    std::uint64_t switchDeadlineSheds = 0;
+    /** Requests refused because a tier's breakers were all open. */
+    std::uint64_t breakerShortCircuits = 0;
+    /** Circuit-breaker state transitions across hosts. */
+    std::uint64_t breakerTransitions = 0;
+    /**@}*/
+
+    /**
+     * @name Byte classes and east-west traffic
+     * Egress bytes toward the clients are split by class so
+     * availability/goodput math never counts probe or east-west
+     * traffic as served work.
+     */
+    /**@{*/
+    std::uint64_t eastWestForwards = 0; //!< host->host re-dispatches
+    std::uint64_t eastWestBytes = 0;    //!< east-west fabric bytes
+    std::uint64_t goodputBytes = 0;     //!< response bytes to clients
+    /** Probe/control-marked bytes wherever the switch sees them. */
+    std::uint64_t controlBytes = 0;
+    /**@}*/
 };
 
 /** The modeled switch: fabric, ports, dispatch, accounting. */
@@ -120,27 +156,24 @@ class ClusterSwitch
     using ResponseTap = std::function<void(int host, const Packet &)>;
 
     /** Invoked for every hop completion re-entering the switch from a
-     *  host: the host, its tier, the dispatch-to-return hop latency,
-     *  and whether the hop forwarded east-west (vs replied). */
-    using HopTap =
-        std::function<void(int host, int tier, Tick hopLatency,
-                           bool forwarded)>;
+     *  host: the host and its dispatch-to-return hop latency. */
+    using HopTap = std::function<void(int host, Tick hopLatency)>;
 
     /**
      * @param eq       simulation event queue
      * @param config   fabric/port model parameters
      * @param dispatch DispatchRegistry name of the steering policy
-     * @param weights  per-host load weights (empty = uniform)
+     * @param weights  per-host load weights, one per host
      * @param params   policy tunables ("dispatch.<knob>")
-     * @param tiers    service tiers over the hosts; empty = one tier
-     *                 "all" of every host. A tier naming no policy
-     *                 runs @p dispatch.
+     * @param topology service tiers over the hosts, in host-id order;
+     *                 an empty plan is one tier "all" of every host.
+     *                 A tier naming no policy runs @p dispatch.
      */
     ClusterSwitch(EventQueue &eq, const SwitchConfig &config,
                   const std::string &dispatch,
                   std::vector<double> weights,
                   const PolicyParams &params,
-                  std::vector<SwitchTier> tiers = {});
+                  const TopologyPlan &topology = {});
 
     ~ClusterSwitch();
 
@@ -178,88 +211,45 @@ class ClusterSwitch
      */
     void enableResilience(const ResiliencePlan &plan);
 
-    /** @name Topology */
-    /**@{*/
-    int numTiers() const { return static_cast<int>(tiers_.size()); }
-    const SwitchTier &tier(int t) const
+    /** The resolved DispatchRegistry policy steering tier @p t. */
+    const std::string &
+    tierDispatch(int t) const
     {
-        return tiers_[static_cast<std::size_t>(t)];
+        return tiers_[static_cast<std::size_t>(t)].dispatch;
     }
-    /**@}*/
 
-    /** @name Accounting */
+    /** The whole-switch totals. */
+    SwitchCounters counters() const;
+
+    /** @name Per-host accounting */
     /**@{*/
     /** Requests steered to @p id and accepted by its port. */
     std::uint64_t requestsForwarded(int id) const
     {
         return state(id).forwarded;
     }
-    std::uint64_t totalRequestsForwarded() const
-    {
-        return total(&HostState::forwarded);
-    }
     /** Responses received back from @p id. */
     std::uint64_t responsesReturned(int id) const
     {
         return state(id).responses;
-    }
-    std::uint64_t totalResponsesReturned() const
-    {
-        return total(&HostState::responses);
     }
     /** East-west forwards received back from mid-chain @p id. */
     std::uint64_t forwardsReturned(int id) const
     {
         return state(id).forwards;
     }
-    std::uint64_t totalForwardsReturned() const
-    {
-        return total(&HostState::forwards);
-    }
-
-    /**
-     * @name Byte-class accounting
-     * Egress bytes toward the clients are split by class so
-     * availability/goodput math never counts probe or east-west
-     * traffic as served work: goodputBytes() is response payload
-     * only, controlBytes() is probe/control-marked traffic wherever
-     * the switch sees it, eastWestBytes() is host-to-host forwards
-     * re-entering the fabric.
-     */
-    /**@{*/
-    std::uint64_t goodputBytes() const { return goodputBytes_; }
-    std::uint64_t controlBytes() const { return controlBytes_; }
-    std::uint64_t eastWestBytes() const { return eastWestBytes_; }
-    std::uint64_t eastWestForwards() const { return eastWestForwards_; }
-    /**@}*/
     /** In-flight requests dispatched to @p id, not yet answered
      *  (requests written off at ejection no longer count). */
     std::uint64_t outstanding(int id) const
     {
         return state(id).pendingSince.size();
     }
-    /** Egress-port queue overflow drops, all ports. */
-    std::uint64_t portDrops() const;
-
-    /** @name Failure-detector state and accounting */
-    /**@{*/
     /** True while the detector has @p id ejected. */
     bool isEjected(int id) const { return state(id).ejected; }
     /** Times the detector ejected @p id. */
     std::uint64_t ejections(int id) const { return state(id).ejections; }
-    std::uint64_t totalEjections() const
-    {
-        return total(&HostState::ejections);
-    }
-    /** Requests steered away from their policy-picked (ejected) host. */
-    std::uint64_t requestsRerouted() const { return rerouted_; }
-    /** Responses from hosts whose pending work was written off. */
-    std::uint64_t lateResponses() const { return lateResponses_; }
-    /**@}*/
-
-    /** @name Resilience accounting (zero when resilience is off) */
-    /**@{*/
-    /** Breaker state transitions for @p id's breaker. */
+    /** Breaker state transitions for @p id's breaker (0 when
+     *  resilience is off). */
     std::uint64_t
     breakerTransitions(int id) const
     {
@@ -268,22 +258,6 @@ class ClusterSwitch
                    : breakers_[static_cast<std::size_t>(id)]
                          .transitions();
     }
-    std::uint64_t
-    totalBreakerTransitions() const
-    {
-        std::uint64_t sum = 0;
-        for (const CircuitBreaker &breaker : breakers_)
-            sum += breaker.transitions();
-        return sum;
-    }
-    /** Requests shed because a whole tier's breakers were open. */
-    std::uint64_t breakerShortCircuits() const
-    {
-        return breakerShortCircuits_;
-    }
-    /** Requests shed at the fabric because their deadline had passed. */
-    std::uint64_t deadlineSheds() const { return shedDeadline_; }
-    /**@}*/
     /**@}*/
 
   private:
@@ -305,17 +279,22 @@ class ClusterSwitch
         std::uint64_t ejections = 0;
     };
 
+    /** One service tier: a contiguous run of host ids. */
+    struct Tier
+    {
+        std::string name;     //!< tier label for diagnostics
+        std::string dispatch; //!< resolved DispatchRegistry name
+        int firstHost = 0;    //!< global id of the tier's first host
+        int hosts = 0;        //!< host count (contiguous ids)
+        /** Steering policy, picking tier-local host ids. */
+        std::unique_ptr<DispatchPolicy> policy;
+    };
+
     const HostState &state(int id) const
     {
         return hosts_[static_cast<std::size_t>(id)];
     }
-    std::uint64_t total(std::uint64_t HostState::*counter) const
-    {
-        std::uint64_t sum = 0;
-        for (const HostState &h : hosts_)
-            sum += h.*counter;
-        return sum;
-    }
+    int numTiers() const { return static_cast<int>(tiers_.size()); }
 
     void forwardRequest(const Packet &pkt);
     void forwardResponse(const Packet &pkt);
@@ -331,24 +310,17 @@ class ClusterSwitch
     std::vector<HostState> hosts_; //!< by global host id
 
     /** Tiers in request order; exactly one in single-tier mode. */
-    std::vector<SwitchTier> tiers_;
-    /** One steering policy per tier, picking tier-local host ids. */
-    std::vector<std::unique_ptr<DispatchPolicy>> dispatchByTier_;
+    std::vector<Tier> tiers_;
     ResponseTap tap_;
     HopTap hopTap_;
 
-    std::uint64_t goodputBytes_ = 0;
-    std::uint64_t controlBytes_ = 0;
-    std::uint64_t eastWestBytes_ = 0;
-    std::uint64_t eastWestForwards_ = 0;
-    std::uint64_t rerouted_ = 0;
-    std::uint64_t lateResponses_ = 0;
+    /** The switch-wide counts; counters() adds the per-host, per-port
+     *  and per-breaker sums. */
+    SwitchCounters counts_;
 
     /** Per-host circuit breakers; empty when breakers are off. */
     std::vector<CircuitBreaker> breakers_;
     bool deadlineShedsEnabled_ = false;
-    std::uint64_t breakerShortCircuits_ = 0;
-    std::uint64_t shedDeadline_ = 0;
 
     EventFunctionWrapper healthEvent_;
 };

@@ -265,18 +265,13 @@ BypassEngine::Stats
 BypassEngine::stats() const
 {
     Stats s;
-    double total = 0.0;
-    double empty = 0.0;
     for (const auto &poller : pollers_) {
         s.pollLoops += poller->pollLoops();
         s.emptyPolls += poller->emptyPolls();
         s.sleeps += poller->sleeps();
         s.sleepResidency += poller->sleepResidency();
         s.pktsHarvested += poller->harvested();
-        total += poller->totalPollCycles();
-        empty += poller->emptyPollCycles();
     }
-    s.wastedPollCycleShare = total > 0.0 ? empty / total : 0.0;
     return s;
 }
 

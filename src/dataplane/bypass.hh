@@ -135,7 +135,6 @@ class BypassEngine
         std::uint64_t sleeps = 0;        //!< policy-initiated sleeps
         Tick sleepResidency = 0;         //!< total time spent in sleeps
         std::uint64_t pktsHarvested = 0; //!< Rx + Tx taken off the NIC
-        double wastedPollCycleShare = 0; //!< empty-poll cycle fraction
     };
 
     /**
@@ -157,9 +156,6 @@ class BypassEngine
     /** Restart the poll-core energy window (warm-up trimming). */
     void startMeasurement(Tick now);
 
-    /** Poll-core-only energy since startMeasurement(), in joules. */
-    double pollEnergyJoules(Tick now) const;
-
     /**
      * Poll-core energy spent on polls that harvested nothing — the
      * busy-poll tax Metronome's sleeps reclaim. Prorated over the
@@ -173,6 +169,9 @@ class BypassEngine
     Stats stats() const;
 
   private:
+    /** Poll-core-only energy since startMeasurement(), in joules. */
+    double pollEnergyJoules(Tick now) const;
+
     ServerOs &os_;
     Nic &nic_;
     DataplanePlan plan_;

@@ -3,20 +3,67 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/logging.hh"
-
 namespace nmapsim {
 
 FaultInjector::FaultInjector(EventQueue &eq, const FaultPlan &plan,
-                             Rng rng)
-    : eq_(eq), plan_(plan), rng_(rng)
+                             Rng rng, const std::vector<Host> &hosts)
+    : eq_(eq), plan_(plan), rng_(rng),
+      flapEvent_([this] { flapEdge(); }, "fault.flap")
 {
+    for (const Host &host : hosts) {
+        addLossyWire(host.toward);
+        addLossyWire(host.from);
+    }
+    if (plan_.wantsFlap()) {
+        for (std::size_t id = 0; id < hosts.size(); ++id) {
+            if (plan_.flapHost >= 0 &&
+                static_cast<std::size_t>(plan_.flapHost) != id)
+                continue;
+            for (Wire *wire : {&hosts[id].toward, &hosts[id].from}) {
+                track(*wire);
+                flapping_.push_back(wire);
+            }
+        }
+        if (!flapping_.empty())
+            eq_.schedule(&flapEvent_, plan_.flapStart);
+    }
+    if (plan_.wantsRingDegrade()) {
+        for (const Host &host : hosts) {
+            Nic *nic = &host.nic;
+            const std::size_t original = nic->config().rxRingSize;
+            at(plan_.ringDegradeAt,
+               [this, nic] { nic->setRxRingSize(plan_.ringSize); },
+               "fault.ring_degrade");
+            if (plan_.ringRestoreAt > 0)
+                at(plan_.ringRestoreAt,
+                   [nic, original] { nic->setRxRingSize(original); },
+                   "fault.ring_restore");
+        }
+    }
+    for (int id : plan_.crashHosts) {
+        Wire *toward = &hosts[static_cast<std::size_t>(id)].toward;
+        Wire *from = &hosts[static_cast<std::size_t>(id)].from;
+        track(*toward);
+        track(*from);
+        at(plan_.crashAt,
+           [toward, from] {
+               toward->setLinkDown(true);
+               from->setLinkDown(true);
+           },
+           "fault.crash");
+        if (plan_.recoverAt > 0)
+            at(plan_.recoverAt,
+               [toward, from] {
+                   toward->setLinkDown(false);
+                   from->setLinkDown(false);
+               },
+               "fault.recover");
+    }
 }
 
 FaultInjector::~FaultInjector()
 {
-    for (auto &group : flapGroups_)
-        eq_.deschedule(group->event.get());
+    eq_.deschedule(&flapEvent_);
     for (auto &event : events_)
         eq_.deschedule(event.get());
     // Filters capture `this`; detach them so a wire outliving the
@@ -26,7 +73,7 @@ FaultInjector::~FaultInjector()
 }
 
 void
-FaultInjector::trackWire(Wire &wire)
+FaultInjector::track(Wire &wire)
 {
     if (std::find(wires_.begin(), wires_.end(), &wire) == wires_.end())
         wires_.push_back(&wire);
@@ -37,7 +84,7 @@ FaultInjector::addLossyWire(Wire &wire)
 {
     if (!plan_.wantsLoss())
         return;
-    trackWire(wire);
+    track(wire);
     wire.setFaultFilter([this](const Packet &) {
         // A single uniform draw partitions [0, 1) into
         // lose | corrupt | deliver, so loss and corruption come from
@@ -52,79 +99,32 @@ FaultInjector::addLossyWire(Wire &wire)
 }
 
 void
-FaultInjector::addFlapGroup(std::vector<Wire *> wires)
+FaultInjector::at(Tick when, std::function<void()> action,
+                  const char *name)
 {
-    if (!plan_.wantsFlap() || wires.empty())
-        return;
-    for (Wire *wire : wires)
-        trackWire(*wire);
-    auto group = std::make_unique<FlapGroup>();
-    group->wires = std::move(wires);
-    FlapGroup *raw = group.get();
-    group->event = std::make_unique<EventFunctionWrapper>(
-        [this, raw] { flapEdge(*raw); }, "fault.flap");
-    eq_.schedule(group->event.get(), plan_.flapStart);
-    flapGroups_.push_back(std::move(group));
+    events_.push_back(
+        std::make_unique<EventFunctionWrapper>(std::move(action), name));
+    eq_.schedule(events_.back().get(), when);
 }
 
 void
-FaultInjector::flapEdge(FlapGroup &group)
+FaultInjector::flapEdge()
 {
-    if (!group.down) {
-        for (Wire *wire : group.wires)
+    if (!flapDown_) {
+        for (Wire *wire : flapping_)
             wire->setLinkDown(true);
-        group.down = true;
-        eq_.schedule(group.event.get(), eq_.now() + plan_.flapDown);
+        flapDown_ = true;
+        eq_.schedule(&flapEvent_, eq_.now() + plan_.flapDown);
         return;
     }
-    for (Wire *wire : group.wires)
+    for (Wire *wire : flapping_)
         wire->setLinkDown(false);
-    group.down = false;
-    ++group.cycle;
-    if (group.cycle < plan_.flapCycles) {
-        eq_.schedule(group.event.get(),
+    flapDown_ = false;
+    ++flapCycle_;
+    if (flapCycle_ < plan_.flapCycles) {
+        eq_.schedule(&flapEvent_,
                      plan_.flapStart +
-                         static_cast<Tick>(group.cycle) *
-                             plan_.flapPeriod);
-    }
-}
-
-void
-FaultInjector::addDegradableNic(Nic &nic)
-{
-    if (!plan_.wantsRingDegrade())
-        return;
-    Nic *raw = &nic;
-    const std::size_t original = nic.config().rxRingSize;
-    auto degrade = std::make_unique<EventFunctionWrapper>(
-        [this, raw] { raw->setRxRingSize(plan_.ringSize); },
-        "fault.ring_degrade");
-    eq_.schedule(degrade.get(), plan_.ringDegradeAt);
-    events_.push_back(std::move(degrade));
-    if (plan_.ringRestoreAt > 0) {
-        auto restore = std::make_unique<EventFunctionWrapper>(
-            [raw, original] { raw->setRxRingSize(original); },
-            "fault.ring_restore");
-        eq_.schedule(restore.get(), plan_.ringRestoreAt);
-        events_.push_back(std::move(restore));
-    }
-}
-
-void
-FaultInjector::scheduleCrash(std::function<void()> down,
-                             std::function<void()> up)
-{
-    if (!plan_.wantsCrash())
-        return;
-    auto crash = std::make_unique<EventFunctionWrapper>(
-        std::move(down), "fault.crash");
-    eq_.schedule(crash.get(), plan_.crashAt);
-    events_.push_back(std::move(crash));
-    if (plan_.recoverAt > 0) {
-        auto recover = std::make_unique<EventFunctionWrapper>(
-            std::move(up), "fault.recover");
-        eq_.schedule(recover.get(), plan_.recoverAt);
-        events_.push_back(std::move(recover));
+                         static_cast<Tick>(flapCycle_) * plan_.flapPeriod);
     }
 }
 

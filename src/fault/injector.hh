@@ -1,8 +1,9 @@
 /**
  * @file
- * Executes a FaultPlan against a rig: installs loss/corruption filters
- * on wires, schedules link flap windows, NIC ring degradation and
- * whole-host crash/recovery callbacks on the event queue.
+ * Executes a FaultPlan against the hosts of a rig: installs
+ * loss/corruption filters on their access links, schedules link flap
+ * windows, NIC ring degradation and whole-host crash/recovery on the
+ * event queue.
  *
  * Determinism contract: the injector owns a forked Rng stream and is
  * the only consumer of randomness in the fault path; the stream is
@@ -32,42 +33,37 @@ namespace nmapsim {
 class FaultInjector
 {
   public:
-    FaultInjector(EventQueue &eq, const FaultPlan &plan, Rng rng);
+    /** Where one host's faults land. */
+    struct Host
+    {
+        Wire &toward; //!< the link carrying traffic to the host
+        Wire &from;   //!< the link carrying the host's traffic out
+        Nic &nic;
+    };
+
+    /**
+     * Apply @p plan to @p hosts, indexed by host id (every host the
+     * plan names must be present):
+     *   - loss and corruption filter every host's two links, with one
+     *     uniform draw per packet;
+     *   - a flap downs and restores the links of `fault.flap_host`
+     *     (every host's when -1) together, on the plan's schedule;
+     *   - ring degradation shrinks and restores every host's NIC ring;
+     *   - a crash downs both links of each `fault.crash_host` at
+     *     crashAt (the host itself keeps simulating) and restores them
+     *     at recoverAt (never when 0).
+     * The attach and schedule order (loss filters, the flap, rings by
+     * host, crashes in list order) is part of the determinism
+     * contract.
+     */
+    FaultInjector(EventQueue &eq, const FaultPlan &plan, Rng rng,
+                  const std::vector<Host> &hosts);
     ~FaultInjector();
 
     FaultInjector(const FaultInjector &) = delete;
     FaultInjector &operator=(const FaultInjector &) = delete;
 
-    /**
-     * Subject @p wire to the plan's probabilistic loss/corruption.
-     * One uniform draw per packet; attachment order is part of the
-     * determinism contract (attach in topology order).
-     */
-    void addLossyWire(Wire &wire);
-
-    /**
-     * Flap all wires in @p wires together: down at flapStart, up
-     * after flapDown, repeating every flapPeriod for flapCycles.
-     */
-    void addFlapGroup(std::vector<Wire *> wires);
-
-    /** Degrade (and possibly restore) @p nic's Rx ring per the plan. */
-    void addDegradableNic(Nic &nic);
-
-    /**
-     * Schedule a generic fail-stop window: @p down runs at
-     * plan.crashAt, @p up at plan.recoverAt (skipped when 0).
-     */
-    void scheduleCrash(std::function<void()> down,
-                       std::function<void()> up);
-
-    /**
-     * Include @p wire in the aggregated fault counters without
-     * installing any filter (e.g. links a crash callback downs).
-     */
-    void trackWire(Wire &wire);
-
-    /** @name Aggregated accounting over attached wires */
+    /** @name Aggregated accounting over every faulted wire */
     /**@{*/
     std::uint64_t packetsFaultLost() const;
     std::uint64_t packetsCorrupted() const;
@@ -75,20 +71,21 @@ class FaultInjector
     /**@}*/
 
   private:
-    struct FlapGroup {
-        std::vector<Wire *> wires;
-        int cycle = 0;
-        bool down = false;
-        std::unique_ptr<EventFunctionWrapper> event;
-    };
-
-    void flapEdge(FlapGroup &group);
+    /** Count @p wire in the aggregated accounting (once). */
+    void track(Wire &wire);
+    void addLossyWire(Wire &wire);
+    /** Run @p action at @p when from an event this injector owns. */
+    void at(Tick when, std::function<void()> action, const char *name);
+    void flapEdge();
 
     EventQueue &eq_;
     FaultPlan plan_;
     Rng rng_;
     std::vector<Wire *> wires_;
-    std::vector<std::unique_ptr<FlapGroup>> flapGroups_;
+    std::vector<Wire *> flapping_;
+    int flapCycle_ = 0;
+    bool flapDown_ = false;
+    EventFunctionWrapper flapEvent_;
     std::vector<std::unique_ptr<EventFunctionWrapper>> events_;
 };
 

@@ -154,30 +154,6 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
     }
 }
 
-std::vector<double>
-ClusterExperiment::hostWeights() const
-{
-    std::vector<double> weights(
-        static_cast<std::size_t>(config_.numHosts), 1.0);
-    for (std::size_t i = 0; i < config_.hosts.size(); ++i)
-        weights[i] = config_.hosts[i].weight;
-    return weights;
-}
-
-std::vector<SwitchTier>
-ClusterExperiment::switchTiers() const
-{
-    std::vector<SwitchTier> tiers;
-    for (int t = 0; t < plan_.topology.numTiers(); ++t) {
-        const TierSpec &tier =
-            plan_.topology.tiers[static_cast<std::size_t>(t)];
-        tiers.push_back(SwitchTier{tier.name,
-                                   plan_.topology.firstHostOf(t),
-                                   tier.hosts, tier.dispatch});
-    }
-    return tiers;
-}
-
 Tick
 ClusterExperiment::tierSlo(int tier) const
 {
@@ -197,8 +173,12 @@ ClusterExperiment::run()
     const TopologyPlan &topology = plan_.topology;
 
     // --- Switch -------------------------------------------------------
-    ClusterSwitch sw(eq, config_.fabric, config_.dispatch, hostWeights(),
-                     config_.base.params, switchTiers());
+    std::vector<double> weights(
+        static_cast<std::size_t>(config_.numHosts), 1.0);
+    for (std::size_t i = 0; i < config_.hosts.size(); ++i)
+        weights[i] = config_.hosts[i].weight;
+    ClusterSwitch sw(eq, config_.fabric, config_.dispatch,
+                     std::move(weights), config_.base.params, topology);
 
     // Resilience plan (overload control). A disabled plan arms nothing
     // anywhere and keeps the run byte-identical; the subsystem forks no
@@ -211,6 +191,7 @@ ClusterExperiment::run()
     // Offline NMAP profiling is a pure function of the host config, so
     // hosts with equal configs share one pass.
     std::vector<std::unique_ptr<Host>> hosts;
+    std::vector<FaultInjector::Host> fault_targets;
     std::vector<
         std::pair<const ExperimentConfig *, std::pair<double, double>>>
         profiles;
@@ -219,6 +200,8 @@ ClusterExperiment::run()
         hosts.push_back(std::make_unique<Host>(eq, cfg, rng.fork(),
                                                config_.fabric, id));
         Host &host = *hosts.back();
+        fault_targets.push_back(
+            {sw.downlink(id), host.uplink, host.rig.nic()});
         host.rig.attachPolicies(
             host.rng, hostDataplanes_[static_cast<std::size_t>(id)],
             &host.feedback, [&cfg, &profiles] {
@@ -256,10 +239,7 @@ ClusterExperiment::run()
     std::vector<LatencyRecorder> hop_lat(
         static_cast<std::size_t>(config_.numHosts));
     if (topology.enabled()) {
-        sw.setHopTap([&hop_lat, &eq](int host, int tier, Tick hop,
-                                     bool forwarded) {
-            (void)tier;
-            (void)forwarded;
+        sw.setHopTap([&hop_lat, &eq](int host, Tick hop) {
             hop_lat[static_cast<std::size_t>(host)].record(eq.now(),
                                                            hop);
         });
@@ -330,52 +310,12 @@ ClusterExperiment::run()
     // Built after every pre-existing component so the injector's Rng
     // fork is the last one taken: a disabled plan leaves all other
     // streams untouched and the run byte-identical to a fault-free
-    // build.
+    // build. Faults land on the host access links (switch port down,
+    // host uplink up) and the hosts' NICs.
     std::unique_ptr<FaultInjector> injector;
-    if (plan_.fault.enabled()) {
-        injector = std::make_unique<FaultInjector>(eq, plan_.fault,
-                                                   rng.fork());
-        // Loss/corruption live on the host access links (switch port
-        // down, host uplink up), in topology order.
-        for (int id = 0; id < config_.numHosts; ++id) {
-            injector->addLossyWire(sw.downlink(id));
-            injector->addLossyWire(
-                hosts[static_cast<std::size_t>(id)]->uplink);
-        }
-        if (plan_.fault.wantsFlap()) {
-            std::vector<Wire *> flapping;
-            for (int id = 0; id < config_.numHosts; ++id) {
-                if (plan_.fault.flapHost >= 0 && plan_.fault.flapHost != id)
-                    continue;
-                flapping.push_back(&sw.downlink(id));
-                flapping.push_back(
-                    &hosts[static_cast<std::size_t>(id)]->uplink);
-            }
-            injector->addFlapGroup(std::move(flapping));
-        }
-        if (plan_.fault.wantsRingDegrade())
-            for (std::unique_ptr<Host> &host : hosts)
-                injector->addDegradableNic(host->rig.nic());
-        for (int crash_host : plan_.fault.crashHosts) {
-            // Fail-stop from the network's point of view: both access
-            // links go dark; the host itself keeps simulating (its
-            // power draw during the outage is part of the result).
-            Wire *down_link = &sw.downlink(crash_host);
-            Wire *up_link =
-                &hosts[static_cast<std::size_t>(crash_host)]->uplink;
-            injector->trackWire(*down_link);
-            injector->trackWire(*up_link);
-            injector->scheduleCrash(
-                [down_link, up_link] {
-                    down_link->setLinkDown(true);
-                    up_link->setLinkDown(true);
-                },
-                [down_link, up_link] {
-                    down_link->setLinkDown(false);
-                    up_link->setLinkDown(false);
-                });
-        }
-    }
+    if (plan_.fault.enabled())
+        injector = std::make_unique<FaultInjector>(
+            eq, plan_.fault, rng.fork(), fault_targets);
 
     // --- Run ----------------------------------------------------------
     for (std::unique_ptr<Host> &host : hosts)
@@ -420,16 +360,8 @@ ClusterExperiment::run()
     result.collect(clients, latencies, attempts, config_.base.app.slo,
                    injector.get(), plan_);
 
-    result.requestsForwarded = sw.totalRequestsForwarded();
-    result.responsesReturned = sw.totalResponsesReturned();
-    result.switchPortDrops = sw.portDrops();
+    static_cast<SwitchCounters &>(result) = sw.counters();
     result.strayResponses = stray;
-    result.ejections = sw.totalEjections();
-    result.requestsRerouted = sw.requestsRerouted();
-    result.lateResponses = sw.lateResponses();
-    result.switchDeadlineSheds = sw.deadlineSheds();
-    result.breakerShortCircuits = sw.breakerShortCircuits();
-    result.breakerTransitions = sw.totalBreakerTransitions();
     result.goodputRps =
         static_cast<double>(result.responsesReceived) /
         toSeconds(sim_end);
@@ -476,10 +408,6 @@ ClusterExperiment::run()
 
     // --- Per-tier SLO attribution -------------------------------------
     if (topology.enabled()) {
-        result.eastWestForwards = sw.eastWestForwards();
-        result.eastWestBytes = sw.eastWestBytes();
-        result.goodputBytes = sw.goodputBytes();
-        result.controlBytes = sw.controlBytes();
         for (int t = 0; t < topology.numTiers(); ++t) {
             const TierSpec &tier =
                 topology.tiers[static_cast<std::size_t>(t)];
@@ -488,7 +416,7 @@ ClusterExperiment::run()
             tr.name = tier.name;
             tr.firstHost = topology.firstHostOf(t);
             tr.hosts = tier.hosts;
-            tr.dispatch = sw.tier(t).dispatch;
+            tr.dispatch = sw.tierDispatch(t);
             tr.slo = tierSlo(t);
             LatencySet tier_hops;
             for (int id = tr.firstHost; id < tr.firstHost + tr.hosts;

@@ -164,54 +164,25 @@ struct ClusterHostResult : ServerCounters
 };
 
 /** Everything a cluster run produces: what the clients measured (see
- *  RunCounters), cluster aggregates and the per-tier and per-host
- *  breakdowns. */
-struct ClusterResult : RunCounters
+ *  RunCounters), the switch's totals (see SwitchCounters), cluster
+ *  aggregates and the per-tier and per-host breakdowns. The switch's
+ *  byte classes are serialised only for topology runs. */
+struct ClusterResult : RunCounters, SwitchCounters
 {
     /** Sum of every host's package energy over the measurement. */
     double energyJoules = 0.0;
     double avgPowerWatts = 0.0;
 
-    /** @name Conservation accounting */
-    /**@{*/
-    std::uint64_t requestsForwarded = 0; //!< switch -> hosts
-    std::uint64_t responsesReturned = 0; //!< hosts -> switch
-    std::uint64_t switchPortDrops = 0;   //!< egress-port queue drops
-    std::uint64_t hostNicDrops = 0;      //!< host NIC ring overflows
+    std::uint64_t hostNicDrops = 0; //!< host NIC ring overflows
     /** Responses whose flow hash matched no client group. */
     std::uint64_t strayResponses = 0;
-    /**@}*/
-
-    /** @name Fault/robustness accounting (all zero in fault-free runs) */
-    /**@{*/
-    std::uint64_t ejections = 0;          //!< failure-detector ejections
-    std::uint64_t requestsRerouted = 0;   //!< steered around ejections
-    std::uint64_t lateResponses = 0;      //!< from written-off hosts
     /** Completions per second over the whole run (goodput). */
     double goodputRps = 0.0;
-    /**@}*/
 
-    /** @name Resilience accounting (all zero — and not serialised —
-     *  without a `resilience.*` plan) */
-    /**@{*/
-    /** Switch-side past-deadline sheds (before dispatch). */
-    std::uint64_t switchDeadlineSheds = 0;
-    /** Requests refused because a tier's breakers were all open. */
-    std::uint64_t breakerShortCircuits = 0;
-    /** Total circuit-breaker state transitions across hosts. */
-    std::uint64_t breakerTransitions = 0;
-    /**@}*/
-
-    /** @name Topology accounting (all zero in single-tier runs) */
-    /**@{*/
-    std::uint64_t eastWestForwards = 0; //!< host->host re-dispatches
-    std::uint64_t eastWestBytes = 0;    //!< east-west fabric bytes
-    std::uint64_t goodputBytes = 0;     //!< response bytes to clients
-    std::uint64_t controlBytes = 0;     //!< probe/control-class bytes
     /** Sum of per-tier hop p99s (per-hop tail vs the end-to-end p99,
-     *  which includes fabric/port time and queueing correlation). */
+     *  which includes fabric/port time and queueing correlation); zero
+     *  in single-tier runs. */
     Tick hopP99Sum = 0;
-    /**@}*/
 
     /** Per-tier breakdown; empty unless a topology was declared. */
     std::vector<ClusterTierResult> tiers;
@@ -246,13 +217,6 @@ class ClusterExperiment
     Tick tierSlo(int tier) const;
 
   private:
-    /** What the switch is built from: per-host dispatch weights and
-     *  one tier per declared topology tier (none without a topology),
-     *  each naming the dispatch policy it declares, if any; the switch
-     *  resolves the defaults. */
-    std::vector<double> hostWeights() const;
-    std::vector<SwitchTier> switchTiers() const;
-
     ClusterConfig config_;
     RunPlan plan_;
     /** Per host: the resolved config and its validated dataplane. */

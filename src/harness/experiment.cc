@@ -309,19 +309,13 @@ Experiment::run()
     // Built after every pre-existing component so the injector's Rng
     // fork is the last one taken: a disabled plan leaves all other
     // streams untouched and the run byte-identical to a fault-free
-    // build.
+    // build. The server is the one host.
     std::unique_ptr<FaultInjector> injector;
-    if (plan_.fault.enabled()) {
-        injector =
-            std::make_unique<FaultInjector>(eq, plan_.fault, rng.fork());
-        injector->addLossyWire(client_to_server);
-        injector->addLossyWire(server_to_client);
-        if (plan_.fault.wantsFlap())
-            injector->addFlapGroup(
-                {&client_to_server, &server_to_client});
-        if (plan_.fault.wantsRingDegrade())
-            injector->addDegradableNic(rig.nic());
-    }
+    if (plan_.fault.enabled())
+        injector = std::make_unique<FaultInjector>(
+            eq, plan_.fault, rng.fork(),
+            std::vector<FaultInjector::Host>{
+                {client_to_server, server_to_client, rig.nic()}});
 
     // --- Run -----------------------------------------------------------
     rig.start();

@@ -86,6 +86,37 @@ TEST(ClusterTest, ConservesRequestsThroughTheSwitch)
     EXPECT_EQ(served, r.requestsSent);
 }
 
+/** The switch's totals on a single-tier run: every forwarded request
+ *  comes back and reaches a client, the goodput bytes are the
+ *  responses' bytes, no control or east-west traffic exists, and the
+ *  per-host breakdown adds back up to the totals. */
+TEST(ClusterTest, SwitchCountersBalanceOnASingleTierRun)
+{
+    const ClusterConfig cfg = smallCluster();
+    const ClusterResult r = ClusterExperiment(cfg).run();
+
+    ASSERT_GT(r.responsesReceived, 0u);
+    EXPECT_EQ(r.requestsForwarded, r.responsesReturned);
+    EXPECT_EQ(r.responsesReturned, r.responsesReceived);
+    EXPECT_EQ(r.goodputBytes,
+              r.responsesReceived * cfg.base.app.responseBytes);
+    EXPECT_EQ(r.controlBytes, 0u);
+    EXPECT_EQ(r.eastWestForwards, 0u);
+    EXPECT_EQ(r.eastWestBytes, 0u);
+
+    std::uint64_t served = 0;
+    std::uint64_t ejections = 0;
+    std::uint64_t transitions = 0;
+    for (const ClusterHostResult &host : r.hosts) {
+        served += host.served;
+        ejections += host.ejections;
+        transitions += host.breakerTransitions;
+    }
+    EXPECT_EQ(served, r.responsesReturned);
+    EXPECT_EQ(ejections, r.ejections);
+    EXPECT_EQ(transitions, r.breakerTransitions);
+}
+
 TEST(ClusterTest, MultipleClientGroupsSplitTheLoad)
 {
     ClusterConfig cfg = smallCluster();

@@ -339,9 +339,11 @@ TEST(BypassRigTest, SpinNeverSleepsMetronomeDoes)
     EXPECT_GT(spin.pollLoops, 0u);
     EXPECT_EQ(spin.sleeps, 0u);
     EXPECT_EQ(spin.sleepResidency, 0);
-    // An idle spin loop is all empty polls.
+    // An idle spin loop is all empty polls, so it wastes energy.
     EXPECT_EQ(spin.emptyPolls, spin.pollLoops);
-    EXPECT_DOUBLE_EQ(spin.wastedPollCycleShare, 1.0);
+    const double spin_wasted =
+        rig.engine_->wastedPollEnergyJoules(rig.eq_.now());
+    EXPECT_GT(spin_wasted, 0.0);
 
     BypassRig metro;
     metro.build(BypassRig::bypassParams("metronome"));
@@ -350,8 +352,11 @@ TEST(BypassRigTest, SpinNeverSleepsMetronomeDoes)
     EXPECT_GT(m.sleeps, 0u);
     EXPECT_GT(m.sleepResidency, 0);
     // Intermittent sleep trades poll loops for residency: far fewer
-    // iterations than the spin loop managed in the same window.
+    // iterations than the spin loop managed in the same window, and
+    // less of the busy-poll tax.
     EXPECT_LT(m.pollLoops, spin.pollLoops / 10);
+    EXPECT_LT(metro.engine_->wastedPollEnergyJoules(metro.eq_.now()),
+              spin_wasted);
 }
 
 TEST(BypassRigTest, ArmedIrqCutsTheSleepShort)

@@ -144,6 +144,17 @@ TEST(DeterminismTest, BoundedPortOutputByteIdenticalAcrossRuns)
     EXPECT_EQ(first, second);
 }
 
+/** Loss, corruption, a flap, ring degradation and a two-host crash in
+ *  one cluster, twice, byte-identical. */
+TEST(DeterminismTest, FaultedRackOutputByteIdenticalAcrossRuns)
+{
+    const ClusterConfig cfg = golden::faultedRack();
+    const std::string first = golden::renderCluster(cfg);
+    const std::string second = golden::renderCluster(cfg);
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, second);
+}
+
 TEST(GoldenOutputTest, SingleHostMatchesGolden)
 {
     const std::string expected = readFile(goldenPath("single_host"));
@@ -213,6 +224,13 @@ TEST(GoldenOutputTest, BoundedPortMatchesGolden)
     ASSERT_FALSE(expected.empty());
     EXPECT_EQ(golden::renderCluster(golden::boundedPortCluster()),
               expected);
+}
+
+TEST(GoldenOutputTest, FaultedRackMatchesGolden)
+{
+    const std::string expected = readFile(goldenPath("faulted_rack"));
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(golden::renderCluster(golden::faultedRack()), expected);
 }
 
 } // namespace

@@ -153,7 +153,7 @@ TEST_F(FailoverTest, AffinityPoliciesRerouteAroundEjectedHost)
     EXPECT_GE(sw_->ejections(1), 1u);
     // Once ejected, the policy's pick is overridden toward a healthy
     // host and counted as a reroute.
-    EXPECT_GT(sw_->requestsRerouted(), 0u);
+    EXPECT_GT(sw_->counters().requestsRerouted, 0u);
     EXPECT_GT(requestsSeen_[0], 0u);
 }
 
@@ -193,7 +193,7 @@ TEST_F(FailoverTest, LossyButAliveHostIsNeverEjected)
     // really is silent and *should* eventually be ejected.
     offerLoad(0, microseconds(500), 80); // 40 ms of load
     eq_.runUntil(milliseconds(38));
-    EXPECT_EQ(sw_->totalEjections(), 0u);
+    EXPECT_EQ(sw_->counters().ejections, 0u);
     EXPECT_FALSE(sw_->isEjected(1));
 }
 
@@ -211,7 +211,35 @@ TEST_F(FailoverTest, LateResponseFromWrittenOffHostIsCounted)
     resp.kind = Packet::Kind::kResponse;
     resp.sizeBytes = 128;
     sw_->fromHost(1, resp);
-    EXPECT_EQ(sw_->lateResponses(), 1u);
+    EXPECT_EQ(sw_->counters().lateResponses, 1u);
+}
+
+TEST_F(FailoverTest, SwitchTotalsSumThePerHostCounts)
+{
+    makeSwitch("round-robin");
+    silent_[1] = true;
+    offerLoad(0, microseconds(500), 40);
+    eq_.runUntil(milliseconds(25));
+
+    std::uint64_t forwarded = 0;
+    std::uint64_t returned = 0;
+    std::uint64_t ejections = 0;
+    std::uint64_t transitions = 0;
+    for (int id = 0; id < kHosts; ++id) {
+        forwarded += sw_->requestsForwarded(id);
+        returned += sw_->responsesReturned(id);
+        ejections += sw_->ejections(id);
+        transitions += sw_->breakerTransitions(id);
+    }
+    const SwitchCounters c = sw_->counters();
+    EXPECT_EQ(c.requestsForwarded, forwarded);
+    EXPECT_EQ(c.requestsForwarded, requestsSeen_[0] + requestsSeen_[1]);
+    EXPECT_EQ(c.responsesReturned, returned);
+    EXPECT_EQ(c.responsesReturned, clientResponses_);
+    EXPECT_GT(c.ejections, 0u);
+    EXPECT_EQ(c.ejections, ejections);
+    EXPECT_EQ(c.breakerTransitions, transitions);
+    EXPECT_EQ(c.switchPortDrops, 0u);
 }
 
 TEST_F(FailoverTest, AllHostsEjectedDegradesToHealthBlindDispatch)

@@ -189,35 +189,57 @@ TEST(RetryPolicyTest, CapMustCoverBaseTimeout)
     EXPECT_THROW(ClientRetryPolicy::fromParams(params), FatalError);
 }
 
-// --- FaultInjector against real wires ------------------------------
+// --- FaultInjector against real hosts ------------------------------
 
-/** Send @p n minimal packets through @p wire immediately. */
-void
-pump(EventQueue &eq, Wire &wire, int n)
+/** Two hosts as a harness hands them to the injector: each a link
+ *  toward it, a link from it and a NIC. Every link delivers into a
+ *  per-link counter. */
+struct FaultRig
 {
-    for (int i = 0; i < n; ++i) {
-        Packet pkt;
-        pkt.requestId = static_cast<std::uint64_t>(i) + 1;
-        pkt.sizeBytes = 128;
-        wire.send(pkt);
+    FaultRig()
+    {
+        for (int w = 0; w < 4; ++w)
+            links[w]->setSink([this, w](const Packet &) { ++delivered[w]; });
     }
-    eq.runAll();
-}
+
+    std::vector<FaultInjector::Host>
+    hosts()
+    {
+        return {{toward0, from0, nic0}, {toward1, from1, nic1}};
+    }
+
+    /** Send @p n minimal packets through @p wire at once. */
+    void
+    pump(Wire &wire, int n)
+    {
+        for (int i = 0; i < n; ++i) {
+            Packet pkt;
+            pkt.requestId = static_cast<std::uint64_t>(i) + 1;
+            pkt.sizeBytes = 128;
+            wire.send(pkt);
+        }
+        eq.runAll();
+    }
+
+    EventQueue eq;
+    Wire toward0{eq}, from0{eq}, toward1{eq}, from1{eq};
+    Wire *links[4] = {&toward0, &from0, &toward1, &from1};
+    std::uint64_t delivered[4] = {0, 0, 0, 0};
+    Nic nic0{eq, NicConfig{}}, nic1{eq, NicConfig{}};
+};
 
 TEST(FaultInjectorTest, LossFilterDropsAndDeliversDeterministically)
 {
     auto runOnce = [](std::uint64_t seed) {
-        EventQueue eq;
-        Wire wire(eq);
+        FaultRig rig;
         std::vector<std::uint64_t> delivered;
-        wire.setSink([&delivered](const Packet &pkt) {
+        rig.toward1.setSink([&delivered](const Packet &pkt) {
             delivered.push_back(pkt.requestId);
         });
         FaultPlan plan;
         plan.wireLoss = 0.5;
-        FaultInjector injector(eq, plan, Rng(seed));
-        injector.addLossyWire(wire);
-        pump(eq, wire, 200);
+        FaultInjector injector(rig.eq, plan, Rng(seed), rig.hosts());
+        rig.pump(rig.toward1, 200);
         return std::make_pair(delivered, injector.packetsFaultLost());
     };
 
@@ -230,91 +252,152 @@ TEST(FaultInjectorTest, LossFilterDropsAndDeliversDeterministically)
     EXPECT_EQ(first.size() + lostFirst, 200u);
 }
 
-TEST(FaultInjectorTest, CorruptPacketsOccupyLineButNeverDeliver)
+TEST(FaultInjectorTest, OneDrawSplitsLossCorruptionAndDelivery)
 {
-    EventQueue eq;
-    Wire wire(eq);
-    std::uint64_t delivered = 0;
-    wire.setSink([&delivered](const Packet &) { ++delivered; });
+    FaultRig rig;
     FaultPlan plan;
-    plan.wireCorrupt = 1.0; // direct construction skips validation
-    FaultInjector injector(eq, plan, Rng(1));
-    injector.addLossyWire(wire);
-    pump(eq, wire, 10);
-    EXPECT_EQ(delivered, 0u);
-    EXPECT_EQ(injector.packetsCorrupted(), 10u);
-    EXPECT_EQ(wire.packetsDelivered(), 0u);
+    plan.wireLoss = 0.3;
+    plan.wireCorrupt = 0.2;
+    FaultInjector injector(rig.eq, plan, Rng(3), rig.hosts());
+    // Every link of every host is filtered, from one stream.
+    for (Wire *wire : rig.links)
+        rig.pump(*wire, 500);
+    const std::uint64_t lost = injector.packetsFaultLost();
+    const std::uint64_t corrupted = injector.packetsCorrupted();
+    std::uint64_t delivered = 0;
+    for (int w = 0; w < 4; ++w) {
+        EXPECT_GT(rig.links[w]->packetsFaultLost(), 0u) << w;
+        EXPECT_GT(rig.links[w]->packetsCorrupted(), 0u) << w;
+        delivered += rig.delivered[w];
+    }
+    EXPECT_EQ(lost + corrupted + delivered, 2000u);
+    EXPECT_GT(lost, 500u); // ~600 of 2000 at p = 0.3
+    EXPECT_LT(lost, 700u);
+    EXPECT_GT(corrupted, 320u); // ~400 at p = 0.2
+    EXPECT_LT(corrupted, 480u);
 }
 
-TEST(FaultInjectorTest, FlapDownsAndRestoresOnSchedule)
+TEST(FaultInjectorTest, CorruptPacketsOccupyLineButNeverDeliver)
 {
-    EventQueue eq;
-    Wire a(eq);
-    Wire b(eq);
-    a.setSink([](const Packet &) {});
-    b.setSink([](const Packet &) {});
+    FaultRig rig;
+    FaultPlan plan;
+    plan.wireCorrupt = 1.0; // direct construction skips validation
+    FaultInjector injector(rig.eq, plan, Rng(1), rig.hosts());
+    rig.pump(rig.from0, 10);
+    EXPECT_EQ(rig.delivered[1], 0u);
+    EXPECT_EQ(injector.packetsCorrupted(), 10u);
+    EXPECT_EQ(rig.from0.packetsDelivered(), 0u);
+}
+
+TEST(FaultInjectorTest, FlapDownsAndRestoresTheFlapHostOnSchedule)
+{
+    FaultRig rig;
     FaultPlan plan;
     plan.flapStart = milliseconds(1);
     plan.flapDown = milliseconds(2);
     plan.flapPeriod = milliseconds(5);
     plan.flapCycles = 2;
-    FaultInjector injector(eq, plan, Rng(1));
-    injector.addFlapGroup({&a, &b});
+    plan.flapHost = 1;
+    FaultInjector injector(rig.eq, plan, Rng(1), rig.hosts());
 
-    eq.runUntil(plan.flapStart + microseconds(1));
-    EXPECT_TRUE(a.linkDown());
-    EXPECT_TRUE(b.linkDown());
+    rig.eq.runUntil(plan.flapStart + microseconds(1));
+    EXPECT_TRUE(rig.toward1.linkDown());
+    EXPECT_TRUE(rig.from1.linkDown());
+    EXPECT_FALSE(rig.toward0.linkDown()); // host 0 never flaps
+    EXPECT_FALSE(rig.from0.linkDown());
     // A send while down is a counted drop, not an error.
     Packet pkt;
     pkt.sizeBytes = 128;
-    a.send(pkt);
-    EXPECT_EQ(a.packetsLinkDownLost(), 1u);
+    rig.toward1.send(pkt);
+    EXPECT_EQ(rig.toward1.packetsLinkDownLost(), 1u);
 
-    eq.runUntil(plan.flapStart + plan.flapDown + microseconds(1));
-    EXPECT_FALSE(a.linkDown()); // first up edge
+    rig.eq.runUntil(plan.flapStart + plan.flapDown + microseconds(1));
+    EXPECT_FALSE(rig.toward1.linkDown()); // first up edge
 
-    eq.runUntil(plan.flapStart + plan.flapPeriod + microseconds(1));
-    EXPECT_TRUE(a.linkDown()); // second cycle's down edge
+    rig.eq.runUntil(plan.flapStart + plan.flapPeriod + microseconds(1));
+    EXPECT_TRUE(rig.toward1.linkDown()); // second cycle's down edge
 
-    eq.runAll();
-    EXPECT_FALSE(a.linkDown()); // schedule exhausted, link restored
+    rig.eq.runUntil(plan.flapStart + plan.flapPeriod + plan.flapDown +
+                    microseconds(1));
+    EXPECT_FALSE(rig.toward1.linkDown()); // second up edge
+    // Two cycles, then nothing: no third down edge is pending.
+    EXPECT_TRUE(rig.eq.empty());
     EXPECT_EQ(injector.packetsLinkDownLost(), 1u);
 }
 
-TEST(FaultInjectorTest, RingDegradesAndRestores)
+TEST(FaultInjectorTest, FlapWithoutAHostFlapsEveryHost)
 {
-    EventQueue eq;
-    NicConfig cfg;
-    cfg.rxRingSize = 2048;
-    Nic nic(eq, cfg);
+    FaultRig rig;
+    FaultPlan plan;
+    plan.flapStart = milliseconds(1);
+    plan.flapDown = milliseconds(2);
+    plan.flapPeriod = milliseconds(5);
+    plan.flapCycles = 1;
+    FaultInjector injector(rig.eq, plan, Rng(1), rig.hosts());
+    rig.eq.runUntil(plan.flapStart + microseconds(1));
+    for (Wire *wire : rig.links)
+        EXPECT_TRUE(wire->linkDown());
+    rig.eq.runAll();
+    for (Wire *wire : rig.links)
+        EXPECT_FALSE(wire->linkDown());
+}
+
+TEST(FaultInjectorTest, RingDegradesAndRestoresOnEveryHost)
+{
+    FaultRig rig;
+    const std::size_t original = rig.nic0.config().rxRingSize;
     FaultPlan plan;
     plan.ringDegradeAt = milliseconds(1);
     plan.ringSize = 32;
     plan.ringRestoreAt = milliseconds(2);
-    FaultInjector injector(eq, plan, Rng(1));
-    injector.addDegradableNic(nic);
+    FaultInjector injector(rig.eq, plan, Rng(1), rig.hosts());
 
-    eq.runUntil(milliseconds(1) + microseconds(1));
-    EXPECT_EQ(nic.config().rxRingSize, 32u);
-    eq.runAll();
-    EXPECT_EQ(nic.config().rxRingSize, 2048u);
+    rig.eq.runUntil(milliseconds(1) + microseconds(1));
+    EXPECT_EQ(rig.nic0.config().rxRingSize, 32u);
+    EXPECT_EQ(rig.nic1.config().rxRingSize, 32u);
+    rig.eq.runAll();
+    EXPECT_EQ(rig.nic0.config().rxRingSize, original);
+    EXPECT_EQ(rig.nic1.config().rxRingSize, original);
 }
 
-TEST(FaultInjectorTest, CrashCallbacksFireAtPlanTimes)
+TEST(FaultInjectorTest, CrashDownsTheCrashHostsLinksUntilRecovery)
 {
-    EventQueue eq;
+    FaultRig rig;
     FaultPlan plan;
-    plan.crashHosts = {0};
+    plan.crashHosts = {1};
     plan.crashAt = milliseconds(3);
     plan.recoverAt = milliseconds(7);
-    FaultInjector injector(eq, plan, Rng(1));
-    Tick downAt = 0;
-    Tick upAt = 0;
-    injector.scheduleCrash([&] { downAt = eq.now(); },
-                           [&] { upAt = eq.now(); });
-    eq.runAll();
-    EXPECT_EQ(downAt, plan.crashAt);
-    EXPECT_EQ(upAt, plan.recoverAt);
+    FaultInjector injector(rig.eq, plan, Rng(1), rig.hosts());
+
+    rig.eq.runUntil(plan.crashAt - 1);
+    EXPECT_FALSE(rig.toward1.linkDown());
+    rig.eq.runUntil(plan.crashAt);
+    EXPECT_TRUE(rig.toward1.linkDown());
+    EXPECT_TRUE(rig.from1.linkDown());
+    EXPECT_FALSE(rig.toward0.linkDown()); // the other host stays up
+    // Crashed links count in the injector's link-down accounting.
+    Packet pkt;
+    pkt.sizeBytes = 128;
+    rig.from1.send(pkt);
+    EXPECT_EQ(injector.packetsLinkDownLost(), 1u);
+
+    rig.eq.runUntil(plan.recoverAt - 1);
+    EXPECT_TRUE(rig.toward1.linkDown());
+    rig.eq.runUntil(plan.recoverAt);
+    EXPECT_FALSE(rig.toward1.linkDown());
+    EXPECT_FALSE(rig.from1.linkDown());
+}
+
+TEST(FaultInjectorTest, CrashWithoutRecoveryStaysDown)
+{
+    FaultRig rig;
+    FaultPlan plan;
+    plan.crashHosts = {0, 1};
+    plan.crashAt = milliseconds(3);
+    FaultInjector injector(rig.eq, plan, Rng(1), rig.hosts());
+    rig.eq.runAll();
+    for (Wire *wire : rig.links)
+        EXPECT_TRUE(wire->linkDown());
 }
 
 // --- Client retry/timeout machinery --------------------------------

@@ -203,6 +203,38 @@ boundedPortCluster()
     return cfg;
 }
 
+/** Every fault kind at once on a 4-host rack: wire loss and
+ *  corruption, two flap cycles of host 0's access links, an rx-ring
+ *  degrade/restore on every NIC and a two-host crash with recovery,
+ *  under the failure detector and client retries. Pins where each
+ *  fault lands and the order the injector arms them. */
+inline ClusterConfig
+faultedRack()
+{
+    ClusterConfig cfg = smallCluster();
+    cfg.numHosts = 4;
+    cfg.dispatch = "least-outstanding";
+    cfg.fabric.healthInterval = milliseconds(1);
+    cfg.fabric.healthTimeout = milliseconds(3);
+    cfg.fabric.ejectDuration = milliseconds(5);
+    cfg.base.params.set("fault.wire_loss", "0.01");
+    cfg.base.params.set("fault.wire_corrupt", "0.005");
+    cfg.base.params.set("fault.flap_host", 0);
+    cfg.base.params.setTick("fault.flap_start", milliseconds(12));
+    cfg.base.params.setTick("fault.flap_down", milliseconds(2));
+    cfg.base.params.setTick("fault.flap_period", milliseconds(10));
+    cfg.base.params.set("fault.flap_cycles", 2);
+    cfg.base.params.setTick("fault.ring_degrade_at", milliseconds(20));
+    cfg.base.params.set("fault.ring_size", 8);
+    cfg.base.params.setTick("fault.ring_restore_at", milliseconds(35));
+    cfg.base.params.set("fault.crash_host", "2,3");
+    cfg.base.params.setTick("fault.crash_at", milliseconds(25));
+    cfg.base.params.setTick("fault.recover_at", milliseconds(40));
+    cfg.base.params.setTick("client.timeout", milliseconds(2));
+    cfg.base.params.set("client.retries", 2);
+    return cfg;
+}
+
 /** Serialised (JSON + CSV) ResultWriter output for one fresh run. */
 inline std::string
 renderSingleHost(const ExperimentConfig &cfg)

@@ -63,7 +63,9 @@ main(int argc, char **argv)
                     golden::renderCluster(golden::resilientCascade()));
     rc |= writeFile(dir + "/bounded_port.golden",
                     golden::renderCluster(golden::boundedPortCluster()));
+    rc |= writeFile(dir + "/faulted_rack.golden",
+                    golden::renderCluster(golden::faultedRack()));
     if (rc == 0)
-        std::printf("golden_gen: wrote 9 goldens to %s\n", dir.c_str());
+        std::printf("golden_gen: wrote 10 goldens to %s\n", dir.c_str());
     return rc;
 }

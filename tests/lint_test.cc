@@ -195,7 +195,7 @@ TEST(LintTest, ProjectPhaseFiresEveryProjectRule)
     const RunResult r = lintProjectTree();
     EXPECT_EQ(r.exitCode, 1);
     const std::vector<std::string> found = lines(r.out);
-    EXPECT_EQ(found.size(), 7u) << r.out;
+    EXPECT_EQ(found.size(), 8u) << r.out;
     for (const char *want :
          {"src/sim/uses_harness.cc:3: layering: module 'sim' may not "
           "include 'harness/above.hh'",
@@ -205,6 +205,8 @@ TEST(LintTest, ProjectPhaseFiresEveryProjectRule)
           "namespace-scope state 'int g_packetsSeen = 0'",
           "src/net/global_state.cc:10: shared-mutable-state: non-const "
           "function-local static 'static int counter = 0'",
+          "src/sim/ensure_builtin.cc:9: shared-mutable-state: non-const "
+          "function-local static 'static bool registered = false'",
           "src/harness/config_io.cc:12: config-doc-sync: config key "
           "'undocumented_key' is parsed here but missing",
           "README.md:13: config-doc-sync: README.md documents config "
@@ -308,7 +310,7 @@ TEST(LintTest, SarifOutputIsSchemaValid)
             << "startLine must be 1-based";
         ++results;
     }
-    EXPECT_EQ(results, 7u) << s;
+    EXPECT_EQ(results, 8u) << s;
 }
 
 // --- --changed -------------------------------------------------------

@@ -98,8 +98,22 @@ TEST(TopologyPlanTest, RejectsMalformedTopologyKeys)
 
 // --- Switch east-west path (fake hosts) -----------------------------
 
-/** Two-tier switch driven with fake hosts: tier 0 forwards, tier 1
- *  replies. NOTE: with a health detector the switch reschedules
+/** Round-robin tiers of @p hosts hosts each, in request order. */
+TopologyPlan
+roundRobinTiers(const std::vector<int> &hosts)
+{
+    TopologyPlan plan;
+    for (int n : hosts) {
+        TierSpec &tier = plan.tiers.emplace_back();
+        tier.name = "tier" + std::to_string(plan.tiers.size() - 1);
+        tier.hosts = n;
+        tier.dispatch = "round-robin";
+    }
+    return plan;
+}
+
+/** Two-tier switch driven with fake hosts: host 0 (tier 0) forwards,
+ *  host 1 (tier 1) replies. NOTE: with a health detector the switch reschedules
  *  forever, so these tests never use runAll(); here there is no
  *  detector and runAll() is safe. */
 class TopologySwitchTest : public ::testing::Test
@@ -110,14 +124,10 @@ class TopologySwitchTest : public ::testing::Test
     void
     makeSwitch()
     {
-        std::vector<SwitchTier> tiers{
-            SwitchTier{"front", 0, 1, "round-robin"},
-            SwitchTier{"back", 1, 1, "round-robin"},
-        };
         sw_ = std::make_unique<ClusterSwitch>(
             eq_, SwitchConfig{}, "round-robin",
             std::vector<double>(kHosts, 1.0), PolicyParams{},
-            std::move(tiers));
+            roundRobinTiers({1, 1}));
         sw_->clientPort().setSink([this](const Packet &pkt) {
             ++clientResponses_;
             lastResponse_ = pkt;
@@ -137,12 +147,9 @@ class TopologySwitchTest : public ::testing::Test
             resp.sizeBytes = kResponseBytes;
             sw_->fromHost(1, resp);
         });
-        sw_->setHopTap([this](int host, int tier, Tick hop,
-                              bool forwarded) {
-            ++hopsSeen_;
+        sw_->setHopTap([this](int host, Tick hop) {
+            ++hopsSeen_[host];
             lastHopHost_ = host;
-            lastHopTier_ = tier;
-            lastHopForwarded_ = forwarded;
             EXPECT_GE(hop, 0);
         });
     }
@@ -174,10 +181,8 @@ class TopologySwitchTest : public ::testing::Test
     std::vector<std::unique_ptr<EventFunctionWrapper>> events_;
     std::uint64_t clientResponses_ = 0;
     std::uint64_t requestsSeen_[kHosts] = {0, 0};
-    std::uint64_t hopsSeen_ = 0;
+    std::uint64_t hopsSeen_[kHosts] = {0, 0};
     int lastHopHost_ = -1;
-    int lastHopTier_ = -1;
-    bool lastHopForwarded_ = false;
     Packet lastResponse_;
 };
 
@@ -191,22 +196,23 @@ TEST_F(TopologySwitchTest, ForwardsEastWestThroughTheChain)
     EXPECT_EQ(requestsSeen_[0], 5u);
     EXPECT_EQ(requestsSeen_[1], 5u);
     EXPECT_EQ(clientResponses_, 5u);
-    EXPECT_EQ(sw_->eastWestForwards(), 5u);
-    EXPECT_EQ(sw_->totalForwardsReturned(), 5u);
+    const SwitchCounters c = sw_->counters();
+    EXPECT_EQ(c.eastWestForwards, 5u);
     EXPECT_EQ(sw_->forwardsReturned(0), 5u);
-    EXPECT_EQ(sw_->totalResponsesReturned(), 5u);
+    EXPECT_EQ(sw_->forwardsReturned(1), 0u);
+    EXPECT_EQ(c.responsesReturned, 5u);
     EXPECT_EQ(sw_->responsesReturned(1), 5u);
+    EXPECT_EQ(c.requestsForwarded, 10u);
     EXPECT_EQ(sw_->requestsForwarded(0), 5u);
     EXPECT_EQ(sw_->requestsForwarded(1), 5u);
     EXPECT_EQ(sw_->outstanding(0), 0u);
     EXPECT_EQ(sw_->outstanding(1), 0u);
 
-    // The hop tap saw both hops of every request; the final hop was
-    // host 1's reply.
-    EXPECT_EQ(hopsSeen_, 10u);
+    // The hop tap saw both hops of every request, one per host; the
+    // final hop was host 1's reply.
+    EXPECT_EQ(hopsSeen_[0], 5u);
+    EXPECT_EQ(hopsSeen_[1], 5u);
     EXPECT_EQ(lastHopHost_, 1);
-    EXPECT_EQ(lastHopTier_, 1);
-    EXPECT_FALSE(lastHopForwarded_);
 
     // The delivered response carries the chain's addressing trail.
     EXPECT_EQ(static_cast<int>(lastResponse_.tier), 1);
@@ -214,9 +220,9 @@ TEST_F(TopologySwitchTest, ForwardsEastWestThroughTheChain)
 
     // Byte-class split: goodput counts responses only, east-west
     // counts the forwards, control saw nothing.
-    EXPECT_EQ(sw_->goodputBytes(), 5u * kResponseBytes);
-    EXPECT_EQ(sw_->eastWestBytes(), 5u * kRequestBytes);
-    EXPECT_EQ(sw_->controlBytes(), 0u);
+    EXPECT_EQ(c.goodputBytes, 5u * kResponseBytes);
+    EXPECT_EQ(c.eastWestBytes, 5u * kRequestBytes);
+    EXPECT_EQ(c.controlBytes, 0u);
 }
 
 TEST_F(TopologySwitchTest, ControlTrafficNeverCountsAsGoodput)
@@ -226,10 +232,10 @@ TEST_F(TopologySwitchTest, ControlTrafficNeverCountsAsGoodput)
     eq_.runAll();
 
     EXPECT_EQ(clientResponses_, 3u);
-    EXPECT_EQ(sw_->goodputBytes(), 0u);
+    EXPECT_EQ(sw_->counters().goodputBytes, 0u);
     // Counted at client ingress, at each host return, and at client
     // egress — never in the goodput bucket.
-    EXPECT_GT(sw_->controlBytes(), 0u);
+    EXPECT_GT(sw_->counters().controlBytes, 0u);
 }
 
 TEST_F(TopologySwitchTest, MidChainReplyAndBadTierPanic)
@@ -257,31 +263,25 @@ TEST_F(TopologySwitchTest, MidChainReplyAndBadTierPanic)
     EXPECT_THROW(sw_->fromClient(pkt), PanicError);
 }
 
-TEST(TopologySwitchConfigTest, RejectsNonContiguousTiers)
+TEST(TopologySwitchConfigTest, RejectsTiersThatMissOrOverrunHosts)
 {
     EventQueue eq;
-    std::vector<SwitchTier> gap{
-        SwitchTier{"a", 0, 1, "round-robin"},
-        SwitchTier{"b", 2, 1, "round-robin"},
-    };
-    EXPECT_THROW(ClusterSwitch(eq, SwitchConfig{}, "round-robin",
-                               std::vector<double>(3, 1.0),
-                               PolicyParams{}, std::move(gap)),
-                 FatalError);
-    std::vector<SwitchTier> under{
-        SwitchTier{"a", 0, 1, "round-robin"},
-    };
     EXPECT_THROW(ClusterSwitch(eq, SwitchConfig{}, "round-robin",
                                std::vector<double>(2, 1.0),
-                               PolicyParams{}, std::move(under)),
+                               PolicyParams{}, roundRobinTiers({1})),
                  FatalError);
-    std::vector<SwitchTier> over{
-        SwitchTier{"a", 0, 1, "round-robin"},
-        SwitchTier{"b", 1, 2, "round-robin"},
-    };
     EXPECT_THROW(ClusterSwitch(eq, SwitchConfig{}, "round-robin",
                                std::vector<double>(2, 1.0),
-                               PolicyParams{}, std::move(over)),
+                               PolicyParams{}, roundRobinTiers({1, 2})),
+                 FatalError);
+    // Sums that match the weights still need every tier to hold hosts.
+    EXPECT_THROW(ClusterSwitch(eq, SwitchConfig{}, "round-robin",
+                               std::vector<double>(2, 1.0),
+                               PolicyParams{}, roundRobinTiers({2, 0})),
+                 FatalError);
+    EXPECT_THROW(ClusterSwitch(eq, SwitchConfig{}, "round-robin",
+                               std::vector<double>(2, 1.0),
+                               PolicyParams{}, roundRobinTiers({3, -1})),
                  FatalError);
 }
 

@@ -13,9 +13,9 @@
  *
  * while blessing the two idioms the codebase is built on: Meyer
  * singletons inside an `instance()` accessor (the policy registries —
- * construction is C++11 thread-safe and the maps are frozen after
- * `ensureBuiltin*()`), and `thread_local` storage (per-thread by
- * construction).
+ * construction is C++11 thread-safe and every registration finishes
+ * during static initialisation, so the maps are frozen before
+ * `main`), and `thread_local` storage (per-thread by construction).
  *
  * This is a token-level scanner, not a compiler: `const`-ness is
  * judged by a `const`/`constexpr`/`constinit` token anywhere in the
@@ -288,8 +288,7 @@ class SharedStateRule : public ProjectRule
             for (const Frame &f : stack) {
                 if (f.ctx != Ctx::kFunction)
                     continue;
-                if (f.functionName == "instance" ||
-                    f.functionName.compare(0, 13, "ensureBuiltin") == 0)
+                if (f.functionName == "instance")
                     return true;
             }
             return false;
@@ -399,7 +398,7 @@ makeSharedStateRule()
 REGISTER_PROJECT_RULE(
     "shared-mutable-state", &makeSharedStateRule, "shared-state-ok",
     "src/ must hold no mutable namespace-scope or static-storage "
-    "state outside blessed instance()/ensureBuiltin* singletons: the "
+    "state outside blessed instance() singletons: the "
     "parallel-engine roadmap item needs an empty race surface");
 
 } // namespace
